@@ -12,7 +12,7 @@
 //	                   [-por=false] [-symmetry=false] [-plant NAME]
 //	                   [-max-states N] [-expect-states N] [-json FILE]
 //	                   [-scenario FILE] [-seeds DIR]
-//	pifexplore certify [-json FILE] [-quick]
+//	pifexplore certify [-json FILE]
 //
 // `run` explores one instance and exits 1 on any violation (the emitted
 // -scenario artifact replays under `pifhunt replay`). -expect-states
@@ -150,11 +150,11 @@ type certRow struct {
 
 // certTable is the EXPERIMENTS.md certification matrix: the acceptance
 // topologies under the central daemon from fault-injected starts, the flat
-// engine cross-check, the stronger daemon powers, the full-domain
-// certificate on the 3-line (every initial configuration the specification
-// quantifies over), and the planted-bug detection row.
-func certTable(quick bool) []certRow {
-	rows := []certRow{
+// engine cross-check, the stronger daemon powers, the planted-bug detection
+// row, and the full-domain certificate on the 3-line (every initial
+// configuration the specification quantifies over).
+func certTable() []certRow {
+	return []certRow{
 		{"line:3", 0, explore.Options{POR: true, Symmetry: true}, "faults:3", "certified", "central sim"},
 		{"ring:3", 0, explore.Options{POR: true, Symmetry: true}, "faults:3", "certified", "central sim"},
 		{"star:4", 0, explore.Options{POR: true, Symmetry: true}, "faults:3", "certified", "central sim"},
@@ -162,14 +162,8 @@ func certTable(quick bool) []certRow {
 		{"line:3", 0, explore.Options{Power: explore.PowerSynchronous}, "faults:3", "certified", "synchronous"},
 		{"ring:3", 0, explore.Options{Power: explore.PowerDistributed}, "faults:2", "certified", "distributed subsets"},
 		{"line:3", 0, explore.Options{Plant: "level-overflow", POR: true}, "clean", "violation", "planted bug detected"},
+		{"line:3", 0, explore.Options{POR: true, Symmetry: true}, "domain", "certified", "every initial configuration"},
 	}
-	if !quick {
-		rows = append(rows, certRow{
-			"line:3", 0, explore.Options{POR: true, Symmetry: true}, "domain", "certified",
-			"every initial configuration",
-		})
-	}
-	return rows
 }
 
 // liveRow is one line of the liveness certification table.
@@ -185,21 +179,16 @@ type liveRow struct {
 // normal-configuration bound from corrupted starts, on ≥5-processor
 // non-star topologies, plus the flat/event engine cross-checks. Every row
 // expects "certified".
-func livenessTable(quick bool) []liveRow {
-	rows := []liveRow{
+func livenessTable() []liveRow {
+	return []liveRow{
 		{"line:5", 0, explore.LivenessOptions{Target: explore.TargetCycle}, "clean"},
 		{"ring:5", 0, explore.LivenessOptions{Target: explore.TargetCycle}, "clean"},
 		{"grid:2x3", 0, explore.LivenessOptions{Target: explore.TargetCycle}, "clean"},
 		{"line:5", 0, explore.LivenessOptions{Target: explore.TargetCycle, Engine: "flat"}, "clean"},
 		{"line:5", 0, explore.LivenessOptions{Target: explore.TargetCycle, Engine: "event"}, "clean"},
+		{"line:5", 0, explore.LivenessOptions{Target: explore.TargetNormal}, "faults:2"},
+		{"ring:5", 0, explore.LivenessOptions{Target: explore.TargetNormal}, "faults:2"},
 	}
-	if !quick {
-		rows = append(rows,
-			liveRow{"line:5", 0, explore.LivenessOptions{Target: explore.TargetNormal}, "faults:2"},
-			liveRow{"ring:5", 0, explore.LivenessOptions{Target: explore.TargetNormal}, "faults:2"},
-		)
-	}
-	return rows
 }
 
 // certArtifact is the explore.json layout: the safety rows (reachable-state
@@ -211,17 +200,14 @@ type certArtifact struct {
 
 func runCertify(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pifexplore certify", flag.ContinueOnError)
-	var (
-		jsonPath = fs.String("json", "explore.json", "write the machine-readable results here ('' = skip)")
-		quick    = fs.Bool("quick", false, "skip the full-domain and faults-liveness rows (CI smoke)")
-	)
+	jsonPath := fs.String("json", "explore.json", "write the machine-readable results here ('' = skip)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	fmt.Fprintln(out, tableHeader())
 	var art certArtifact
 	bad := 0
-	for _, row := range certTable(*quick) {
+	for _, row := range certTable() {
 		g, err := graph.Parse(row.topo)
 		if err != nil {
 			return err
@@ -239,7 +225,7 @@ func runCertify(args []string, out io.Writer) error {
 		fmt.Fprintln(out, line)
 	}
 	fmt.Fprintln(out, "\n"+livenessHeader())
-	for _, row := range livenessTable(*quick) {
+	for _, row := range livenessTable() {
 		g, err := graph.Parse(row.topo)
 		if err != nil {
 			return err

@@ -108,11 +108,14 @@ func TestRunFrontierSeedsArtifact(t *testing.T) {
 	}
 }
 
-func TestCertifyQuick(t *testing.T) {
+// TestCertifyRewritesArtifact runs the full certification table and checks
+// that it rewrites the committed explore.json byte for byte: every state
+// count, fingerprint and round bound in the artifact is reproducible.
+func TestCertifyRewritesArtifact(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "explore.json")
 	var out bytes.Buffer
-	if err := run([]string{"certify", "-quick", "-json", jsonPath}, &out); err != nil {
+	if err := run([]string{"certify", "-json", jsonPath}, &out); err != nil {
 		t.Fatalf("certify failed: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "all rows match") {
@@ -130,16 +133,23 @@ func TestCertifyQuick(t *testing.T) {
 	if err := json.Unmarshal(data, &art); err != nil {
 		t.Fatal(err)
 	}
-	if len(art.Safety) != len(certTable(true)) {
-		t.Fatalf("artifact has %d safety rows, want %d", len(art.Safety), len(certTable(true)))
+	if len(art.Safety) != len(certTable()) {
+		t.Fatalf("artifact has %d safety rows, want %d", len(art.Safety), len(certTable()))
 	}
-	if len(art.Liveness) != len(livenessTable(true)) {
-		t.Fatalf("artifact has %d liveness rows, want %d", len(art.Liveness), len(livenessTable(true)))
+	if len(art.Liveness) != len(livenessTable()) {
+		t.Fatalf("artifact has %d liveness rows, want %d", len(art.Liveness), len(livenessTable()))
 	}
 	for _, r := range art.Liveness {
 		if r.Verdict != "certified" || r.WorstRounds > r.Bound {
 			t.Fatalf("liveness row off its bound: %+v", r)
 		}
+	}
+	committed, err := os.ReadFile(filepath.Join("..", "..", "explore.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, committed) {
+		t.Fatal("certify wrote an explore.json that differs from the committed artifact; rerun `go run ./cmd/pifexplore certify` and inspect the diff")
 	}
 }
 

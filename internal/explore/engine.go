@@ -17,16 +17,23 @@ import (
 // exactly one forced daemon selection through a real runner. The explorer
 // enumerates whatever the engine reports — it never evaluates a guard or
 // applies an action itself — so a certification is a statement about the
-// engine under test (boxed sim.Runner or flat.Runner), not about a model of
-// it.
+// engine under test (boxed sim.Runner, flat.Runner or event.Runner), not
+// about a model of it.
 //
-// Every Step builds a pristine runner on the engine's scratch configuration:
-// ages start at zero, so the weak-fairness forcing never adds a choice and
-// the committed step is exactly the requested selection. The successor's
-// enabled set is read back from the stepped runner's own guard cache — the
+// Every Probe and Step starts a pristine run on the engine's scratch
+// configuration: ages start at zero, so the weak-fairness forcing never adds
+// a choice and the committed step is exactly the requested selection. The
+// sim engine keeps one runner (one per explorer worker) and restarts it with
+// sim.Runner.Reset, which is exactly a fresh NewRunner; the runner seeds its
+// RNG on the first draw and the forced daemon never draws, so a transition
+// costs one state load, one guard evaluation and one step. The flat and
+// event engines build a runner per call: flat.Runner is due to be folded
+// into event.Runner, and a lazily seeded source would add an interface call
+// to every latency-mode draw of the event runner. The successor's enabled
+// set is read back from the stepped runner's own guard cache — the
 // incremental refresh path included — not recomputed from scratch.
 type Engine interface {
-	// Name identifies the engine in results ("sim" or "flat").
+	// Name identifies the engine in results ("sim", "flat" or "event").
 	Name() string
 
 	// Probe loads states into the scratch configuration and returns the
@@ -84,10 +91,11 @@ func engineOptions() sim.Options {
 }
 
 // simEngine drives the boxed generic engine (sim.Runner over *core.State).
+// Its one runner is restarted with Reset for every Probe and Step.
 type simEngine struct {
-	proto  sim.Protocol // possibly plant-wrapped
 	cfg    *sim.Configuration
 	forced *forcedDaemon
+	runner *sim.Runner
 }
 
 // newSimEngine builds a scratch boxed engine. plant, when non-empty, wraps
@@ -105,28 +113,27 @@ func newSimEngine(g *graph.Graph, root int, plant string, copts []core.Option) (
 		}
 		proto = pl.Wrap(pr)
 	}
-	return &simEngine{
-		proto:  proto,
-		cfg:    sim.NewConfiguration(g, proto),
-		forced: &forcedDaemon{},
-	}, nil
+	e := &simEngine{cfg: sim.NewConfiguration(g, proto), forced: &forcedDaemon{}}
+	e.runner = sim.NewRunner(e.cfg, proto, e.forced, engineOptions())
+	return e, nil
 }
 
 // Name implements Engine.
 func (e *simEngine) Name() string { return "sim" }
 
-// load writes the vector into the scratch configuration's boxes.
+// load writes the vector into the scratch configuration's boxes and
+// restarts the runner on it.
 func (e *simEngine) load(states []core.State) {
 	for p := range states {
 		*(e.cfg.States[p].(*core.State)) = states[p]
 	}
+	e.runner.Reset()
 }
 
 // Probe implements Engine.
 func (e *simEngine) Probe(states []core.State) ([]sim.Choice, error) {
 	e.load(states)
-	r := sim.NewRunner(e.cfg, e.proto, e.forced, engineOptions())
-	return r.Enabled(), nil
+	return e.runner.Enabled(), nil
 }
 
 // Step implements Engine.
@@ -134,8 +141,7 @@ func (e *simEngine) Step(states []core.State, sel []sim.Choice) ([]core.State, [
 	e.load(states)
 	e.forced.sel = sel
 	e.forced.miss = false
-	r := sim.NewRunner(e.cfg, e.proto, e.forced, engineOptions())
-	done, err := r.Step()
+	done, err := e.runner.Step()
 	if err != nil {
 		return nil, nil, fmt.Errorf("explore: sim step: %w", err)
 	}
@@ -149,7 +155,7 @@ func (e *simEngine) Step(states []core.State, sel []sim.Choice) ([]core.State, [
 	for p := range succ {
 		succ[p] = *(e.cfg.States[p].(*core.State))
 	}
-	return succ, r.Enabled(), nil
+	return succ, e.runner.Enabled(), nil
 }
 
 // flatEngine drives the large-N struct-of-arrays engine (flat.Runner).

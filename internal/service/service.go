@@ -287,7 +287,7 @@ func (s *Server) serve(arrivals []Arrival, serial bool) (*Report, error) {
 		// future work is the next arrival or a pending event-lane wake.
 		if drained {
 			next := int64(-1)
-			if ai < len(arrivals) && (!serial || true) {
+			if ai < len(arrivals) {
 				next = arrivals[ai].T
 			}
 			for _, ln := range s.lanes {

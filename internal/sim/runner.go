@@ -106,12 +106,15 @@ func Run(c *Configuration, p Protocol, d Daemon, opts Options) (Result, error) {
 // zero heap allocations once warm. NewRunner + a Step loop is exactly
 // equivalent to Run; the split exists for callers that need to observe or
 // meter individual steps (the allocation-budget tests, the benchmark
-// harness).
+// harness). Reset restarts the run in place, so a caller that runs many
+// short runs over one configuration (the exhaustive explorer) builds one
+// Runner instead of one per run.
 type Runner struct {
 	c    *Configuration
 	p    Protocol
 	d    Daemon
 	opts Options
+	src  lazySource
 	rng  *rand.Rand
 
 	names   []string
@@ -164,7 +167,6 @@ func NewRunner(c *Configuration, p Protocol, d Daemon, opts Options) *Runner {
 		p:    p,
 		d:    d,
 		opts: opts,
-		rng:  rand.New(rand.NewSource(opts.Seed)),
 
 		age:      make([]int, n),
 		pending:  newBitset(n),
@@ -172,50 +174,85 @@ func NewRunner(c *Configuration, p Protocol, d Daemon, opts Options) *Runner {
 		have:     newBitset(n),
 		stateBuf: make([]State, n),
 	}
-	names := p.ActionNames()
-	r.names = names
-	r.res = Result{MovesPerAction: make(map[string]int, len(names)), Final: c}
-	r.rs = RunState{Config: c}
+	r.rng = rand.New(&r.src)
+	r.names = p.ActionNames()
+	r.res.MovesPerAction = make(map[string]int, len(r.names))
+	r.Reset()
+	return r
+}
 
-	if opts.StopWhen != nil && opts.StopWhen(&r.rs) {
+// Reset restarts the run from the configuration's current contents, exactly
+// as NewRunner with the runner's original arguments would: the step, move
+// and round counters, the fairness ages and the RNG seed start over, the
+// StopWhen pre-check runs again, and every processor's guards are
+// re-evaluated. It keeps every buffer, so once warm a Reset allocates
+// nothing; reseeding the RNG is deferred to the run's first draw.
+//
+// The daemon and the observers belong to the caller and are not reset: a
+// stateful daemon (RoundRobin's cursor, Adversarial's memory) carries its
+// state into the next run. A Result read before Reset shares its
+// MovesPerAction map with the runner, which Reset clears.
+//
+//snapvet:hotpath
+func (r *Runner) Reset() {
+	clear(r.res.MovesPerAction)
+	r.res = Result{MovesPerAction: r.res.MovesPerAction, Final: r.c}
+	r.rs = RunState{Config: r.c}
+	clear(r.age)
+	r.finished, r.err = false, nil
+	r.rng.Seed(r.opts.Seed)
+
+	if r.opts.StopWhen != nil && r.opts.StopWhen(&r.rs) {
 		r.res.Stopped = true
 		r.finished = true
-		return r
+		return
 	}
+	if r.cache == nil {
+		r.build()
+	} else {
+		r.cache.reevaluate()
+	}
+	r.pending.copyFrom(r.cache.enabledBits)
+}
 
+// build creates the guard cache (evaluating every guard) and the shadow
+// boxes on the first Reset that starts a run.
+//
+//snapvet:coldpath runs once per Runner, at its first start
+func (r *Runner) build() {
 	// cache holds per-processor enabled actions; for LocalProtocol
 	// implementations only the moved processors' neighborhoods are
 	// re-evaluated after each step. Observers that mutate the
 	// configuration (fault injection mid-run) force full re-evaluation.
 	incremental := false
-	if lp, ok := p.(LocalProtocol); ok && lp.GuardsAreLocal() {
+	if lp, ok := r.p.(LocalProtocol); ok && lp.GuardsAreLocal() {
 		incremental = true
-		for _, o := range opts.Observers {
+		for _, o := range r.opts.Observers {
 			if mo, ok := o.(MutatingObserver); ok && mo.MutatesConfiguration() {
 				incremental = false
 				break
 			}
 		}
 	}
-	r.cache = newEnabledCache(c, p, incremental)
-	r.pending.copyFrom(r.cache.enabledBits)
+	r.cache = newEnabledCache(r.c, r.p, incremental)
 
 	// The in-place commit path: protocols that can overwrite state boxes
 	// get a shadow box per processor, created once here; each step writes
 	// into shadow boxes and swaps them with the live ones, so committing
-	// allocates nothing.
-	if ipp, ok := p.(InPlaceProtocol); ok {
+	// allocates nothing. ApplyInto overwrites its box whole, so the shadow
+	// boxes' contents never matter and Reset keeps them.
+	if ipp, ok := r.p.(InPlaceProtocol); ok {
 		r.inplace = ipp
-		r.shadow = make([]State, n)
-		for proc := 0; proc < n; proc++ {
-			r.shadow[proc] = c.States[proc].Clone()
+		r.shadow = make([]State, r.c.N())
+		for proc := range r.shadow {
+			r.shadow[proc] = r.c.States[proc].Clone()
 		}
 	}
-	return r
 }
 
 // Result returns the run summary accumulated so far; after Step has
-// reported done it is the final result.
+// reported done it is the final result. Its MovesPerAction map is the
+// runner's own, cleared by the next Reset.
 func (r *Runner) Result() Result { return r.res }
 
 // Step executes one computation step. It reports done = true when the run
@@ -401,10 +438,17 @@ func newEnabledCache(c *Configuration, p Protocol, incremental bool) *enabledCac
 	if rp, ok := p.(RadiusProtocol); ok && rp.DirtyRadius() > 1 {
 		ec.radius = rp.DirtyRadius()
 	}
-	for proc := 0; proc < c.N(); proc++ {
+	ec.reevaluate()
+	return ec
+}
+
+// reevaluate re-evaluates every processor's guards.
+//
+//snapvet:hotpath
+func (ec *enabledCache) reevaluate() {
+	for proc := range ec.acts {
 		ec.update(proc)
 	}
-	return ec
 }
 
 // update re-evaluates proc's guards, maintaining the enabled bitset and
@@ -440,9 +484,7 @@ func (ec *enabledCache) update(proc int) {
 //snapvet:hotpath
 func (ec *enabledCache) refresh(executed []Choice) {
 	if !ec.incremental {
-		for proc := 0; proc < ec.c.N(); proc++ {
-			ec.update(proc)
-		}
+		ec.reevaluate()
 		return
 	}
 	ec.scratch.reset()

@@ -99,6 +99,9 @@ go test -race ./internal/event/
 echo "== race: counterexample hunter =="
 go test -race ./internal/hunt/
 
+echo "== race: exhaustive explorer (worker pool, one long-lived runner per worker) =="
+go test -race ./internal/explore/
+
 echo "== race: telemetry (concurrent engine writers + registry readers) =="
 go test -race ./internal/telemetry/
 
@@ -110,6 +113,7 @@ go test -race -short -run TestSoakManyWaves -count=1 .
 
 echo "== allocation budget (zero allocs/step after warm-up, disabled tracer included) =="
 go test ./internal/sim/ -run 'TestZeroAllocs|TestCycleByteBudget|TestChoicesBufferReuse|TestCopyFromZeroAllocs' -count=1 -v
+go test ./internal/explore/ -run TestSimEngineAllocs -count=1 -v
 go test ./internal/obs/ -run TestDisabledTracerZeroAllocs -count=1 -v
 go test ./internal/flat/ -run 'TestFlatZeroAllocsPerStep|TestFlatShardedZeroAllocsPerStep|TestFlatCopyFromZeroAllocs' -count=1 -v
 go test ./internal/event/ -run TestEventZeroAllocsPerStep -count=1 -v
@@ -139,7 +143,7 @@ if [ "${CI_EXPLORE:-0}" = "1" ]; then
     echo "== explore smoke (deterministic state counts pinned, exhaustive on line-3) =="
     go run ./cmd/pifexplore run -topo line:3 -init faults:3 -expect-states 209
     go run ./cmd/pifexplore run -topo star:4 -init faults:3 -depth 6 -expect-states 357
-    go run ./cmd/pifexplore certify -quick -json artifacts/explore-smoke.json
+    go run ./cmd/pifexplore certify -json artifacts/explore-smoke.json
 fi
 
 if [ "${CI_SERVICE:-0}" = "1" ]; then
