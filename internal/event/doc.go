@@ -49,12 +49,13 @@
 // # Cost
 //
 // Per committed step: O(batch + Σ degrees of the batch + enabled-set
-// churn). Round accounting is epoch-based (a sequence number instead of the
-// flat engine's Θ(N/64) pending-bitset copy per round boundary), so nothing
-// on the step path scales with N once the configuration is built — at
-// N = 10⁶ with a one-processor cleaning frontier the engine steps three
-// orders of magnitude faster than the sharded flat sweep (see
-// BENCH_scale.json's line-frontier cells).
+// churn), plus the span of summary words (one per 4096 processors) that
+// the step's bitsets hold. Round accounting is epoch-based (a sequence
+// number instead of the flat engine's Θ(N/64) pending-bitset copy per
+// round boundary), so nothing on the step path scales with N once the
+// configuration is built — at N = 10⁶ with a one-processor cleaning
+// frontier the engine steps three orders of magnitude faster than the
+// sharded flat sweep (see BENCH_scale.json's line-frontier cells).
 //
 // See DESIGN.md §12 for the queue layout, the invalidation rules, and the
 // latency model.

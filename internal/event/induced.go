@@ -24,12 +24,11 @@ import (
 type InducedDaemon struct {
 	lat Latency
 
-	q       *queue
-	stamp   []int64 // batch dedup: last tick p was delivered
-	mark    []int64 // enabled/selected marks for the current call, by epoch
-	epoch   int64
-	wakeBuf []int32
-	vtime   int64
+	q     *queue
+	stamp []int64 // batch dedup: last tick p was delivered
+	mark  []int64 // enabled/selected marks for the current call, by epoch
+	epoch int64
+	vtime int64
 }
 
 // NewInducedDaemon builds the daemon for one run. Instances are stateful
@@ -65,7 +64,6 @@ func (d *InducedDaemon) Select(step int, cfg *sim.Configuration, enabled []sim.C
 		if !ok {
 			panic("event: induced schedule drained with processors still enabled (lost wakeup)")
 		}
-		d.wakeBuf = d.wakeBuf[:0]
 		woken := 0
 		for _, p := range bucket {
 			if d.stamp[p] == t {

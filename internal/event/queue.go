@@ -16,8 +16,8 @@ package event
 //   - No losses: every push lands in exactly one bucket, and every bucket
 //     is handed to the scheduler exactly once before its slot is recycled.
 //   - Duplicates are the caller's concern: a processor may be woken by
-//     several neighbors at the same tick; the scheduler dedups at pop time
-//     with a per-processor stamp.
+//     several neighbors at the same tick; the runner dedups at pop time in
+//     its batch bitset, InducedDaemon with a per-processor stamp.
 //
 // All operations after construction are allocation-free once the buckets
 // have grown to the run's working set (slots are recycled, never freed).

@@ -3,7 +3,6 @@ package event
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"snappif/internal/core"
 	"snappif/internal/flat"
@@ -76,7 +75,9 @@ func Run(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (sim.Resu
 // invalidation radius), and the enabled-set churn — never by N:
 //
 //   - The guard cache (hbits + per-processor action slot) re-evaluates only
-//     processors whose neighborhood changed, exactly like flat.Runner.
+//     the movers and the processors that can read what they wrote
+//     (flat.Protocol.Readers), in ascending order: a subset of flat.Runner's
+//     closed-neighborhood refresh with the same resulting cache.
 //   - Round accounting is epoch-based: a sequence number replaces the flat
 //     engine's Θ(N/64) pending-bitset copy at every round boundary, which
 //     at N = 10⁶ under the synchronous daemon is an O(N) cost *per step*.
@@ -123,8 +124,8 @@ type Runner struct {
 	pendingCount int
 	enabledCount int
 
-	scratch  bitmark
-	dirtyBuf []int32
+	// dirty is the set of processors whose guards refresh re-evaluates.
+	dirty *hbits
 
 	stage []core.State
 
@@ -136,11 +137,10 @@ type Runner struct {
 	facade *sim.Configuration
 
 	// Latency mode: the wake queue, the current virtual time, and the
-	// batch-dedup stamps (wakeStamp[p] = last tick p was delivered).
-	q         *queue
-	vtime     int64
-	wakeStamp []int64
-	wakeBuf   []int32
+	// woken ∧ enabled ∧ admitted processors of the batch being assembled.
+	q     *queue
+	vtime int64
+	batch *hbits
 
 	// Serving-layer gating (latency mode only): the admission filter, the
 	// current ServeStep bound (-1 = unbounded), and whether the last Step
@@ -215,8 +215,8 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 		enabledSince: make([]int, n),
 		removedSeq:   make([]int, n),
 
-		scratch: newBitmark(n),
-		stage:   make([]core.State, n),
+		dirty: newHbits(n),
+		stage: make([]core.State, n),
 
 		gate:  opts.Gate,
 		limit: -1,
@@ -251,7 +251,7 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 
 	if r.lat != nil {
 		r.q = newQueue(r.lat.Max() + 2)
-		r.wakeStamp = make([]int64, n)
+		r.batch = newHbits(n)
 		// Seed: every initially enabled processor wakes at tick 1 — the
 		// liveness invariant "enabled ⇒ wake pending" holds from the start.
 		r.enabled.forEach(func(p int) { //snapvet:ok non-escaping closure, stack-allocated
@@ -391,12 +391,7 @@ func (r *Runner) Wake(p int, at int64) int64 {
 	if r.q == nil {
 		panic("event: Wake requires latency mode")
 	}
-	eff := r.q.wake(at, int32(p))
-	if r.wakeStamp[p] >= eff {
-		// Defensive: never let the dedup stamp swallow an explicit wake.
-		r.wakeStamp[p] = eff - 1
-	}
-	return eff
+	return r.q.wake(at, int32(p))
 }
 
 // ServeStep advances the induced schedule by at most one effective batch
@@ -677,15 +672,13 @@ func (r *Runner) nextBatch() ([]sim.Choice, error) {
 		if r.limit >= 0 && t > r.limit {
 			return nil, nil
 		}
+		// The batch set dedups a processor woken several times in the tick
+		// and orders the batch; a withheld duplicate asks the (pure) gate
+		// again and gets the same answer.
 		_, bucket, _ := r.q.pop()
-		r.wakeBuf = r.wakeBuf[:0]
 		for _, p := range bucket {
-			if r.wakeStamp[p] == t {
-				continue
-			}
-			r.wakeStamp[p] = t
 			a := r.acts[p]
-			if a == flat.NoAction {
+			if a == flat.NoAction || r.batch.test(int(p)) {
 				continue
 			}
 			if r.gate != nil && !r.gate(int(p), a) {
@@ -693,16 +686,15 @@ func (r *Runner) nextBatch() ([]sim.Choice, error) {
 				// re-arm (Runner.Wake) — see Options.Gate.
 				continue
 			}
-			r.wakeBuf = append(r.wakeBuf, p)
+			r.batch.set(int(p))
 		}
-		if len(r.wakeBuf) == 0 {
+		if r.batch.count() == 0 {
 			continue
 		}
-		slices.Sort(r.wakeBuf)
 		r.selBuf = r.selBuf[:0]
-		for _, p := range r.wakeBuf {
-			r.selBuf = append(r.selBuf, sim.Choice{Proc: int(p), Action: int(r.acts[p])})
-		}
+		r.batch.drain(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
+			r.selBuf = append(r.selBuf, sim.Choice{Proc: p, Action: int(r.acts[p])})
+		})
 		r.vtime = t
 		return r.selBuf, nil
 	}
@@ -811,61 +803,58 @@ func (r *Runner) forceAged(selected, enabled []sim.Choice) []sim.Choice {
 	return selected
 }
 
-// refresh re-evaluates the guards of the executed processors' closed
-// neighborhoods — the kernel's invalidation radius is 1, statically
-// certified by snapvet's radiusbound analyzer against Protocol.DirtyRadius
-// — and commits the changes to the enabled set, the choice buffer, the
-// round's pending count, and the fairness ages.
+// refresh re-evaluates the guards of every processor that can read what the
+// executed moves wrote — each mover and the kernel's Readers of its move,
+// at most its closed neighborhood (the invalidation radius 1 that snapvet's
+// radiusbound analyzer certifies against Protocol.DirtyRadius) — and
+// commits the changes to the enabled set, the choice buffer, the round's
+// pending count, and the fairness ages. The per-processor updates commute,
+// so the ascending drain of the dirty set only buys memory locality.
 //
 //snapvet:hotpath
 func (r *Runner) refresh(selected []sim.Choice) {
-	r.dirtyBuf = r.dirtyBuf[:0]
 	for _, ch := range selected {
-		if !r.scratch.test(ch.Proc) {
-			r.scratch.set(ch.Proc)
-			r.dirtyBuf = append(r.dirtyBuf, int32(ch.Proc))
-		}
-		for _, q := range r.c.Neighbors(ch.Proc) {
-			if !r.scratch.test(int(q)) {
-				r.scratch.set(int(q))
-				r.dirtyBuf = append(r.dirtyBuf, q)
-			}
-		}
-	}
-
-	steps := r.res.Steps
-	for _, p32 := range r.dirtyBuf {
-		p := int(p32)
-		r.scratch.clear(p)
-		a := r.k.EnabledAction(r.c, p)
-		old := r.acts[p]
-		if a == old {
-			r.guardHits++
-			continue
-		}
-		r.guardMisses++
-		r.acts[p] = a
-		r.bufValid = false
-		switch {
-		case a == flat.NoAction:
-			// Enabled → disabled: p leaves the round.
-			r.enabled.clear(p)
-			r.enabledCount--
-			if r.enabledSince[p] <= r.roundStart && r.removedSeq[p] != r.roundSeq {
-				r.removedSeq[p] = r.roundSeq
-				r.pendingCount--
-			}
-		case old == flat.NoAction:
-			// Disabled → enabled: age 1 at the end of this step, and the
-			// epoch predicate keeps p out of the current round's snapshot
-			// (enabledSince > roundStart).
-			r.enabled.set(p)
-			r.enabledCount++
-			r.lastReset[p] = steps - 1
-			r.enabledSince[p] = steps
+		r.dirty.set(ch.Proc)
+		for _, q := range r.k.Readers(r.c, ch.Proc, int32(ch.Action)) {
+			r.dirty.set(int(q))
 		}
 	}
 	if r.tel != nil {
-		r.tel.ShardEvals(0, int64(len(r.dirtyBuf)))
+		r.tel.ShardEvals(0, int64(r.dirty.count()))
+	}
+	r.dirty.drain(r.reguard)
+}
+
+// reguard re-evaluates p's guard and commits a change of its enabled
+// action to the runner's incremental state.
+//
+//snapvet:hotpath
+func (r *Runner) reguard(p int) {
+	a := r.k.EnabledAction(r.c, p)
+	old := r.acts[p]
+	if a == old {
+		r.guardHits++
+		return
+	}
+	r.guardMisses++
+	r.acts[p] = a
+	r.bufValid = false
+	switch {
+	case a == flat.NoAction:
+		// Enabled → disabled: p leaves the round.
+		r.enabled.clear(p)
+		r.enabledCount--
+		if r.enabledSince[p] <= r.roundStart && r.removedSeq[p] != r.roundSeq {
+			r.removedSeq[p] = r.roundSeq
+			r.pendingCount--
+		}
+	case old == flat.NoAction:
+		// Disabled → enabled: age 1 at the end of this step, and the epoch
+		// predicate keeps p out of the current round's snapshot
+		// (enabledSince > roundStart).
+		r.enabled.set(p)
+		r.enabledCount++
+		r.lastReset[p] = r.res.Steps - 1
+		r.enabledSince[p] = r.res.Steps
 	}
 }

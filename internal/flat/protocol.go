@@ -328,6 +328,25 @@ func (k *Protocol) enabledAction(c *Config, p int) int32 {
 	}
 }
 
+// Readers returns the processors other than p whose guards can read what
+// action a at p writes — the set a guard cache must re-evaluate besides p
+// after the move; p's own guards always can. For every action that is p's
+// neighborhood, the kernel's invalidation radius 1, with one exception: a
+// non-root NewCount writes only Count_p, which no neighbor's guard reads
+// except through its Sum, and p counts in the Sum of Par_p alone. The
+// root's NewCount also writes Fok_root, which every neighbor reads, so it
+// keeps the full neighborhood. Par_p is the same before and after the move,
+// so the result does not depend on whether the move has been committed. The
+// returned slice aliases c's storage and must not be modified.
+//
+//snapvet:hotpath
+func (k *Protocol) Readers(c *Config, p int, a int32) []int32 {
+	if a == core.ActionCount && p != k.Root {
+		return c.par[p : p+1]
+	}
+	return c.neighbors(p)
+}
+
 // aggregate folds the feedback children's Agg values into p's Val at
 // F-action time (cf. core.Protocol.aggregate).
 //

@@ -129,8 +129,8 @@ go test ./internal/flat/ -run TestFlatMatchesGeneric -count=1
 go test ./internal/exp/ -run TestFlatEngineTablesByteIdentical -count=1
 go test ./cmd/pifexp/ -run TestRunFlatEngineIdenticalStdout -count=1
 
-echo "== determinism (event engine: three-way differential, latency repeatability) =="
-go test ./internal/event/ -run 'TestEventMatchesThreeWay|TestEventTraceByteIdentical|TestEventRunDeterministic|TestEventLatencyMatchesInducedDaemon' -count=1
+echo "== determinism (event engine: three-way differential, latency repeatability, guard-cache invariants) =="
+go test ./internal/event/ -run 'TestEventMatchesThreeWay|TestEventTraceByteIdentical|TestEventRunDeterministic|TestEventLatencyMatchesInducedDaemon|TestEventGuardCacheFresh|TestReadersCoverGuardChanges' -count=1
 
 echo "== determinism + pipelining (service: pipelined == serial payloads, canonical bytes stable) =="
 go test ./internal/service/ -run 'TestPipelinedMatchesSerial|TestServiceDeterminism|TestScenarioDumpReplayBitIdentical' -count=1
