@@ -11,7 +11,6 @@ package snappif_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -22,6 +21,7 @@ import (
 	"snappif/internal/baseline/treepif"
 	"snappif/internal/check"
 	"snappif/internal/core"
+	"snappif/internal/event"
 	"snappif/internal/exp"
 	"snappif/internal/fault"
 	"snappif/internal/flat"
@@ -653,8 +653,9 @@ func BenchmarkStepGeneric(b *testing.B) {
 }
 
 // BenchmarkStepFlat measures the same step on the flat SoA kernel
-// (internal/flat), serial sweep. Identical schedule to BenchmarkStepGeneric
-// — the engines are bit-identical — so ns/op is directly comparable.
+// (internal/flat) driven by event.Runner under the synchronous daemon — the
+// "flat" engine. Identical schedule to BenchmarkStepGeneric — the engines
+// are bit-identical — so ns/op is directly comparable.
 func BenchmarkStepFlat(b *testing.B) {
 	for _, n := range benchStepSizes {
 		b.Run(fmt.Sprintf("ring-%d", n), func(b *testing.B) {
@@ -670,55 +671,12 @@ func BenchmarkStepFlat(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, err := flat.NewRunner(fc, k, sim.Synchronous{}, flat.Options{
+			r, err := event.NewRunner(fc, k, sim.Synchronous{}, event.Options{
 				Options: sim.Options{Seed: 1, MaxSteps: 1 << 40},
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer r.Close()
-			benchSteps(b, r, 200)
-		})
-	}
-}
-
-// BenchmarkSweepParallel measures the flat engine's sharded guard sweep
-// against its serial mode on a wide grid (broad synchronous frontiers, so
-// sweeps are large). On a single-core box (GOMAXPROCS=1) the sharded
-// numbers measure pool overhead, not speedup — compare with the gomaxprocs
-// stamp in the benchstat environment.
-func BenchmarkSweepParallel(b *testing.B) {
-	g, err := graph.Grid(100, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	modes := []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 0},
-		{"sharded-2", 2},
-		{"sharded-gomaxprocs", runtime.GOMAXPROCS(0)},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			k, err := flat.FromCore(core.MustNew(g, 0))
-			if err != nil {
-				b.Fatal(err)
-			}
-			fc, err := flat.NewConfig(k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r, err := flat.NewRunner(fc, k, sim.Synchronous{}, flat.Options{
-				Options:      sim.Options{Seed: 1, MaxSteps: 1 << 40},
-				SweepWorkers: m.workers,
-				MinSweep:     1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer r.Close()
 			benchSteps(b, r, 200)
 		})
 	}

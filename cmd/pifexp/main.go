@@ -7,7 +7,7 @@
 // Usage:
 //
 //	pifexp [-quick] [-trials N] [-seed S] [-only E4[,E7]] [-md] [-parallel]
-//	       [-engine generic|flat|event] [-latency DIST] [-parallel-sweep W]
+//	       [-engine generic|flat|event] [-latency DIST]
 //	       [-bench FILE] [-scale FILE]
 //	       [-telemetry] [-spans FILE] [-flight FILE]
 //	       [-http ADDR] [-cpuprofile FILE] [-memprofile FILE]
@@ -16,11 +16,10 @@
 // GOMAXPROCS workers; every cell derives its randomness from its own seed,
 // so stdout is byte-identical to a serial run (timing goes to stderr).
 // -engine=flat runs the cycle-based experiments on the struct-of-arrays
-// kernel (internal/flat); -engine=event runs them on the discrete-event
-// scheduler (internal/event). The engines are bit-identical, so the tables
-// do not change — only the wall clock does. -parallel-sweep W additionally
-// shards the flat engine's guard sweep over W workers (still
-// bit-identical; see DESIGN.md §9). -latency DIST (event engine only)
+// kernel (internal/flat) under the experiment's daemon; -engine=event runs
+// them on the same runner (internal/event) and also accepts -latency. The
+// engines are bit-identical, so the tables do not change — only the wall
+// clock does. -latency DIST (event engine only)
 // switches to asynchronous message-latency scheduling with the named
 // per-link distribution — const:K, uniform:LO-HI, or pareto:a=A,cap=C —
 // replacing the daemon; telemetry steps and span timestamps are then in
@@ -28,10 +27,10 @@
 // -bench additionally measures the simulation hot path and writes a JSON
 // report (steps/sec, allocs/step) to the given file. -scale measures the
 // large-N grid — N up to 10^6 on line/ring/grid/random topologies, generic
-// vs flat vs sharded vs event — and writes the BENCH_scale JSON report.
+// vs event — and writes the BENCH_scale JSON report.
 //
 // -telemetry turns on the large-N observability layer (internal/telemetry):
-// sharded counters, wave-latency histograms, and the sampled time series,
+// lock-free counters, wave-latency histograms, and the sampled time series,
 // all published under /debug/vars and summarized on stderr at exit. -spans
 // additionally writes the causal wave spans as Chrome trace_event JSON that
 // loads in Perfetto (or chrome://tracing); -flight keeps the flight
@@ -88,12 +87,11 @@ func run(args []string, out io.Writer) (err error) {
 		markdown = fs.Bool("md", false, "emit tables as markdown")
 		csvDir   = fs.String("csv", "", "also write each table as <dir>/<id>.csv")
 		parallel = fs.Bool("parallel", false, "fan experiments and table cells across GOMAXPROCS workers (stdout identical to serial)")
-		engine   = fs.String("engine", "generic", "simulation engine for the cycle-based experiments: generic, flat, or event (tables are byte-identical; flat is the large-N SoA kernel, event the discrete-event scheduler)")
+		engine   = fs.String("engine", "generic", "simulation engine for the cycle-based experiments: generic, flat, or event (tables are byte-identical; flat runs the large-N SoA kernel under the daemon, event the same runner with optional -latency)")
 		latency  = fs.String("latency", "", "event engine only: per-link latency distribution (const:K, uniform:LO-HI, pareto:a=A,cap=C); replaces the daemon with asynchronous virtual-time scheduling")
-		sweepW   = fs.Int("parallel-sweep", 0, "flat engine only: worker count for the parallel sharded guard sweep (0 or 1 = serial; bit-identical either way)")
 		bench    = fs.String("bench", "", "measure the simulation hot path and write a JSON report to this file")
-		scale    = fs.String("scale", "", "measure the large-N scaling grid (generic vs flat vs sharded) and write a BENCH_scale JSON report to this file")
-		telem    = fs.Bool("telemetry", false, "enable the aggregating telemetry layer (sharded counters, wave histograms, sampled time series); published at /debug/vars, summarized on stderr")
+		scale    = fs.String("scale", "", "measure the large-N scaling grid (generic vs event) and write a BENCH_scale JSON report to this file")
+		telem    = fs.Bool("telemetry", false, "enable the aggregating telemetry layer (counters, wave histograms, sampled time series); published at /debug/vars, summarized on stderr")
 		spansOut = fs.String("spans", "", "write causal wave spans as Chrome trace_event JSON (Perfetto-loadable) to this file; implies -telemetry, serial runs only")
 		flightTo = fs.String("flight", "", "run the flight recorder and dump its last window as a replayable pifhunt scenario (JSON) to this file; implies -telemetry, serial runs only")
 		httpAddr = fs.String("http", "", "serve /debug/vars, /healthz, and /debug/pprof on this address while running (e.g. localhost:6060)")
@@ -152,7 +150,7 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	metrics := obs.NewRegistry()
 	metrics.Publish("snappif")
-	stampMeta(metrics, *engine, *latency, *seed, *quick, *sweepW)
+	stampMeta(metrics, *engine, *latency, *seed, *quick)
 
 	var tel *telemetry.Telemetry
 	var vclock *event.VirtualClock
@@ -203,17 +201,16 @@ func run(args []string, out io.Writer) (err error) {
 
 	timings := &trace.Timings{}
 	opt := exp.Options{
-		Quick:        *quick,
-		Trials:       *trials,
-		Seed:         *seed,
-		Parallel:     *parallel,
-		Timings:      timings,
-		Metrics:      metrics,
-		Engine:       *engine,
-		Latency:      *latency,
-		VClock:       vclock,
-		SweepWorkers: *sweepW,
-		Telemetry:    tel,
+		Quick:     *quick,
+		Trials:    *trials,
+		Seed:      *seed,
+		Parallel:  *parallel,
+		Timings:   timings,
+		Metrics:   metrics,
+		Engine:    *engine,
+		Latency:   *latency,
+		VClock:    vclock,
+		Telemetry: tel,
 	}
 
 	var selected []exp.Experiment
@@ -331,7 +328,7 @@ func run(args []string, out io.Writer) (err error) {
 // stampMeta registers the run-identifying meta.* Text variables, so
 // /debug/vars (and /healthz) answer "what is this process running" without
 // grepping logs.
-func stampMeta(reg *obs.Registry, engine, latency string, seed int64, quick bool, sweepW int) {
+func stampMeta(reg *obs.Registry, engine, latency string, seed int64, quick bool) {
 	suite := "full"
 	if quick {
 		suite = "quick"
@@ -345,7 +342,6 @@ func stampMeta(reg *obs.Registry, engine, latency string, seed int64, quick bool
 	stamp("meta.latency", latency)
 	stamp("meta.seed", fmt.Sprint(seed))
 	stamp("meta.topology_suite", suite)
-	stamp("meta.sweep_workers", fmt.Sprint(sweepW))
 	stamp("meta.go", runtime.Version())
 	//snapvet:ok run timestamp in the artifact metadata; never feeds engine state
 	stamp("meta.started", time.Now().UTC().Format(time.RFC3339))

@@ -18,16 +18,11 @@ import (
 )
 
 // scaleCell is one measured (topology, N, engine) point of the scaling
-// grid. SweepWorkers is 0 for the generic engine and the flat serial mode;
-// the sharded mode records its worker count, so a reader can tell which
-// numbers were taken on a single-core box (compare against gomaxprocs in
-// the report header — with GOMAXPROCS=1 the sharded cells measure pool
-// overhead, not speedup).
+// grid.
 type scaleCell struct {
 	Topology      string  `json:"topology"`
 	N             int     `json:"n"`
 	Engine        string  `json:"engine"`
-	SweepWorkers  int     `json:"sweep_workers,omitempty"`
 	Daemon        string  `json:"daemon"`
 	Steps         int     `json:"steps"`
 	NsPerStep     float64 `json:"ns_per_step"`
@@ -103,11 +98,6 @@ type genericStepper struct{ r *sim.Runner }
 func (s genericStepper) Step() (bool, error) { return s.r.Step() }
 func (s genericStepper) Moves() int          { return s.r.Result().Moves }
 
-type flatStepper struct{ r *flat.Runner }
-
-func (s flatStepper) Step() (bool, error) { return s.r.Step() }
-func (s flatStepper) Moves() int          { return s.r.Result().Moves }
-
 type eventStepper struct{ r *event.Runner }
 
 func (s eventStepper) Step() (bool, error) { return s.r.Step() }
@@ -143,10 +133,9 @@ func measureStepper(s stepper, warmup, steps int) (ns, sps, mps, aps float64, er
 		nil
 }
 
-// measureScaleCell measures one engine on one graph. engine is "generic",
-// "flat", "flat-sharded", or "event"; workers only applies to the sharded
-// mode.
-func measureScaleCell(g *graph.Graph, engine string, workers int, pt scalePoint, seed int64) (scaleCell, error) {
+// measureScaleCell measures one engine on one graph. engine is "generic"
+// or "event" (event.Runner under the synchronous daemon).
+func measureScaleCell(g *graph.Graph, engine string, pt scalePoint, seed int64) (scaleCell, error) {
 	pr, err := core.New(g, 0)
 	if err != nil {
 		return scaleCell{}, err
@@ -154,30 +143,10 @@ func measureScaleCell(g *graph.Graph, engine string, workers int, pt scalePoint,
 	d := sim.Synchronous{}
 	simOpts := sim.Options{Seed: seed, MaxSteps: pt.warmup + pt.steps + 1}
 	var s stepper
-	var closer interface{ Close() }
 	switch engine {
 	case "generic":
 		cfg := sim.NewConfiguration(g, pr)
 		s = genericStepper{r: sim.NewRunner(cfg, pr, d, simOpts)}
-	case "flat", "flat-sharded":
-		kern, err := flat.FromCore(pr)
-		if err != nil {
-			return scaleCell{}, err
-		}
-		fc, err := flat.NewConfig(kern)
-		if err != nil {
-			return scaleCell{}, err
-		}
-		fopts := flat.Options{Options: simOpts}
-		if engine == "flat-sharded" {
-			fopts.SweepWorkers = workers
-			fopts.MinSweep = 1
-		}
-		fr, err := flat.NewRunner(fc, kern, d, fopts)
-		if err != nil {
-			return scaleCell{}, err
-		}
-		s, closer = flatStepper{r: fr}, fr
 	case "event":
 		kern, err := flat.FromCore(pr)
 		if err != nil {
@@ -191,18 +160,15 @@ func measureScaleCell(g *graph.Graph, engine string, workers int, pt scalePoint,
 		if err != nil {
 			return scaleCell{}, err
 		}
-		s, closer = eventStepper{r: er}, er
+		s = eventStepper{r: er}
 	default:
 		return scaleCell{}, fmt.Errorf("scale: unknown engine %q", engine)
 	}
 	ns, sps, mps, aps, err := measureStepper(s, pt.warmup, pt.steps)
-	if closer != nil {
-		closer.Close()
-	}
 	if err != nil {
 		return scaleCell{}, fmt.Errorf("%s/%s/N=%d: %w", engine, g.Name(), g.N(), err)
 	}
-	cell := scaleCell{
+	return scaleCell{
 		Topology:      g.Name(),
 		N:             g.N(),
 		Engine:        engine,
@@ -212,11 +178,7 @@ func measureScaleCell(g *graph.Graph, engine string, workers int, pt scalePoint,
 		StepsPerSec:   sps,
 		MovesPerStep:  mps,
 		AllocsPerStep: aps,
-	}
-	if engine == "flat-sharded" {
-		cell.SweepWorkers = workers
-	}
-	return cell, nil
+	}, nil
 }
 
 // frontierPoints sizes the cleaning-frontier cells: the regime the event
@@ -239,9 +201,9 @@ var frontierPoints = []frontierPoint{
 // hands the frontier to front−1, so every committed step has one enabled
 // processor, one move, and (under the synchronous daemon) one round. That
 // makes the cell a pure measurement of per-step overhead that scales with
-// N: the flat engines pay the Θ(N/64) pending-bitset copy at every round
-// boundary, while the event engine's epoch accounting touches only the
-// frontier.
+// N: a runner that copies a Θ(N/64) pending bitset at every round boundary
+// pays it on every step here, while the event engine's epoch accounting
+// touches only the frontier.
 func loadFrontier(fc *flat.Config, n, front int) {
 	for p := 0; p < n; p++ {
 		s := core.State{Pif: core.C, Par: p - 1, L: p}
@@ -258,9 +220,9 @@ func loadFrontier(fc *flat.Config, n, front int) {
 	}
 }
 
-// measureFrontierCell measures one flat-kernel engine ("flat",
-// "flat-sharded", or "event") on the mid-cleaning-wave line of size n.
-func measureFrontierCell(fp frontierPoint, engine string, workers int, seed int64) (scaleCell, error) {
+// measureFrontierCell measures the event engine on the mid-cleaning-wave
+// line of size n.
+func measureFrontierCell(fp frontierPoint, seed int64) (scaleCell, error) {
 	g, err := graph.Line(fp.n)
 	if err != nil {
 		return scaleCell{}, err
@@ -283,60 +245,29 @@ func measureFrontierCell(fp frontierPoint, engine string, workers int, seed int6
 	loadFrontier(fc, fp.n, fp.warmup+fp.steps+8)
 	d := sim.Synchronous{}
 	simOpts := sim.Options{Seed: seed, MaxSteps: fp.warmup + fp.steps + 1}
-	var s stepper
-	var closer interface{ Close() }
-	switch engine {
-	case "flat", "flat-sharded":
-		fopts := flat.Options{Options: simOpts}
-		if engine == "flat-sharded" {
-			fopts.SweepWorkers = workers
-			fopts.MinSweep = 1
-		}
-		fr, err := flat.NewRunner(fc, kern, d, fopts)
-		if err != nil {
-			return scaleCell{}, err
-		}
-		s, closer = flatStepper{r: fr}, fr
-	case "event":
-		er, err := event.NewRunner(fc, kern, d, event.Options{Options: simOpts})
-		if err != nil {
-			return scaleCell{}, err
-		}
-		s, closer = eventStepper{r: er}, er
-	default:
-		return scaleCell{}, fmt.Errorf("scale: unknown frontier engine %q", engine)
-	}
-	ns, sps, mps, aps, err := measureStepper(s, fp.warmup, fp.steps)
-	closer.Close()
+	er, err := event.NewRunner(fc, kern, d, event.Options{Options: simOpts})
 	if err != nil {
-		return scaleCell{}, fmt.Errorf("%s/line-frontier/N=%d: %w", engine, fp.n, err)
+		return scaleCell{}, err
 	}
-	cell := scaleCell{
+	ns, sps, mps, aps, err := measureStepper(eventStepper{r: er}, fp.warmup, fp.steps)
+	if err != nil {
+		return scaleCell{}, fmt.Errorf("event/line-frontier/N=%d: %w", fp.n, err)
+	}
+	return scaleCell{
 		Topology:      "line-frontier",
 		N:             fp.n,
-		Engine:        engine,
+		Engine:        "event",
 		Daemon:        d.Name(),
 		Steps:         fp.steps,
 		NsPerStep:     ns,
 		StepsPerSec:   sps,
 		MovesPerStep:  mps,
 		AllocsPerStep: aps,
-	}
-	if engine == "flat-sharded" {
-		cell.SweepWorkers = workers
-	}
-	return cell, nil
+	}, nil
 }
 
 // writeScale measures the full scaling grid and writes BENCH_scale.json.
-// The sharded sweep runs with GOMAXPROCS workers (minimum 2, so the pool
-// machinery is exercised even on a single-core box) at N ≥ 10k, where a
-// sweep is large enough to amortize the handoff.
 func writeScale(path string, seed int64) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
 	commit, err := exp.VCSCommit()
 	if err != nil {
 		return err
@@ -354,16 +285,12 @@ func writeScale(path string, seed int64) error {
 			return err
 		}
 		for _, g := range tops {
-			engines := []string{"flat"}
+			engines := []string{"event"}
 			if pt.genericOK {
 				engines = append([]string{"generic"}, engines...)
 			}
-			if pt.n >= 10_000 {
-				engines = append(engines, "flat-sharded")
-			}
-			engines = append(engines, "event")
 			for _, eng := range engines {
-				cell, err := measureScaleCell(g, eng, workers, pt, seed)
+				cell, err := measureScaleCell(g, eng, pt, seed)
 				if err != nil {
 					return err
 				}
@@ -374,15 +301,13 @@ func writeScale(path string, seed int64) error {
 		}
 	}
 	for _, fp := range frontierPoints {
-		for _, eng := range []string{"flat", "flat-sharded", "event"} {
-			cell, err := measureFrontierCell(fp, eng, workers, seed)
-			if err != nil {
-				return err
-			}
-			rep.Cells = append(rep.Cells, cell)
-			fmt.Fprintf(os.Stderr, "pifexp: scale %s N=%d %s: %.0f ns/step (%.0f steps/sec)\n",
-				cell.Topology, cell.N, cell.Engine, cell.NsPerStep, cell.StepsPerSec)
+		cell, err := measureFrontierCell(fp, seed)
+		if err != nil {
+			return err
 		}
+		rep.Cells = append(rep.Cells, cell)
+		fmt.Fprintf(os.Stderr, "pifexp: scale %s N=%d %s: %.0f ns/step (%.0f steps/sec)\n",
+			cell.Topology, cell.N, cell.Engine, cell.NsPerStep, cell.StepsPerSec)
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	pifexplore run     -topo line:3 [-root R] [-engine sim|flat]
+//	pifexplore run     -topo line:3 [-root R] [-engine sim|flat|event]
 //	                   [-power central|distributed|synchronous]
 //	                   [-init clean|faults:K|domain] [-depth D] [-workers W]
 //	                   [-por=false] [-symmetry=false] [-plant NAME]
@@ -69,7 +69,7 @@ func runOne(args []string, out io.Writer) error {
 	var (
 		topo      = fs.String("topo", "line:3", "topology (line:N, ring:N, star:N, complete:N, grid:RxC)")
 		root      = fs.Int("root", 0, "PIF initiator")
-		engine    = fs.String("engine", "sim", "engine under test (sim or flat)")
+		engine    = fs.String("engine", "sim", "engine under test (sim, flat or event)")
 		power     = fs.String("power", "central", "daemon power (central, distributed, synchronous)")
 		initMode  = fs.String("init", "faults:3", "initial states (clean, faults:K, domain)")
 		depth     = fs.Int("depth", 0, "BFS layer bound (0 = run to closure)")

@@ -69,7 +69,6 @@ type serveFlags struct {
 	mix        *string
 	seed       *int64
 	maxTicks   *int64
-	sweepW     *int
 }
 
 func newServeFlags(name string) *serveFlags {
@@ -87,7 +86,6 @@ func newServeFlags(name string) *serveFlags {
 		mix:        fs.String("mix", "", "request-kind mix as kind=weight,... (default uniform over "+strings.Join(service.Kinds(), ",")+")"),
 		seed:       fs.Int64("seed", 1, "workload and lane seed"),
 		maxTicks:   fs.Int64("max-ticks", 0, "virtual-clock bound (0 = default)"),
-		sweepW:     fs.Int("parallel-sweep", 0, "flat engine guard-sweep workers (bit-identical at any count)"),
 	}
 }
 
@@ -116,14 +114,13 @@ func (sf *serveFlags) build() (service.Options, []service.Arrival, error) {
 		return service.Options{}, nil, err
 	}
 	opts := service.Options{
-		Graph:        g,
-		Engine:       *sf.engine,
-		Latency:      lat,
-		Initiators:   initiators,
-		Faults:       faults,
-		Seed:         *sf.seed,
-		MaxTicks:     *sf.maxTicks,
-		SweepWorkers: *sf.sweepW,
+		Graph:      g,
+		Engine:     *sf.engine,
+		Latency:    lat,
+		Initiators: initiators,
+		Faults:     faults,
+		Seed:       *sf.seed,
+		MaxTicks:   *sf.maxTicks,
 	}
 	w := service.Workload{
 		Process:  *sf.process,

@@ -1,7 +1,7 @@
 // Command snapvet is the project-specific static analyzer: it type-checks
 // every package in the module and enforces the paper's locally shared
 // memory model plus the engine's determinism and zero-allocation
-// invariants, with seven analyzers:
+// invariants, with six analyzers:
 //
 //	guardpure      functions reachable from protocol guards (Enabled) are
 //	               pure: no shared-state writes, map/channel mutation, or I/O
@@ -15,8 +15,6 @@
 //	radiusbound    a protocol's Enabled reads state at most DirtyRadius
 //	               hops from the acting processor, so the incremental
 //	               enabled cache re-checks every guard a step can change
-//	sharddisjoint  sweep workers in the flat engine write shared memory
-//	               only through shard-derived indices or per-worker slots
 //	obspure        the nil-receiver path of every //snapvet:nilsafe
 //	               observer method is a no-op: no dereference, no side
 //	               effect, no allocation
@@ -38,10 +36,8 @@
 // on (or directly above) the flagged line; `//snapvet:hotpath` and
 // `//snapvet:coldpath <reason>` in a function's doc comment opt it into
 // or out of hotalloc's reachability audit; `//snapvet:nilsafe` on a type
-// opts its methods into obspure; `//snapvet:shardcheck` in a package's
-// doc comment opts it into sharddisjoint. A `//snapvet:ok` without a
-// reason is itself an error — the tree carries no unexplained
-// suppressions.
+// opts its methods into obspure. A `//snapvet:ok` without a reason is
+// itself an error — the tree carries no unexplained suppressions.
 package main
 
 import (

@@ -15,7 +15,7 @@ func TestListAnalyzers(t *testing.T) {
 	}
 	for _, name := range []string{
 		"guardpure", "writelocal", "detrange", "hotalloc",
-		"radiusbound", "sharddisjoint", "obspure",
+		"radiusbound", "obspure",
 	} {
 		if !strings.Contains(buf.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, buf.String())

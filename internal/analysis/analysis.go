@@ -53,7 +53,7 @@ type Analyzer struct {
 
 // Analyzers returns the seven snapvet rules in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{guardpure, writelocal, detrange, hotalloc, radiusbound, sharddisjoint, obspure}
+	return []*Analyzer{guardpure, writelocal, detrange, hotalloc, radiusbound, obspure}
 }
 
 // Pass hands one analyzer the loaded program and its reporting sink.
@@ -227,10 +227,6 @@ type annotations struct {
 	// deterministic holds packages opting into detrange via a
 	// `//snapvet:deterministic` file directive.
 	deterministic map[string]bool
-	// shardcheck holds packages opting into sharddisjoint via a
-	// `//snapvet:shardcheck` file directive (internal/flat needs no
-	// opt-in; the fixture packages do).
-	shardcheck map[string]bool
 }
 
 // The recognized comment directives.
@@ -240,7 +236,6 @@ const (
 	coldpathDirective = "//snapvet:coldpath"
 	nilsafeDirective  = "//snapvet:nilsafe"
 	detPkgDirective   = "//snapvet:deterministic"
-	shardPkgDirective = "//snapvet:shardcheck"
 )
 
 // collectAnnotations scans every file's comments once.
@@ -251,7 +246,6 @@ func collectAnnotations(prog *Program) *annotations {
 		coldpath:      make(map[*ast.FuncDecl]*okMark),
 		nilsafe:       make(map[*ast.TypeSpec]bool),
 		deterministic: make(map[string]bool),
-		shardcheck:    make(map[string]bool),
 	}
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
@@ -281,8 +275,6 @@ func collectAnnotations(prog *Program) *annotations {
 						nilsafeLines[line] = true
 					case strings.HasPrefix(text, detPkgDirective):
 						ann.deterministic[pkg.Path] = true
-					case strings.HasPrefix(text, shardPkgDirective):
-						ann.shardcheck[pkg.Path] = true
 					}
 				}
 			}

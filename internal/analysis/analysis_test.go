@@ -131,13 +131,12 @@ func runWantTest(t *testing.T, name string, analyzers []*Analyzer) {
 	}
 }
 
-func TestGuardpure(t *testing.T)     { runWantTest(t, "guardpure", []*Analyzer{guardpure}) }
-func TestWritelocal(t *testing.T)    { runWantTest(t, "writelocal", []*Analyzer{writelocal}) }
-func TestDetrange(t *testing.T)      { runWantTest(t, "detrange", []*Analyzer{detrange}) }
-func TestHotalloc(t *testing.T)      { runWantTest(t, "hotalloc", []*Analyzer{hotalloc}) }
-func TestRadiusbound(t *testing.T)   { runWantTest(t, "radiusbound", []*Analyzer{radiusbound}) }
-func TestSharddisjoint(t *testing.T) { runWantTest(t, "sharddisjoint", []*Analyzer{sharddisjoint}) }
-func TestObspure(t *testing.T)       { runWantTest(t, "obspure", []*Analyzer{obspure}) }
+func TestGuardpure(t *testing.T)   { runWantTest(t, "guardpure", []*Analyzer{guardpure}) }
+func TestWritelocal(t *testing.T)  { runWantTest(t, "writelocal", []*Analyzer{writelocal}) }
+func TestDetrange(t *testing.T)    { runWantTest(t, "detrange", []*Analyzer{detrange}) }
+func TestHotalloc(t *testing.T)    { runWantTest(t, "hotalloc", []*Analyzer{hotalloc}) }
+func TestRadiusbound(t *testing.T) { runWantTest(t, "radiusbound", []*Analyzer{radiusbound}) }
+func TestObspure(t *testing.T)     { runWantTest(t, "obspure", []*Analyzer{obspure}) }
 
 // TestAnnotationHygiene checks that a `//snapvet:ok` without a reason is
 // itself reported, even with no analyzer selected — suppressions must

@@ -17,8 +17,6 @@
 //     guard helpers are widened to "unbounded" past MaxHop.
 //   - Allocs: which expressions may heap-allocate, transitively (hotalloc's
 //     interprocedural audit, obspure's disabled-path proof).
-//   - Shard: which writes in sweep-worker code are keyed by shard-derived
-//     indices and which escape the disjoint-slot discipline (sharddisjoint).
 //
 // Approximations, recorded here once: call edges follow callees the type
 // checker resolves to a concrete *types.Func; calls through interface
@@ -167,8 +165,7 @@ type Call struct {
 
 // Summary is the intraprocedural summary of one function body: its own
 // effect and allocation sites plus its resolved calls. Transitive facts
-// (reachability, hop bounds, shard obligations) are computed by the
-// engine on top.
+// (reachability, hop bounds) are computed by the engine on top.
 type Summary struct {
 	// Fn identifies the function.
 	Fn *types.Func

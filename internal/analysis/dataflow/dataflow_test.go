@@ -5,8 +5,7 @@ package dataflow_test
 // tree-clean tests. These unit tests pin the core machinery in isolation
 // on a synthetic package with a toy model, where every expectation is
 // visible in ten lines of source: summary classification, transitive
-// cleanliness, alloc reachability, hop derivation and composition, and
-// the shard-discipline walker.
+// cleanliness, alloc reachability, and hop derivation and composition.
 
 import (
 	"go/ast"

@@ -71,7 +71,6 @@ func TestEventZeroAllocsPerStep(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := warmEventRunner(t, g, tc.d, tc.lat, 2000)
-			defer r.Close()
 			allocs := testing.AllocsPerRun(200, func() {
 				if done, err := r.Step(); done {
 					t.Fatalf("run ended mid-measurement: %v", err)
@@ -85,16 +84,29 @@ func TestEventZeroAllocsPerStep(t *testing.T) {
 }
 
 // TestEventRunDeterministic: two runs with identical options must agree
-// exactly — results, final states, and virtual clocks. scripts/ci.sh gates
-// on this test; any hidden map iteration or time dependence would break it.
+// exactly — results, final states, and virtual clocks — and the stepping
+// API (Runner.Step) must agree with the batch API (Run), in every latency
+// mode and under an external daemon. scripts/ci.sh gates on this test; any
+// hidden map iteration or time dependence would break it.
 func TestEventRunDeterministic(t *testing.T) {
 	g, err := graph.Grid(4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	type detCase struct {
+		name string
+		d    sim.Daemon
+		lat  event.Latency
+	}
+	cases := []detCase{{name: "daemon-dist-random", d: sim.DistributedRandom{P: 0.5}}}
 	for _, lat := range diffLatencies() {
-		t.Run(lat.Name(), func(t *testing.T) {
-			run := func() (sim.Result, []core.State, int64) {
+		cases = append(cases, detCase{name: lat.Name(), lat: lat})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// run executes one run through Runner.Step, or through Run when
+			// batch is set (which reports no virtual clock: -1).
+			run := func(batch bool) (sim.Result, []core.State, int64) {
 				pr, err := core.New(g, 0)
 				if err != nil {
 					t.Fatal(err)
@@ -110,47 +122,61 @@ func TestEventRunDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 				const steps = 500
-				r, err := event.NewRunner(fc, k, nil, event.Options{
+				opts := event.Options{
 					Options: sim.Options{
 						Seed: 42, MaxSteps: steps + 1,
 						StopWhen: func(rs *sim.RunState) bool { return rs.Steps >= steps },
 					},
-					Latency: lat,
-				})
-				if err != nil {
-					t.Fatal(err)
+					Latency: tc.lat,
 				}
-				defer r.Close()
-				for {
-					done, serr := r.Step()
-					if done {
-						if serr != nil {
-							t.Fatal(serr)
-						}
-						break
+				res, vt := sim.Result{}, int64(-1)
+				if batch {
+					if res, err = event.Run(fc, k, tc.d, opts); err != nil {
+						t.Fatal(err)
 					}
+				} else {
+					r, err := event.NewRunner(fc, k, tc.d, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for {
+						done, serr := r.Step()
+						if done {
+							if serr != nil {
+								t.Fatal(serr)
+							}
+							break
+						}
+					}
+					res, vt = r.Result(), r.VirtualTime()
 				}
+				res.Final = nil // pointer identity, not run state
 				final := make([]core.State, g.N())
 				c := fc.ToSim()
 				for p := range final {
 					final[p] = core.At(c, p)
 				}
-				return r.Result(), final, r.VirtualTime()
+				return res, final, vt
 			}
-			r1, s1, v1 := run()
-			r2, s2, v2 := run()
-			r1.Final, r2.Final = nil, nil // pointer identity, not run state
-			if fmt.Sprintf("%+v", r1) != fmt.Sprintf("%+v", r2) {
-				t.Fatalf("results differ across identical runs:\n%+v\n%+v", r1, r2)
+			same := func(what string, r1, r2 sim.Result, s1, s2 []core.State) {
+				t.Helper()
+				if fmt.Sprintf("%+v", r1) != fmt.Sprintf("%+v", r2) {
+					t.Fatalf("results differ across %s:\n%+v\n%+v", what, r1, r2)
+				}
+				for p := range s1 {
+					if s1[p] != s2[p] {
+						t.Fatalf("proc %d final state differs across %s: %+v vs %+v", p, what, s1[p], s2[p])
+					}
+				}
 			}
+			r1, s1, v1 := run(false)
+			r2, s2, v2 := run(false)
+			same("identical runs", r1, r2, s1, s2)
 			if v1 != v2 {
 				t.Fatalf("virtual clocks differ across identical runs: %d vs %d", v1, v2)
 			}
-			for p := range s1 {
-				if s1[p] != s2[p] {
-					t.Fatalf("proc %d final state differs across identical runs: %+v vs %+v", p, s1[p], s2[p])
-				}
-			}
+			r3, s3, _ := run(true)
+			same("Step and Run", r1, r3, s1, s3)
 		})
 	}
 }

@@ -115,7 +115,6 @@ func TestEventGuardCacheFresh(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer r.Close()
 					assertCacheFresh(t, r, k, fc, 0)
 					admitted := 0
 					for step := 1; step <= steps; {

@@ -17,17 +17,17 @@ import (
 	"snappif/internal/sim"
 )
 
-// This file is the event engine's differential oracle, the three-way
-// extension of internal/flat's: on every topology × daemon × fault × seed
-// combination the grid covers, the event runner in external-daemon mode must
-// be *bit-identical* to both the generic sim.Runner and the flat runner —
-// same Steps/Moves/Rounds, same MovesPerAction, same final state at every
-// processor, same step-limit error, and byte-identical obs JSONL output. In
-// latency mode, the induced wake schedule replayed through the other two
-// engines (event.InducedDaemon) must reproduce the asynchronous run exactly.
+// This file is the event engine's differential oracle against the reference
+// sim.Runner: on every topology × daemon × fault × seed combination the grid
+// covers, the event runner in external-daemon mode must be *bit-identical*
+// to the generic engine — same Steps/Moves/Rounds, same MovesPerAction,
+// same final state at every processor, same step-limit error, and
+// byte-identical obs JSONL output. In latency mode, the induced wake
+// schedule replayed through the generic engine (event.InducedDaemon) must
+// reproduce the asynchronous run exactly.
 
-// diffTopologies mirrors the flat oracle's shapes: path, cycle, mesh, hub,
-// dense random — all small enough for many (daemon × fault × seed) runs.
+// diffTopologies is the grid's shapes: path, cycle, mesh, hub, dense random
+// — all small enough for many (daemon × fault × seed) runs.
 func diffTopologies(tb testing.TB) []*graph.Graph {
 	tb.Helper()
 	var gs []*graph.Graph
@@ -69,11 +69,11 @@ func diffFaults() []fault.Injector {
 	return append([]fault.Injector{fault.Clean()}, fault.All()...)
 }
 
-// runGeneric executes the generic engine from a fresh protocol on g,
-// corrupted by inj under the given seed.
-func runGeneric(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func() sim.Daemon, opts sim.Options) (sim.Result, error, *sim.Configuration) {
+// runGeneric executes the generic engine from a fresh protocol on g (built
+// with copts), corrupted by inj under the given seed.
+func runGeneric(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func() sim.Daemon, opts sim.Options, copts ...core.Option) (sim.Result, error, *sim.Configuration) {
 	tb.Helper()
-	pr, err := core.New(g, 0)
+	pr, err := core.New(g, 0, copts...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -83,32 +83,11 @@ func runGeneric(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func
 	return res, rerr, cfg
 }
 
-// runFlat executes the flat engine from an identically built start.
-func runFlat(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func() sim.Daemon, opts flat.Options) (sim.Result, error, *sim.Configuration) {
-	tb.Helper()
-	pr, err := core.New(g, 0)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	k, err := flat.FromCore(pr)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	cfg := sim.NewConfiguration(g, pr)
-	inj.Apply(cfg, pr, rand.New(rand.NewSource(opts.Seed)))
-	fc, err := flat.FromSim(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	res, rerr := flat.Run(fc, k, mkDaemon(), opts)
-	return res, rerr, fc.ToSim()
-}
-
 // runEvent executes the event engine from an identically built start. A nil
 // daemon factory leaves opts.Latency in charge (asynchronous mode).
-func runEvent(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func() sim.Daemon, opts event.Options) (sim.Result, error, *sim.Configuration) {
+func runEvent(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func() sim.Daemon, opts event.Options, copts ...core.Option) (sim.Result, error, *sim.Configuration) {
 	tb.Helper()
-	pr, err := core.New(g, 0)
+	pr, err := core.New(g, 0, copts...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -162,32 +141,72 @@ func compareStates(t *testing.T, label string, want, got *sim.Configuration) {
 	}
 }
 
-// TestEventMatchesThreeWay is the satellite's differential grid: every
-// topology × daemon × fault × seed cell runs all three engines from the same
-// start and RNG stream, and every observable of the three runs must agree
-// exactly — generic ≡ flat ≡ event.
+// TestEventMatchesThreeWay is the differential grid (named for the
+// generic/flat/event legs it had when flat was a separate runner): every
+// topology × daemon × fault × seed cell runs the generic engine and the
+// event engine under the same daemon from the same start and RNG stream, and
+// every observable of the two runs must agree exactly. Two more families
+// run under every daemon with a fairness bound of 2 steps, so forceAged
+// fires whenever a daemon leaves an enabled processor unselected and the
+// engines must also agree on the forced choices and the RNG draw each one
+// consumes: one cell per topology, and two protocol variants — the
+// printed-guard reverts (core.WithPrintedGuards) and the Combine fold over
+// seeded values, whose feedback kernel walks children (compareStates
+// covers Val and Agg).
 func TestEventMatchesThreeWay(t *testing.T) {
 	const steps = 400
 	stop := func(rs *sim.RunState) bool { return rs.Steps >= steps }
+	check := func(name string, g *graph.Graph, inj fault.Injector, mkDaemon func() sim.Daemon, seed int64, fairness int, copts ...core.Option) {
+		t.Run(name, func(t *testing.T) {
+			opts := sim.Options{Seed: seed, StopWhen: stop, MaxSteps: steps + 1, FairnessAge: fairness}
+			genRes, genErr, genCfg := runGeneric(t, g, inj, mkDaemon, opts, copts...)
+			evtRes, evtErr, evtCfg := runEvent(t, g, inj, mkDaemon, event.Options{Options: opts}, copts...)
+			if (genErr == nil) != (evtErr == nil) {
+				t.Fatalf("error mismatch: generic %v, event %v", genErr, evtErr)
+			}
+			compareResults(t, "event", genRes, evtRes)
+			compareStates(t, "event", genCfg, evtCfg)
+		})
+	}
 	for _, g := range diffTopologies(t) {
 		for dname, mkDaemon := range diffDaemons() {
 			for _, inj := range diffFaults() {
 				for _, seed := range []int64{1, 12345} {
-					name := fmt.Sprintf("%s/%s/%s/seed=%d", g.Name(), dname, inj.Name, seed)
-					t.Run(name, func(t *testing.T) {
-						opts := sim.Options{Seed: seed, StopWhen: stop, MaxSteps: steps + 1}
-						genRes, genErr, genCfg := runGeneric(t, g, inj, mkDaemon, opts)
-						flatRes, flatErr, flatCfg := runFlat(t, g, inj, mkDaemon, flat.Options{Options: opts})
-						evtRes, evtErr, evtCfg := runEvent(t, g, inj, mkDaemon, event.Options{Options: opts})
-						if (genErr == nil) != (flatErr == nil) || (genErr == nil) != (evtErr == nil) {
-							t.Fatalf("error mismatch: generic %v, flat %v, event %v", genErr, flatErr, evtErr)
-						}
-						compareResults(t, "flat", genRes, flatRes)
-						compareStates(t, "flat", genCfg, flatCfg)
-						compareResults(t, "event", genRes, evtRes)
-						compareStates(t, "event", genCfg, evtCfg)
-					})
+					check(fmt.Sprintf("%s/%s/%s/seed=%d", g.Name(), dname, inj.Name, seed), g, inj, mkDaemon, seed, 0)
 				}
+			}
+			check(fmt.Sprintf("%s/%s/fairness=2/seed=3", g.Name(), dname), g, fault.UniformRandom(), mkDaemon, 3, 2)
+		}
+	}
+
+	grid, err := graph.Grid(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := graph.Ring(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := fault.Injector{Name: "vals", Apply: func(c *sim.Configuration, _ *core.Protocol, _ *rand.Rand) {
+		for p := 0; p < c.N(); p++ {
+			s := core.At(c, p)
+			s.Val = int64(10 * (p + 1))
+			core.Set(c, p, s)
+		}
+	}}
+	sum := func(a, b int64) int64 { return a + b }
+	for _, v := range []struct {
+		name  string
+		g     *graph.Graph
+		injs  []fault.Injector
+		copts []core.Option
+	}{
+		{"printed", grid, []fault.Injector{fault.Clean(), fault.UniformRandom()}, []core.Option{core.WithPrintedGuards()}},
+		{"combine", ring, []fault.Injector{vals}, []core.Option{core.WithCombine(sum)}},
+	} {
+		for dname, mkDaemon := range diffDaemons() {
+			for _, inj := range v.injs {
+				check(fmt.Sprintf("%s/%s/%s/%s/seed=5", v.g.Name(), v.name, dname, inj.Name), v.g, inj, mkDaemon, 5, 2, v.copts...)
 			}
 		}
 	}
@@ -254,7 +273,6 @@ func TestEventTraceByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer r.Close()
 				tr2.BeginRun(g, mkDaemon().Name(), seed, r.Mirror())
 				for {
 					done, err := r.Step()
@@ -324,7 +342,7 @@ func TestEventZeroLatencyMatchesSynchronous(t *testing.T) {
 			name := fmt.Sprintf("%s/%s", g.Name(), inj.Name)
 			t.Run(name, func(t *testing.T) {
 				opts := sim.Options{Seed: 17, StopWhen: stop, MaxSteps: steps + 1}
-				wantRes, wantErr, wantCfg := runFlat(t, g, inj, mk, flat.Options{Options: opts})
+				wantRes, wantErr, wantCfg := runGeneric(t, g, inj, mk, opts)
 				gotRes, gotErr, gotCfg := runEvent(t, g, inj, nil, event.Options{
 					Options: opts, Latency: event.Constant(0),
 				})
@@ -350,9 +368,9 @@ func diffLatencies() []event.Latency {
 }
 
 // TestEventLatencyMatchesInducedDaemon is the asynchronous refinement: an
-// event run under a latency distribution and a flat (and generic) run driven
-// by event.InducedDaemon — the same wake queue replayed as a sim.Daemon with
-// an identical RNG stream — must agree on every observable, traces included.
+// event run under a latency distribution and a generic run driven by
+// event.InducedDaemon — the same wake queue replayed as a sim.Daemon with an
+// identical RNG stream — must agree on every observable.
 func TestEventLatencyMatchesInducedDaemon(t *testing.T) {
 	const steps = 400
 	stop := func(rs *sim.RunState) bool { return rs.Steps >= steps }
@@ -365,16 +383,11 @@ func TestEventLatencyMatchesInducedDaemon(t *testing.T) {
 					evtRes, evtErr, evtCfg := runEvent(t, g, inj, nil, event.Options{
 						Options: opts, Latency: lat,
 					})
-					flatRes, flatErr, flatCfg := runFlat(t, g, inj,
-						func() sim.Daemon { return event.NewInducedDaemon(lat) },
-						flat.Options{Options: opts})
 					genRes, genErr, genCfg := runGeneric(t, g, inj,
 						func() sim.Daemon { return event.NewInducedDaemon(lat) }, opts)
-					if (evtErr == nil) != (flatErr == nil) || (evtErr == nil) != (genErr == nil) {
-						t.Fatalf("error mismatch: event %v, flat %v, generic %v", evtErr, flatErr, genErr)
+					if (evtErr == nil) != (genErr == nil) {
+						t.Fatalf("error mismatch: event %v, generic %v", evtErr, genErr)
 					}
-					compareResults(t, "flat+induced", evtRes, flatRes)
-					compareStates(t, "flat+induced", evtCfg, flatCfg)
 					compareResults(t, "generic+induced", evtRes, genRes)
 					compareStates(t, "generic+induced", evtCfg, genCfg)
 				})
@@ -419,7 +432,8 @@ func TestEventRejectsMutatingObserver(t *testing.T) {
 }
 
 // TestEventRequiresScheduler: a runner with neither a daemon nor a latency
-// distribution has no way to pick steps and must be rejected.
+// distribution has no way to pick steps and must be rejected, and so must a
+// configuration built for a different network than the kernel's.
 func TestEventRequiresScheduler(t *testing.T) {
 	g, err := graph.Ring(5)
 	if err != nil {
@@ -439,5 +453,21 @@ func TestEventRequiresScheduler(t *testing.T) {
 	}
 	if _, err := event.NewRunner(fc, k, nil, event.Options{}); err == nil {
 		t.Fatal("NewRunner accepted a run with neither daemon nor latency")
+	}
+
+	big, err := graph.Ring(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kBig, err := flat.FromCore(core.MustNew(big, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcBig, err := flat.NewConfig(kBig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := event.NewRunner(fcBig, k, sim.Synchronous{}, event.Options{}); err == nil {
+		t.Fatal("NewRunner accepted a configuration from a different network")
 	}
 }

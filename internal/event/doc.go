@@ -1,8 +1,9 @@
-// Package event is the discrete-event execution engine: the third
-// scheduling semantics over the paper's PIF protocol, built directly on the
-// flat engine's struct-of-arrays state and guard/action kernels
-// (internal/flat), with per-step cost bounded by the *active frontier*
-// instead of N.
+// Package event is the struct-of-arrays execution engine: the runner that
+// steps the paper's PIF protocol over internal/flat's state and
+// guard/action kernels, with per-step cost bounded by the *active frontier*
+// instead of N. It has two scheduling modes: an external sim.Daemon (the
+// engine name "flat"), or its own discrete-event wake queue (the engine
+// name "event").
 //
 // # Model
 //
@@ -37,25 +38,23 @@
 // # Equivalence
 //
 // With Options.Latency nil, the runner executes an external daemon's
-// schedule and reproduces flat.Runner (hence sim.Runner) bit for bit: same
-// RNG draw sequence, moves, rounds, fairness forcing, observer order, and
-// error contract — the synchronous daemon is the degenerate zero-latency
-// case. With a Latency, the same schedule can drive the other engines via
-// InducedDaemon, which replays the wake queue as a plain sim.Daemon with an
-// identical RNG stream. The three-way differential grid and the
-// three-engine fuzz target in this package enforce both refinements
-// byte-for-byte on obs traces.
+// schedule and reproduces sim.Runner bit for bit: same RNG draw sequence,
+// moves, rounds, fairness forcing, observer order, and error contract — the
+// synchronous daemon is the degenerate zero-latency case. With a Latency,
+// the same schedule can drive the generic engine via InducedDaemon, which
+// replays the wake queue as a plain sim.Daemon with an identical RNG
+// stream. The differential grid and the fuzz target in this package
+// enforce both refinements byte-for-byte on obs traces.
 //
 // # Cost
 //
 // Per committed step: O(batch + Σ degrees of the batch + enabled-set
 // churn), plus the span of summary words (one per 4096 processors) that
 // the step's bitsets hold. Round accounting is epoch-based (a sequence
-// number instead of the flat engine's Θ(N/64) pending-bitset copy per
-// round boundary), so nothing on the step path scales with N once the
-// configuration is built — at N = 10⁶ with a one-processor cleaning
-// frontier the engine steps three orders of magnitude faster than the
-// sharded flat sweep (see BENCH_scale.json's line-frontier cells).
+// number instead of a Θ(N/64) pending-bitset copy per round boundary), so
+// nothing on the step path scales with N once the configuration is built
+// (see BENCH_scale.json's line-frontier cells, where a one-processor
+// cleaning frontier steps in a few hundred ns at N = 10⁶).
 //
 // See DESIGN.md §12 for the queue layout, the invalidation rules, and the
 // latency model.

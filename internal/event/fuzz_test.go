@@ -61,14 +61,14 @@ func fuzzLatency(pick byte) event.Latency {
 	}
 }
 
-// FuzzThreeEngines is the three-engine differential fuzz oracle, the event
-// engine's extension of flat's FuzzFlatVsGeneric: any (topology, fault,
-// daemon, latency, seed) the fuzzer invents must produce byte-identical obs
-// traces — and equal results and final states — from (a) the generic, flat,
-// and event engines sharing the daemon, and (b) the event engine's
-// asynchronous latency mode versus the generic engine driven by the induced
-// daemon. The committed corpus under testdata/fuzz seeds one entry per
-// injector, daemon, and latency family.
+// FuzzThreeEngines is the differential fuzz oracle (named for the
+// generic/flat/event legs it had when flat was a separate runner): any
+// (topology, fault, daemon, latency, seed) the fuzzer invents must produce
+// byte-identical obs traces — and equal results and final states — from
+// (a) the generic and event engines sharing the daemon, and (b) the event
+// engine's asynchronous latency mode versus the generic engine driven by
+// the induced daemon. The committed corpus under testdata/fuzz seeds one
+// entry per injector, daemon, and latency family.
 func FuzzThreeEngines(f *testing.F) {
 	nFaults := len(diffFaults())
 	for i := 0; i < nFaults; i++ {
@@ -126,31 +126,6 @@ func FuzzThreeEngines(f *testing.F) {
 			return res, rerr, cfg
 		}, "generic")
 
-		flatRes, flatCfg, flatTrace := traced(func(pr *core.Protocol, tr *obs.Tracer, o sim.Options) (sim.Result, error, *sim.Configuration) {
-			k, err := flat.FromCore(pr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := sim.NewConfiguration(g, pr)
-			inj.Apply(cfg, pr, rand.New(rand.NewSource(seed)))
-			fc, err := flat.FromSim(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := flat.NewRunner(fc, k, dm.mk(), flat.Options{Options: o})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			tr.BeginRun(g, dm.mk().Name(), seed, r.Mirror())
-			for {
-				done, serr := r.Step()
-				if done {
-					return r.Result(), serr, fc.ToSim()
-				}
-			}
-		}, "flat")
-
 		evtRes, evtCfg, evtTrace := traced(func(pr *core.Protocol, tr *obs.Tracer, o sim.Options) (sim.Result, error, *sim.Configuration) {
 			k, err := flat.FromCore(pr)
 			if err != nil {
@@ -166,7 +141,6 @@ func FuzzThreeEngines(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
 			tr.BeginRun(g, dm.mk().Name(), seed, r.Mirror())
 			for {
 				done, serr := r.Step()
@@ -193,7 +167,6 @@ func FuzzThreeEngines(f *testing.F) {
 					label, g.Name(), dm.name, inj.Name, seed, firstDiffLine(genTrace, trace))
 			}
 		}
-		check("flat", flatRes, flatCfg, flatTrace)
 		check("event", evtRes, evtCfg, evtTrace)
 
 		// Asynchronous leg: event under lat versus generic under the induced
@@ -214,7 +187,6 @@ func FuzzThreeEngines(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
 			tr.BeginRun(g, "event:"+lat.Name(), seed, r.Mirror())
 			for {
 				done, serr := r.Step()

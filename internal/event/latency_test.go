@@ -83,7 +83,6 @@ func TestVirtualClockPublishesTicks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	last := int64(0)
 	for {
 		done, serr := r.Step()
@@ -152,7 +151,6 @@ func TestInducedDaemonVirtualTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	for {
 		done, serr := r.Step()
 		if done {

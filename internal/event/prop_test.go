@@ -60,7 +60,6 @@ func TestEventVirtualTimeMonotone(t *testing.T) {
 					Seed: seed, MaxSteps: steps + 1,
 					StopWhen: func(rs *sim.RunState) bool { return rs.Steps >= steps },
 				})
-				defer r.Close()
 				last := int64(0)
 				for {
 					done, err := r.Step()
@@ -117,7 +116,6 @@ func TestEventIntrinsicWeakFairness(t *testing.T) {
 						Observers: []sim.Observer{w},
 						StopWhen:  func(rs *sim.RunState) bool { return rs.Steps >= steps },
 					})
-					defer r.Close()
 					bound := lat.Max() + 2
 					since := make(map[int]int64) // proc → vtime the current enabled streak began
 					for {

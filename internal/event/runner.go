@@ -11,7 +11,7 @@ import (
 )
 
 // Options configures an event-engine run. The embedded sim.Options keep
-// their meaning and defaults, exactly as in the flat engine.
+// their meaning and defaults, exactly as in the generic engine.
 type Options struct {
 	sim.Options
 
@@ -19,7 +19,7 @@ type Options struct {
 	// schedule is generated internally from the virtual-time wake queue and
 	// this per-link delay distribution, and the daemon argument is ignored
 	// (may be nil). When nil, the runner executes an external daemon's
-	// schedule — the degenerate zero-latency case — with flat.Runner's
+	// schedule — the degenerate zero-latency case — with sim.Runner's
 	// exact observable behavior.
 	Latency Latency
 
@@ -49,7 +49,7 @@ type Options struct {
 
 // Run executes the kernel on configuration c (mutated in place) until a
 // terminal configuration, the stop predicate, or the step limit — the
-// event-engine counterpart of flat.Run, with the same error contract.
+// event-engine counterpart of sim.Run, with the same error contract.
 func Run(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (sim.Result, error) {
 	if opts.Gate != nil {
 		// A gated schedule can park without terminating; Run would spin on
@@ -60,7 +60,6 @@ func Run(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (sim.Resu
 	if err != nil {
 		return sim.Result{}, err
 	}
-	defer r.Close()
 	for {
 		done, err := r.Step()
 		if done {
@@ -69,25 +68,27 @@ func Run(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (sim.Resu
 	}
 }
 
-// Runner is the discrete-event stepping loop over the flat engine's
+// Runner is the discrete-event stepping loop over internal/flat's
 // struct-of-arrays state. Per-step work is bounded by the step's activity —
 // the batch, its closed neighborhoods (the kernel's statically certified
 // invalidation radius), and the enabled-set churn — never by N:
 //
 //   - The guard cache (hbits + per-processor action slot) re-evaluates only
 //     the movers and the processors that can read what they wrote
-//     (flat.Protocol.Readers), in ascending order: a subset of flat.Runner's
-//     closed-neighborhood refresh with the same resulting cache.
-//   - Round accounting is epoch-based: a sequence number replaces the flat
-//     engine's Θ(N/64) pending-bitset copy at every round boundary, which
-//     at N = 10⁶ under the synchronous daemon is an O(N) cost *per step*.
+//     (flat.Protocol.Readers), in ascending order: a subset of the closed
+//     neighborhood (the guards' locality radius) with the same resulting
+//     cache as re-evaluating all of it.
+//   - Round accounting is epoch-based: a sequence number replaces a
+//     Θ(N/64) pending-bitset copy at every round boundary, which at
+//     N = 10⁶ under the synchronous daemon would be an O(N) cost *per
+//     step*.
 //   - In latency mode the schedule itself comes from the wake queue, so a
 //     one-processor frontier steps in O(1) regardless of N.
 //
-// In external-daemon mode the Runner reproduces flat.Runner (and therefore
-// sim.Runner) bit for bit: same RNG draw sequence, same moves, rounds,
-// fairness forcing, observer callback order, and step-limit error. The
-// three-way differential grid and fuzz target enforce this.
+// In external-daemon mode the Runner reproduces sim.Runner bit for bit:
+// same RNG draw sequence, same moves, rounds, fairness forcing, observer
+// callback order, and step-limit error. The differential grid and fuzz
+// target enforce this; the engine name "flat" selects this mode.
 type Runner struct {
 	c    *flat.Config
 	k    *flat.Protocol
@@ -100,7 +101,9 @@ type Runner struct {
 	res   sim.Result
 	rs    sim.RunState
 
-	// Guard cache, mirroring flat.Runner.
+	// Guard cache: acts[p] is p's enabled action or flat.NoAction, enabled
+	// the corresponding processor set, buf the choice list in ascending
+	// processor order, rebuilt only after a change.
 	acts     []int32
 	enabled  *hbits
 	buf      []sim.Choice
@@ -170,8 +173,10 @@ func (s *telSource) Census() (b, f, cl int) { return s.c.Census() }
 // NewRunner prepares an event-engine run of kernel k on configuration c
 // (mutated in place). With opts.Latency nil the schedule comes from daemon
 // d; with a Latency the schedule is generated internally and d may be nil.
-// Mutating observers are rejected for the same mirror-desync reason as in
-// the flat engine.
+// A mirror boxed configuration is maintained exactly when observers or a
+// stop predicate need one; mutating observers are rejected — they would
+// desync the mirror from the SoA state (use the generic engine for mid-run
+// fault injection).
 func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*Runner, error) {
 	if c.N() != k.Graph().N() {
 		return nil, fmt.Errorf("event: configuration has %d processors, kernel network %d", c.N(), k.Graph().N())
@@ -296,8 +301,9 @@ func (r *Runner) daemonName() string {
 	return r.d.Name()
 }
 
-// Result returns the run summary accumulated so far, with flat.Runner's
-// exact contract.
+// Result returns the run summary accumulated so far, with sim.Runner's
+// exact contract: Final is nil until the run ends, and MovesPerAction has a
+// key for exactly the actions that executed at least once.
 func (r *Runner) Result() sim.Result {
 	for a, n := range r.actionMoves {
 		if n != 0 {
@@ -417,10 +423,6 @@ func (r *Runner) ServeStep(limit int64) (progressed bool, err error) {
 	return r.progressed, nil
 }
 
-// Close releases run resources. The event runner holds none (no worker
-// pool), but callers treat all engines uniformly.
-func (r *Runner) Close() {}
-
 // finish seals the run and materializes Result.Final.
 //
 //snapvet:coldpath runs once when the run terminates, not per step
@@ -463,7 +465,7 @@ func (r *Runner) Step() (done bool, err error) {
 			r.finish()
 			return true, r.err
 		}
-		// Selection: same buffers, same RNG draw sequence as flat.Runner.
+		// Selection: same buffers, same RNG draw sequence as sim.Runner.
 		r.daemonBuf = append(r.daemonBuf[:0], enabled...)
 		sel := r.d.Select(r.res.Steps, r.facade, r.daemonBuf, r.rng)
 		r.selBuf = append(r.selBuf[:0], sel...)
@@ -521,7 +523,7 @@ func (r *Runner) Step() (done bool, err error) {
 		r.k.Apply(r.c, ch.Proc, int32(ch.Action), &r.stage[i])
 	}
 	if r.tel != nil {
-		r.tel.ShardApplies(0, int64(len(selected)))
+		r.tel.ShardApplies(int64(len(selected)))
 	}
 	packed := false
 	if r.tel != nil {
@@ -719,7 +721,7 @@ func (r *Runner) scheduleWakes(selected []sim.Choice) {
 // telStep assembles and delivers the step's StepInfo. In latency mode the
 // Step stamp is the batch's virtual time — sparse, strictly increasing; in
 // external-daemon mode it equals the committed step count, making the
-// telemetry stream byte-compatible with the flat engine's.
+// telemetry stream byte-compatible with the generic engine's.
 func (r *Runner) telStep(selected []sim.Choice, packed bool, rootBefore core.Phase, db, df, dc int, startNS, evalNS, commitNS int64) {
 	root := r.k.Root
 	var stepNS int64
@@ -769,8 +771,9 @@ func (r *Runner) choices() []sim.Choice {
 }
 
 // Enabled returns a copy of the currently enabled choices in ascending
-// processor order, mirroring flat.Runner.Enabled for the exhaustive
-// explorer.
+// processor order: before the first Step the initial configuration's, after
+// a Step the post-step configuration's, read from the guard cache rather
+// than recomputed. Mirrors sim.Runner.Enabled for the exhaustive explorer.
 func (r *Runner) Enabled() []sim.Choice {
 	src := r.choices()
 	out := make([]sim.Choice, len(src))
@@ -778,13 +781,15 @@ func (r *Runner) Enabled() []sim.Choice {
 	return out
 }
 
-// forceAged is flat.Runner.forceAged: every enabled processor whose virtual
-// age reached the fairness bound joins the selection, consuming one Intn(1)
-// draw to stay aligned with the generic engine. Latency mode never calls it
-// — the induced schedule is intrinsically weakly fair (an enabled processor
+// forceAged is sim.Runner.forceAged over virtual ages: every enabled
+// processor whose age reached the fairness bound joins the selection once,
+// consuming one Intn(1) draw — the generic runner's per-group draw (the PIF
+// guards are mutually exclusive, so each group is one choice) — to keep the
+// engines' draw sequences aligned. Latency mode never calls it — the
+// induced schedule is intrinsically weakly fair (an enabled processor
 // executes within Latency.Max()+1 ticks), and the differential harness pins
-// equivalence with flat-under-InducedDaemon for FairnessAge > Max()+1,
-// where flat's forcing never fires either.
+// equivalence with sim-under-InducedDaemon for FairnessAge > Max()+1, where
+// sim's forcing never fires either.
 //
 //snapvet:hotpath
 func (r *Runner) forceAged(selected, enabled []sim.Choice) []sim.Choice {
@@ -820,7 +825,7 @@ func (r *Runner) refresh(selected []sim.Choice) {
 		}
 	}
 	if r.tel != nil {
-		r.tel.ShardEvals(0, int64(r.dirty.count()))
+		r.tel.ShardEvals(int64(r.dirty.count()))
 	}
 	r.dirty.drain(r.reguard)
 }

@@ -30,7 +30,7 @@ func renderAll(t *testing.T, opt exp.Options, runs ...func(exp.Options) (exp.Out
 // flat-engine differential suite: the cycle-based experiments rendered
 // under Engine "flat" must be byte-for-byte the tables the generic engine
 // produces — same heights, rounds, delivery counts, verdicts. (The
-// step-level bit-identity grid lives in internal/flat; this test catches
+// step-level bit-identity grid lives in internal/event; this test catches
 // wiring mistakes between exp.Options and the engines.)
 func TestFlatEngineTablesByteIdentical(t *testing.T) {
 	runs := []func(exp.Options) (exp.Outcome, error){exp.CycleRounds, exp.Daemons}
@@ -39,15 +39,6 @@ func TestFlatEngineTablesByteIdentical(t *testing.T) {
 	if generic != flatSerial {
 		t.Fatalf("flat engine tables differ from generic:\n--- generic ---\n%s--- flat ---\n%s",
 			generic, flatSerial)
-	}
-	// The sharded sweep must not change a byte either. MinSweep defaults to
-	// 2048, far above the quick topology sizes, so force sharding through
-	// worker count alone would be a no-op; the flat differential tests cover
-	// MinSweep=1 sharding. Here we only check the option plumbs through.
-	flatSharded := renderAll(t, exp.Options{Quick: true, Trials: 2, Seed: 1, Engine: "flat", SweepWorkers: 4}, runs...)
-	if generic != flatSharded {
-		t.Fatalf("flat engine (sharded) tables differ from generic:\n--- generic ---\n%s--- sharded ---\n%s",
-			generic, flatSharded)
 	}
 }
 

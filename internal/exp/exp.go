@@ -46,8 +46,8 @@ type Options struct {
 	Metrics *obs.Registry
 	// Engine selects the simulation engine for the snap-PIF runs that
 	// support it: "generic" (the interface-based sim.Runner, the default),
-	// "flat" (the struct-of-arrays kernel in internal/flat), or "event"
-	// (the discrete-event scheduler in internal/event). The engines are
+	// or "flat" / "event" (event.Runner over the struct-of-arrays kernel in
+	// internal/flat; "event" additionally honors Latency). The engines are
 	// bit-identical — same moves, rounds, daemon choices, and traces — so
 	// every table is byte-identical across engines; the choice only changes
 	// how fast the cells run (see DESIGN.md §9 and §12).
@@ -62,10 +62,6 @@ type Options struct {
 	// counter as each step commits, so a telemetry Config.Clock built on it
 	// stamps spans in virtual time. Ignored by the other engines.
 	VClock *event.VirtualClock
-	// SweepWorkers enables the flat engine's parallel sharded guard sweep
-	// with this many workers (≤ 1 keeps sweeps on the calling goroutine).
-	// Ignored by the generic engine.
-	SweepWorkers int
 	// Telemetry, if non-nil, receives the per-step aggregation hooks of
 	// every snap-PIF cycle run (both engines). The instance is shared
 	// across cells — its counters and histograms aggregate the whole
@@ -196,46 +192,29 @@ func runCycles(opt Options, g *graph.Graph, d sim.Daemon, k int, seed int64) ([]
 		if _, err := sim.Run(cfg, pr, d, simOpts); err != nil {
 			return nil, err
 		}
-	case "flat":
+	case "flat", "event":
 		kern, err := flat.FromCore(pr)
 		if err != nil {
 			return nil, err
 		}
 		fc, err := flat.NewConfig(kern)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := flat.Run(fc, kern, d, flat.Options{
-			Options:       simOpts,
-			SweepWorkers:  opt.SweepWorkers,
-			Telemetry:     opt.Telemetry,
-			TelemetryMeta: meta,
-		}); err != nil {
-			return nil, err
-		}
-	case "event":
-		kern, err := flat.FromCore(pr)
-		if err != nil {
-			return nil, err
-		}
-		fc, err := flat.NewConfig(kern)
-		if err != nil {
-			return nil, err
-		}
-		lat, err := event.ParseLatency(opt.Latency)
 		if err != nil {
 			return nil, err
 		}
 		eopts := event.Options{
 			Options:       simOpts,
-			Latency:       lat,
 			Telemetry:     opt.Telemetry,
 			TelemetryMeta: meta,
-			VClock:        opt.VClock,
 		}
-		if lat != nil {
-			// Latency mode schedules itself; the daemon argument is unused.
-			d = nil
+		if opt.Engine == "event" {
+			if eopts.Latency, err = event.ParseLatency(opt.Latency); err != nil {
+				return nil, err
+			}
+			eopts.VClock = opt.VClock
+			if eopts.Latency != nil {
+				// Latency mode schedules itself; the daemon argument is unused.
+				d = nil
+			}
 		}
 		if _, err := event.Run(fc, kern, d, eopts); err != nil {
 			return nil, err

@@ -17,8 +17,8 @@ import (
 // exactly one forced daemon selection through a real runner. The explorer
 // enumerates whatever the engine reports — it never evaluates a guard or
 // applies an action itself — so a certification is a statement about the
-// engine under test (boxed sim.Runner, flat.Runner or event.Runner), not
-// about a model of it.
+// engine under test (boxed sim.Runner or event.Runner), not about a model
+// of it.
 //
 // Every Probe and Step starts a pristine run on the engine's scratch
 // configuration: ages start at zero, so the weak-fairness forcing never adds
@@ -27,11 +27,11 @@ import (
 // sim.Runner.Reset, which is exactly a fresh NewRunner; the runner seeds its
 // RNG on the first draw and the forced daemon never draws, so a transition
 // costs one state load, one guard evaluation and one step. The flat and
-// event engines build a runner per call: flat.Runner is due to be folded
-// into event.Runner, and a lazily seeded source would add an interface call
-// to every latency-mode draw of the event runner. The successor's enabled
-// set is read back from the stepped runner's own guard cache — the
-// incremental refresh path included — not recomputed from scratch.
+// event engines — both event.Runner in external-daemon mode — build a
+// runner per call: a lazily seeded source would add an interface call to
+// every latency-mode draw of the event runner. The successor's enabled set
+// is read back from the stepped runner's own guard cache — the incremental
+// refresh path included — not recomputed from scratch.
 type Engine interface {
 	// Name identifies the engine in results ("sim", "flat" or "event").
 	Name() string
@@ -158,98 +158,24 @@ func (e *simEngine) Step(states []core.State, sel []sim.Choice) ([]core.State, [
 	return succ, e.runner.Enabled(), nil
 }
 
-// flatEngine drives the large-N struct-of-arrays engine (flat.Runner).
-type flatEngine struct {
-	kernel *flat.Protocol
-	cfg    *flat.Config
-	forced *forcedDaemon
-}
-
-// newFlatEngine builds a scratch flat engine. The flat kernel mirrors the
-// unmodified core protocol, so plants are not supported.
-func newFlatEngine(g *graph.Graph, root int, plant string, copts []core.Option) (*flatEngine, error) {
-	if plant != "" {
-		return nil, fmt.Errorf("explore: the flat engine does not support plants (got %q)", plant)
-	}
-	pr, err := core.New(g, root, copts...)
-	if err != nil {
-		return nil, err
-	}
-	kernel, err := flat.FromCore(pr)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := flat.NewConfig(kernel)
-	if err != nil {
-		return nil, err
-	}
-	return &flatEngine{kernel: kernel, cfg: cfg, forced: &forcedDaemon{}}, nil
-}
-
-// Name implements Engine.
-func (e *flatEngine) Name() string { return "flat" }
-
-// load scatters the vector into the SoA slices.
-func (e *flatEngine) load(states []core.State) {
-	for p := range states {
-		e.cfg.SetState(p, states[p])
-	}
-}
-
-// Probe implements Engine.
-func (e *flatEngine) Probe(states []core.State) ([]sim.Choice, error) {
-	e.load(states)
-	r, err := flat.NewRunner(e.cfg, e.kernel, e.forced, flat.Options{Options: engineOptions()})
-	if err != nil {
-		return nil, fmt.Errorf("explore: flat probe: %w", err)
-	}
-	enabled := r.Enabled()
-	r.Close()
-	return enabled, nil
-}
-
-// Step implements Engine.
-func (e *flatEngine) Step(states []core.State, sel []sim.Choice) ([]core.State, []sim.Choice, error) {
-	e.load(states)
-	e.forced.sel = sel
-	e.forced.miss = false
-	r, err := flat.NewRunner(e.cfg, e.kernel, e.forced, flat.Options{Options: engineOptions()})
-	if err != nil {
-		return nil, nil, fmt.Errorf("explore: flat step: %w", err)
-	}
-	defer r.Close()
-	done, err := r.Step()
-	if err != nil {
-		return nil, nil, fmt.Errorf("explore: flat step: %w", err)
-	}
-	if e.forced.miss {
-		return nil, nil, fmt.Errorf("explore: flat engine does not enable %v", sel)
-	}
-	if done {
-		return nil, nil, fmt.Errorf("explore: flat step from %v reported terminal", sel)
-	}
-	succ := make([]core.State, len(states))
-	for p := range succ {
-		succ[p] = e.cfg.StateAt(p)
-	}
-	return succ, r.Enabled(), nil
-}
-
-// eventEngine drives the discrete-event engine in external-daemon mode
+// eventEngine drives the struct-of-arrays engine in external-daemon mode
 // (event.Runner, zero latency), so scripted-selection enumeration covers
-// the third execution semantics through the same facade.
+// the SoA kernels and the runner's guard cache through the same facade.
+// It serves both the "flat" and the "event" engine names and reports the
+// one it was built for, so results keep their labels.
 type eventEngine struct {
+	name   string
 	kernel *flat.Protocol
 	cfg    *flat.Config
 	forced *forcedDaemon
 }
 
-// newEventEngine builds a scratch event engine over the shared flat kernel.
-// Like the flat engine, it mirrors the unmodified core protocol, so plants
-// are not supported.
-func newEventEngine(g *graph.Graph, root int, plant string, copts []core.Option) (*eventEngine, error) {
+// newEventEngine builds a scratch engine named name over the flat kernel.
+// The kernel mirrors the unmodified core protocol, so plants are not
+// supported.
+func newEventEngine(name string, g *graph.Graph, root int, plant string, copts []core.Option) (*eventEngine, error) {
 	if plant != "" {
-		return nil, fmt.Errorf("explore: the event engine does not support plants (got %q)", plant)
+		return nil, fmt.Errorf("explore: the %s engine does not support plants (got %q)", name, plant)
 	}
 	pr, err := core.New(g, root, copts...)
 	if err != nil {
@@ -263,11 +189,11 @@ func newEventEngine(g *graph.Graph, root int, plant string, copts []core.Option)
 	if err != nil {
 		return nil, err
 	}
-	return &eventEngine{kernel: kernel, cfg: cfg, forced: &forcedDaemon{}}, nil
+	return &eventEngine{name: name, kernel: kernel, cfg: cfg, forced: &forcedDaemon{}}, nil
 }
 
 // Name implements Engine.
-func (e *eventEngine) Name() string { return "event" }
+func (e *eventEngine) Name() string { return e.name }
 
 // load scatters the vector into the SoA slices.
 func (e *eventEngine) load(states []core.State) {
@@ -281,11 +207,9 @@ func (e *eventEngine) Probe(states []core.State) ([]sim.Choice, error) {
 	e.load(states)
 	r, err := event.NewRunner(e.cfg, e.kernel, e.forced, event.Options{Options: engineOptions()})
 	if err != nil {
-		return nil, fmt.Errorf("explore: event probe: %w", err)
+		return nil, fmt.Errorf("explore: %s probe: %w", e.name, err)
 	}
-	enabled := r.Enabled()
-	r.Close()
-	return enabled, nil
+	return r.Enabled(), nil
 }
 
 // Step implements Engine.
@@ -295,18 +219,17 @@ func (e *eventEngine) Step(states []core.State, sel []sim.Choice) ([]core.State,
 	e.forced.miss = false
 	r, err := event.NewRunner(e.cfg, e.kernel, e.forced, event.Options{Options: engineOptions()})
 	if err != nil {
-		return nil, nil, fmt.Errorf("explore: event step: %w", err)
+		return nil, nil, fmt.Errorf("explore: %s step: %w", e.name, err)
 	}
-	defer r.Close()
 	done, err := r.Step()
 	if err != nil {
-		return nil, nil, fmt.Errorf("explore: event step: %w", err)
+		return nil, nil, fmt.Errorf("explore: %s step: %w", e.name, err)
 	}
 	if e.forced.miss {
-		return nil, nil, fmt.Errorf("explore: event engine does not enable %v", sel)
+		return nil, nil, fmt.Errorf("explore: %s engine does not enable %v", e.name, sel)
 	}
 	if done {
-		return nil, nil, fmt.Errorf("explore: event step from %v reported terminal", sel)
+		return nil, nil, fmt.Errorf("explore: %s step from %v reported terminal", e.name, sel)
 	}
 	succ := make([]core.State, len(states))
 	for p := range succ {
@@ -320,10 +243,8 @@ func newEngine(kind string, g *graph.Graph, root int, plant string, copts []core
 	switch kind {
 	case "", "sim":
 		return newSimEngine(g, root, plant, copts)
-	case "flat":
-		return newFlatEngine(g, root, plant, copts)
-	case "event":
-		return newEventEngine(g, root, plant, copts)
+	case "flat", "event":
+		return newEventEngine(kind, g, root, plant, copts)
 	}
 	return nil, fmt.Errorf("explore: unknown engine %q (want sim, flat, or event)", kind)
 }

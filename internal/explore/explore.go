@@ -2,7 +2,7 @@
 // real PIF engines. Where internal/mc enumerates an abstract transition
 // relation it computes itself from the protocol's guards, explore enumerates
 // every daemon schedule of the actual engine under test — the boxed
-// sim.Runner or the large-N flat.Runner, forced one selection at a time
+// sim.Runner or the large-N event.Runner, forced one selection at a time
 // through its public stepping interface — so a clean certification table is
 // a statement about the shipped implementation, including its guard caches
 // and incremental refresh, not about a model of it.
@@ -54,8 +54,9 @@ const maxN = 12
 
 // Options configures an Explorer.
 type Options struct {
-	// Engine selects the implementation under test: "sim" (default) or
-	// "flat".
+	// Engine selects the implementation under test: "sim" (default),
+	// "flat", or "event" (the last two both run event.Runner under the
+	// forced daemon and differ only in the recorded label).
 	Engine string
 	// Power is the daemon power: PowerCentral (default), PowerDistributed,
 	// or PowerSynchronous.

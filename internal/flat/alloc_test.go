@@ -5,16 +5,18 @@ import (
 	"testing"
 
 	"snappif/internal/core"
+	"snappif/internal/event"
 	"snappif/internal/fault"
 	"snappif/internal/flat"
 	"snappif/internal/graph"
 	"snappif/internal/sim"
 )
 
-// warmFlatRunner builds a flat runner on g under d and steps it past the
-// warm-up horizon: enough for the choice/dirty buffers to hit their
-// high-water marks and the MovesPerAction map to hold every label.
-func warmFlatRunner(tb testing.TB, g *graph.Graph, d sim.Daemon, opts flat.Options, warmup int) *flat.Runner {
+// warmFlatRunner builds the flat engine (event.Runner under the external
+// daemon d) on g and steps it past the warm-up horizon: enough for the
+// choice/dirty buffers to hit their high-water marks and the MovesPerAction
+// map to hold every label.
+func warmFlatRunner(tb testing.TB, g *graph.Graph, d sim.Daemon, warmup int) *event.Runner {
 	tb.Helper()
 	pr, err := core.New(g, 0)
 	if err != nil {
@@ -30,13 +32,9 @@ func warmFlatRunner(tb testing.TB, g *graph.Graph, d sim.Daemon, opts flat.Optio
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 1 << 30
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	r, err := flat.NewRunner(fc, k, d, opts)
+	r, err := event.NewRunner(fc, k, d, event.Options{
+		Options: sim.Options{Seed: 1, MaxSteps: 1 << 30},
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -48,18 +46,18 @@ func warmFlatRunner(tb testing.TB, g *graph.Graph, d sim.Daemon, opts flat.Optio
 	return r
 }
 
-// TestFlatZeroAllocsPerStep is the flat kernel's allocation contract: once
-// warm, a committed step of the SoA engine performs zero heap allocations —
-// the guard sweep, the staging commit, the hierarchical enabled set, and
-// the incremental round/fairness accounting leave nothing for the
-// allocator. scripts/ci.sh gates on this test.
+// TestFlatZeroAllocsPerStep is the flat engine's allocation contract: once
+// warm, a committed step of the SoA kernels under an external daemon
+// performs zero heap allocations — the guard refresh, the staging commit,
+// the hierarchical enabled set, and the incremental round/fairness
+// accounting leave nothing for the allocator. internal/event's
+// TestEventZeroAllocsPerStep covers the same step in every mode.
 func TestFlatZeroAllocsPerStep(t *testing.T) {
 	g, err := graph.Ring(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := warmFlatRunner(t, g, sim.Synchronous{}, flat.Options{}, 2000)
-	defer r.Close()
+	r := warmFlatRunner(t, g, sim.Synchronous{}, 2000)
 	allocs := testing.AllocsPerRun(200, func() {
 		if done, err := r.Step(); done {
 			t.Fatalf("run ended mid-measurement: %v", err)
@@ -77,8 +75,7 @@ func TestFlatZeroAllocsPerStepDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := warmFlatRunner(t, g, sim.DistributedRandom{P: 0.5}, flat.Options{}, 2000)
-	defer r.Close()
+	r := warmFlatRunner(t, g, sim.DistributedRandom{P: 0.5}, 2000)
 	allocs := testing.AllocsPerRun(200, func() {
 		if done, err := r.Step(); done {
 			t.Fatalf("run ended mid-measurement: %v", err)
@@ -86,27 +83,6 @@ func TestFlatZeroAllocsPerStepDistributed(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("flat Step allocates %.2f objects/step after warm-up, want 0", allocs)
-	}
-}
-
-// TestFlatShardedZeroAllocsPerStep extends the contract to the sharded
-// sweep: fan-out reuses a fixed worker pool and a buffered job channel, so
-// a parallel step allocates nothing either.
-func TestFlatShardedZeroAllocsPerStep(t *testing.T) {
-	g, err := graph.Grid(32, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := warmFlatRunner(t, g, sim.Synchronous{},
-		flat.Options{SweepWorkers: 4, MinSweep: 1}, 300)
-	defer r.Close()
-	allocs := testing.AllocsPerRun(100, func() {
-		if done, err := r.Step(); done {
-			t.Fatalf("run ended mid-measurement: %v", err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("sharded flat Step allocates %.2f objects/step after warm-up, want 0", allocs)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"snappif/internal/core"
+	"snappif/internal/event"
 	"snappif/internal/fault"
 	"snappif/internal/flat"
 	"snappif/internal/graph"
@@ -17,12 +18,13 @@ import (
 )
 
 // This file is the flat engine's differential oracle: on every topology ×
-// daemon × fault × seed combination the grid covers, the flat runner must be
-// *bit-identical* to the generic sim.Runner — same Steps/Moves/Rounds, same
-// MovesPerAction, same final state at every processor, same step-limit
-// error, and (in the traced variant) byte-identical obs JSONL output. The
-// sharded sweep is additionally pinned to the serial flat runner, so
-// generic ≡ flat-serial ≡ flat-sharded.
+// daemon × fault × seed combination the grid covers, the flat kernels
+// stepped by event.Runner under the same external daemon (the "flat"
+// engine) must be *bit-identical* to the generic sim.Runner — same
+// Steps/Moves/Rounds, same MovesPerAction, same final state at every
+// processor, same step-limit error, and (in the traced variant)
+// byte-identical obs JSONL output. internal/event's TestEventMatchesThreeWay
+// runs the same grid from the runner's side.
 
 // diffTopologies mirrors the reference-runner grid's shapes: path, cycle,
 // mesh, hub, dense random — all small enough for many (daemon × fault ×
@@ -82,8 +84,9 @@ func runGeneric(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func
 	return res, rerr, cfg
 }
 
-// runFlat executes the flat engine from an identically built start.
-func runFlat(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func() sim.Daemon, opts flat.Options) (sim.Result, error, *sim.Configuration) {
+// runFlat executes the flat engine — event.Runner with no latency, under
+// the daemon — from an identically built start.
+func runFlat(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func() sim.Daemon, opts sim.Options) (sim.Result, error, *sim.Configuration) {
 	tb.Helper()
 	pr, err := core.New(g, 0)
 	if err != nil {
@@ -99,7 +102,7 @@ func runFlat(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func() 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, rerr := flat.Run(fc, k, mkDaemon(), opts)
+	res, rerr := event.Run(fc, k, mkDaemon(), event.Options{Options: opts})
 	return res, rerr, fc.ToSim()
 }
 
@@ -150,7 +153,7 @@ func TestFlatMatchesGeneric(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						opts := sim.Options{Seed: seed, StopWhen: stop, MaxSteps: steps + 1}
 						wantRes, wantErr, wantCfg := runGeneric(t, g, inj, mkDaemon, opts)
-						gotRes, gotErr, gotCfg := runFlat(t, g, inj, mkDaemon, flat.Options{Options: opts})
+						gotRes, gotErr, gotCfg := runFlat(t, g, inj, mkDaemon, opts)
 						if (wantErr == nil) != (gotErr == nil) {
 							t.Fatalf("error mismatch: generic %v, flat %v", wantErr, gotErr)
 						}
@@ -215,7 +218,7 @@ func TestFlatTraceByteIdentical(t *testing.T) {
 				}
 				var buf2 bytes.Buffer
 				tr2 := obs.New(&buf2, obs.WithProtocol(pr2))
-				r, err := flat.NewRunner(fc, k, mkDaemon(), flat.Options{
+				r, err := event.NewRunner(fc, k, mkDaemon(), event.Options{
 					Options: sim.Options{
 						Seed: seed, StopWhen: stop, MaxSteps: steps + 1,
 						Observers: []sim.Observer{tr2},
@@ -224,7 +227,6 @@ func TestFlatTraceByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer r.Close()
 				tr2.BeginRun(g, mkDaemon().Name(), seed, r.Mirror())
 				for {
 					done, err := r.Step()
@@ -261,34 +263,6 @@ func firstDiffLine(a, b []byte) string {
 	return fmt.Sprintf("trace lengths differ: %d vs %d lines", len(la), len(lb))
 }
 
-// TestShardedSweepMatchesSerial pins the parallel sharded sweep to the
-// serial flat runner (and so, transitively, to the generic engine) on a
-// network large enough that every step actually fans out: same results,
-// same final states. scripts/ci.sh runs this package under -race, which
-// turns this test into the data-race proof for the sweep.
-func TestShardedSweepMatchesSerial(t *testing.T) {
-	g, err := graph.Grid(30, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const steps = 120
-	stop := func(rs *sim.RunState) bool { return rs.Steps >= steps }
-	for dname, mkDaemon := range diffDaemons() {
-		t.Run(dname, func(t *testing.T) {
-			base := sim.Options{Seed: 9, StopWhen: stop, MaxSteps: steps + 1}
-			serialRes, serialErr, serialCfg := runFlat(t, g, fault.UniformRandom(), mkDaemon,
-				flat.Options{Options: base})
-			shardRes, shardErr, shardCfg := runFlat(t, g, fault.UniformRandom(), mkDaemon,
-				flat.Options{Options: base, SweepWorkers: 4, MinSweep: 1})
-			if (serialErr == nil) != (shardErr == nil) {
-				t.Fatalf("error mismatch: serial %v, sharded %v", serialErr, shardErr)
-			}
-			compareResults(t, serialRes, shardRes)
-			compareStates(t, serialCfg, shardCfg)
-		})
-	}
-}
-
 // TestFlatStepLimitError pins the step-limit failure path: the flat engine
 // must produce the generic engine's error, byte for byte (the kernel
 // reports the source protocol's name, not a flat-specific one).
@@ -300,7 +274,7 @@ func TestFlatStepLimitError(t *testing.T) {
 	opts := sim.Options{Seed: 3, MaxSteps: 50}
 	mk := func() sim.Daemon { return sim.Synchronous{} }
 	_, wantErr, _ := runGeneric(t, g, fault.Clean(), mk, opts)
-	_, gotErr, _ := runFlat(t, g, fault.Clean(), mk, flat.Options{Options: opts})
+	_, gotErr, _ := runFlat(t, g, fault.Clean(), mk, opts)
 	if wantErr == nil || gotErr == nil {
 		t.Fatalf("expected both engines to hit the step limit: generic %v, flat %v", wantErr, gotErr)
 	}
@@ -339,7 +313,7 @@ func TestFlatRejectsMutatingObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = flat.NewRunner(fc, k, sim.Synchronous{}, flat.Options{
+	_, err = event.NewRunner(fc, k, sim.Synchronous{}, event.Options{
 		Options: sim.Options{Observers: []sim.Observer{mutObserver{}}},
 	})
 	if err == nil {
@@ -385,7 +359,7 @@ func TestFlatPrintedGuards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRes, gotErr := flat.Run(fc, k, mkDaemon(), flat.Options{Options: opts})
+		gotRes, gotErr := event.Run(fc, k, mkDaemon(), event.Options{Options: opts})
 
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: error mismatch: generic %v, flat %v", inj.Name, wantErr, gotErr)
@@ -441,7 +415,7 @@ func TestFlatAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRes, gotErr := flat.Run(fc, k, mkDaemon(), flat.Options{Options: opts})
+	gotRes, gotErr := event.Run(fc, k, mkDaemon(), event.Options{Options: opts})
 
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("error mismatch: generic %v, flat %v", wantErr, gotErr)

@@ -2,13 +2,14 @@ package flat
 
 import "snappif/internal/core"
 
-// This file is the flat kernel's surface for sibling engines: internal/event
-// reuses the SoA configuration, the CSR adjacency, and the guard/action
-// kernels verbatim, so the discrete-event scheduler is a third *scheduling*
-// semantics over the same single-step semantics — not a third copy of the
-// protocol. Everything here is a zero-cost wrapper over the package-private
-// hot-path primitives; the wrappers carry the same hotpath annotations so
-// snapvet's allocation budget follows the calls across the package boundary.
+// This file is the flat kernel's surface for the runner: internal/event
+// steps the SoA configuration, the CSR adjacency, and the guard/action
+// kernels verbatim, so its scheduler is a second *scheduling* semantics
+// over the same single-step semantics as sim.Runner — not a second copy of
+// the protocol. Everything here is a zero-cost wrapper over the
+// package-private hot-path primitives; the wrappers carry the same hotpath
+// annotations so snapvet's allocation budget follows the calls across the
+// package boundary.
 
 // NoAction is the guard cache's "no enabled action" sentinel, the exported
 // counterpart of the kernel-internal noAction.
@@ -56,18 +57,63 @@ func (c *Config) Msg(p int) uint64 { return c.msg[p] }
 //snapvet:hotpath
 func (c *Config) Agg(p int) int64 { return c.agg[p] }
 
-// EnabledCount returns the number of currently enabled processors — the
-// runner's own incremental count, maintained by refresh.
-func (r *Runner) EnabledCount() int { return r.enabledCount }
-
-// EnabledActionOf returns p's cached enabled action or NoAction. The serving
-// layer's park check reads it to decide whether a gated lane has quiesced
-// down to exactly the withheld root broadcast.
-func (r *Runner) EnabledActionOf(p int) int32 { return r.acts[p] }
-
 // CensusDeltas converts one step's per-action move counts (cur − prev) into
-// phase-census deltas for the telemetry hook; see censusDeltas. Exported for
-// engines that share the flat kernel's action table.
+// phase-census deltas for the telemetry hook. Every non-root action has a
+// static phase transition: the guard pins the from-phase (Broadcast needs C,
+// Feedback and AbnormalB need B, Cleaning and AbnormalF need F) and the
+// statement the to-phase; Fok- and Count-action never change the phase. The
+// root deviates only in B-correction (root: →C from any abnormal phase;
+// non-root: B→F), so the root's move — if any, rootAct ≥ 0 — is re-counted
+// from its observed before/after phases. Cross-validated against the
+// generic engine's per-move census in the telemetry package's
+// engine-agreement test.
 func CensusDeltas(cur, prev []int, rootAct int, rootBefore, rootAfter core.Phase) (db, df, dc int) {
-	return censusDeltas(cur, prev, rootAct, rootBefore, rootAfter)
+	cb := cur[core.ActionB] - prev[core.ActionB]
+	cf := cur[core.ActionF] - prev[core.ActionF]
+	cc := cur[core.ActionC] - prev[core.ActionC]
+	cbc := cur[core.ActionBCorrection] - prev[core.ActionBCorrection]
+	cfc := cur[core.ActionFCorrection] - prev[core.ActionFCorrection]
+	db = cb - cf - cbc
+	df = cf + cbc - cc - cfc
+	dc = cc + cfc - cb
+	if rootAct >= 0 {
+		// Remove the static table's contribution for the root's move...
+		switch rootAct {
+		case core.ActionB:
+			db--
+			dc++
+		case core.ActionF:
+			df--
+			db++
+		case core.ActionC:
+			dc--
+			df++
+		case core.ActionBCorrection:
+			df--
+			db++
+		case core.ActionFCorrection:
+			dc--
+			df++
+		}
+		// ...and re-add its actual transition.
+		if rootBefore != rootAfter {
+			switch rootBefore {
+			case core.B:
+				db--
+			case core.F:
+				df--
+			default:
+				dc--
+			}
+			switch rootAfter {
+			case core.B:
+				db++
+			case core.F:
+				df++
+			default:
+				dc++
+			}
+		}
+	}
+	return db, df, dc
 }

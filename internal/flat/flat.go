@@ -1,5 +1,5 @@
-// Package flat is the large-N engine for the paper's PIF protocol: the same
-// algorithm, daemons, and accounting as internal/sim, specialized to
+// Package flat is the large-N state and kernels for the paper's PIF
+// protocol: the same algorithm as internal/sim, specialized to
 // struct-of-arrays state so that simulating 10⁵–10⁶-processor networks is
 // bounded by memory bandwidth instead of pointer chasing.
 //
@@ -13,19 +13,13 @@
 // on processor indices: no interface values, no per-state allocation, and
 // neighbor scans walk one contiguous int32 slice.
 //
-// Runner reproduces internal/sim.Runner bit for bit — same daemon choices
-// (identical RNG draw sequence), same moves, rounds, fairness forcing, and
-// observer callbacks — which the differential grid and fuzz oracle in this
-// package enforce against every topology/daemon/fault combination. On top
-// of the flat layout it adds a sharded guard sweep: the per-step guard
-// re-evaluation (and, for large selections, the action execution) fans out
-// over a fixed worker pool. Workers only read the pre-commit arrays and
-// write disjoint per-processor slots, so the sweep is data-race-free by
-// construction and deterministic regardless of scheduling; the serial and
-// sharded modes share one commit path and produce identical runs.
+// The package holds the state and the single-step semantics only: Config,
+// the guard and action kernels, and CensusDeltas. Stepping lives in
+// internal/event, whose Runner drives these kernels either under an
+// external sim.Daemon (reproducing sim.Runner bit for bit; the engine name
+// "flat" selects that mode) or from its own virtual-time wake queue.
 //
-// See DESIGN.md §9 for the memory layout, the sharding scheme, and the
-// determinism argument.
+// See DESIGN.md §9 for the memory layout.
 package flat
 
 import (

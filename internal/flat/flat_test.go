@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"snappif/internal/core"
+	"snappif/internal/event"
 	"snappif/internal/fault"
 	"snappif/internal/flat"
 	"snappif/internal/graph"
@@ -118,9 +119,9 @@ func TestConfigCloneAndCopyFrom(t *testing.T) {
 	}
 }
 
-// TestFromCoreValidates: a kernel built for one network refuses a
-// configuration of another size, and FromCore carries the source
-// parameters over.
+// TestFromCoreValidates: FromCore carries the source parameters over.
+// (event.Runner's refusal of a configuration from another network is
+// pinned by internal/event's TestEventRequiresScheduler.)
 func TestFromCoreValidates(t *testing.T) {
 	g, err := graph.Ring(9)
 	if err != nil {
@@ -140,35 +141,17 @@ func TestFromCoreValidates(t *testing.T) {
 	if k.Name() != pr.Name() {
 		t.Fatalf("kernel name %q, protocol name %q", k.Name(), pr.Name())
 	}
-
-	other, err := graph.Ring(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prOther, err := core.New(other, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kOther, err := flat.FromCore(prOther)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := flat.NewConfig(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := flat.NewRunner(big, kOther, sim.Synchronous{}, flat.Options{}); err == nil {
-		t.Fatal("NewRunner accepted a configuration from a different network")
-	}
 }
 
-// TestFlatRunnerStepEquivalentToRun pins the stepping API to the batch API.
+// TestFlatRunnerStepEquivalentToRun pins the flat engine's stepping API
+// (event.Runner.Step under an external daemon) to its batch API
+// (event.Run).
 func TestFlatRunnerStepEquivalentToRun(t *testing.T) {
 	g, err := graph.Ring(9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := flat.Options{Options: sim.Options{
+	opts := event.Options{Options: sim.Options{
 		Seed:     3,
 		StopWhen: func(rs *sim.RunState) bool { return rs.Steps >= 500 },
 	}}
@@ -187,17 +170,16 @@ func TestFlatRunnerStepEquivalentToRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !step {
-			res, err := flat.Run(fc, k, sim.DistributedRandom{P: 0.5}, opts)
+			res, err := event.Run(fc, k, sim.DistributedRandom{P: 0.5}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res, fc.ToSim()
 		}
-		r, err := flat.NewRunner(fc, k, sim.DistributedRandom{P: 0.5}, opts)
+		r, err := event.NewRunner(fc, k, sim.DistributedRandom{P: 0.5}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Close()
 		for {
 			done, err := r.Step()
 			if done {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"snappif/internal/core"
+	"snappif/internal/event"
 	"snappif/internal/flat"
 	"snappif/internal/graph"
 	"snappif/internal/obs"
@@ -47,8 +48,11 @@ func fuzzGraph(topoPick, nRaw byte) (*graph.Graph, error) {
 
 // FuzzFlatVsGeneric is the differential fuzz oracle: any (topology, fault,
 // daemon, seed) the fuzzer invents must produce byte-identical obs traces —
-// and equal results — from the generic and flat engines. The committed
-// corpus under testdata/fuzz seeds one entry per injector and daemon.
+// and equal results — from the generic and flat engines (the flat engine is
+// event.Runner under the same daemon). The committed corpus under
+// testdata/fuzz seeds one entry per injector and daemon; every entry is
+// also a FuzzThreeEngines seed in internal/event (there with a latency
+// byte).
 func FuzzFlatVsGeneric(f *testing.F) {
 	nFaults := len(diffFaults())
 	for i := 0; i < nFaults; i++ {
@@ -110,7 +114,7 @@ func FuzzFlatVsGeneric(f *testing.F) {
 		}
 		var buf2 bytes.Buffer
 		tr2 := obs.New(&buf2, obs.WithProtocol(pr2))
-		r, err := flat.NewRunner(fc, k, dm.mk(), flat.Options{
+		r, err := event.NewRunner(fc, k, dm.mk(), event.Options{
 			Options: sim.Options{
 				Seed: seed, StopWhen: stop, MaxSteps: steps + 1,
 				Observers: []sim.Observer{tr2},
@@ -119,7 +123,6 @@ func FuzzFlatVsGeneric(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Close()
 		tr2.BeginRun(g, dm.mk().Name(), seed, r.Mirror())
 		for {
 			done, serr := r.Step()

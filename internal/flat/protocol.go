@@ -383,7 +383,7 @@ func (k *Protocol) apply(c *Config, p int, a int32, dst *core.State) {
 			dst.Count = 1
 			dst.Fok = k.N == 1
 			dst.Msg = k.nextMsg
-			//snapvet:ok only the root's B-action reaches this, and a daemon selects at most one action per processor per step (sweep.go's ownership argument)
+			//snapvet:ok only the root's B-action reaches this, and a daemon selects at most one action per processor per step
 			k.nextMsg++
 		case core.ActionF:
 			dst.Pif = core.F

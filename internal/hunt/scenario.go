@@ -110,9 +110,6 @@ type ServiceSpec struct {
 	Initiators []int `json:"initiators"`
 	// Faults names each lane's start-state injector ("" = clean).
 	Faults []string `json:"faults,omitempty"`
-	// SweepWorkers is forwarded to flat lanes (results are worker-count
-	// independent; recorded for completeness).
-	SweepWorkers int `json:"sweep_workers,omitempty"`
 	// MaxTicks bounds the virtual clock (0 = service default).
 	MaxTicks int64 `json:"max_ticks,omitempty"`
 	// Serial replays the closed-loop baseline instead of pipelined serving.

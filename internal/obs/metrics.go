@@ -222,7 +222,7 @@ func (r *Registry) Text(name string) *Text {
 
 // Register installs v under name, replacing any existing metric of that
 // name. It is the bridge for externally owned expvar vars — the telemetry
-// package's sharded counters, log-bucketed histograms, and series rings —
+// package's counters, log-bucketed histograms, and series rings —
 // into a registry's sorted JSON export and Publish surface.
 func (r *Registry) Register(name string, v expvar.Var) {
 	r.mu.Lock()

@@ -209,10 +209,7 @@ func newLane(opts *Options, idx, root int, faultName string) (*lane, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := flat.NewRunner(fc, k, &gateDaemon{admit: ln.admit}, flat.Options{
-			Options:      simOpts,
-			SweepWorkers: opts.SweepWorkers,
-		})
+		r, err := event.NewRunner(fc, k, &gateDaemon{admit: ln.admit}, event.Options{Options: simOpts})
 		if err != nil {
 			return nil, err
 		}
@@ -240,7 +237,8 @@ func newLane(opts *Options, idx, root int, faultName string) (*lane, error) {
 	return ln, nil
 }
 
-// gateDaemon wraps the synchronous daemon for the sim and flat engines,
+// gateDaemon wraps the synchronous daemon for the sim and flat engines
+// (the flat engine is event.Runner under this daemon, with no latency),
 // filtering the withheld root broadcast out of the selection. The PIF
 // guards are mutually exclusive (one action per processor), so the
 // synchronous selection is the whole enabled set and filtering cannot
@@ -316,11 +314,12 @@ func (e *simLane) rootPhase() core.Phase { return core.At(e.cfg, e.ln.root).Pif 
 func (e *simLane) rootMsg() uint64       { return core.At(e.cfg, e.ln.root).Msg }
 func (e *simLane) rootAgg() int64        { return core.At(e.cfg, e.ln.root).Agg }
 
-// flatLane runs a lane on the flat engine: one synchronous step per tick.
+// flatLane runs a lane on the flat engine — event.Runner in external-daemon
+// mode under gateDaemon: one synchronous step per tick.
 type flatLane struct {
 	ln *lane
 	fc *flat.Config
-	r  *flat.Runner
+	r  *event.Runner
 }
 
 func (e *flatLane) advance(_ int64, observe func() error) error {

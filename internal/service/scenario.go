@@ -24,14 +24,13 @@ func DumpScenario(name string, opts Options, arrivals []Arrival, serial bool) (*
 		latency = opts.Latency.Name()
 	}
 	spec := &hunt.ServiceSpec{
-		Engine:       opts.Engine,
-		Latency:      latency,
-		Initiators:   append([]int(nil), initiators...),
-		Faults:       append([]string(nil), opts.Faults...),
-		SweepWorkers: opts.SweepWorkers,
-		MaxTicks:     opts.MaxTicks,
-		Serial:       serial,
-		Arrivals:     make([]hunt.ServiceArrival, len(arrivals)),
+		Engine:     opts.Engine,
+		Latency:    latency,
+		Initiators: append([]int(nil), initiators...),
+		Faults:     append([]string(nil), opts.Faults...),
+		MaxTicks:   opts.MaxTicks,
+		Serial:     serial,
+		Arrivals:   make([]hunt.ServiceArrival, len(arrivals)),
 	}
 	for i, a := range arrivals {
 		spec.Arrivals[i] = hunt.ServiceArrival{T: a.T, Lane: a.Lane, Kind: a.Kind}
@@ -65,14 +64,13 @@ func ReplayScenario(sc *hunt.Scenario) (*Report, error) {
 		}
 	}
 	srv, err := New(Options{
-		Graph:        g,
-		Engine:       sc.Service.Engine,
-		Latency:      lat,
-		Initiators:   sc.Service.Initiators,
-		Faults:       sc.Service.Faults,
-		Seed:         sc.Seed,
-		MaxTicks:     sc.Service.MaxTicks,
-		SweepWorkers: sc.Service.SweepWorkers,
+		Graph:      g,
+		Engine:     sc.Service.Engine,
+		Latency:    lat,
+		Initiators: sc.Service.Initiators,
+		Faults:     sc.Service.Faults,
+		Seed:       sc.Seed,
+		MaxTicks:   sc.Service.MaxTicks,
 	})
 	if err != nil {
 		return nil, err

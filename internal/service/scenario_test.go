@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"snappif/internal/graph"
@@ -11,7 +12,9 @@ import (
 // TestScenarioDumpReplayBitIdentical proves the replay chain: serve a
 // workload, dump the scenario, marshal → unmarshal, replay — the replayed
 // report's canonical bytes equal the original's, on every engine, pipelined
-// and serial, clean and faulted.
+// and serial, clean and faulted. A flat scenario dumped before the sharded
+// sweep was removed carries "sweep_workers"; it must still decode and replay
+// byte-identically.
 func TestScenarioDumpReplayBitIdentical(t *testing.T) {
 	g, err := graph.Parse("grid:3x4")
 	if err != nil {
@@ -58,6 +61,30 @@ func TestScenarioDumpReplayBitIdentical(t *testing.T) {
 					if !bytes.Equal(orig.Canonical(), rep.Canonical()) {
 						t.Errorf("replay diverged from original:\n--- original\n%s--- replay\n%s",
 							orig.Canonical(), rep.Canonical())
+					}
+					if eng != "flat" {
+						return
+					}
+					var raw map[string]any
+					if err := json.Unmarshal(data, &raw); err != nil {
+						t.Fatal(err)
+					}
+					raw["service"].(map[string]any)["sweep_workers"] = 4
+					old, err := json.Marshal(raw)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sc3, err := hunt.Unmarshal(old)
+					if err != nil {
+						t.Fatalf("Unmarshal with sweep_workers: %v", err)
+					}
+					rep3, err := ReplayScenario(sc3)
+					if err != nil {
+						t.Fatalf("ReplayScenario with sweep_workers: %v", err)
+					}
+					if !bytes.Equal(orig.Canonical(), rep3.Canonical()) {
+						t.Errorf("sweep_workers scenario replay diverged from original:\n--- original\n%s--- replay\n%s",
+							orig.Canonical(), rep3.Canonical())
 					}
 				})
 			}

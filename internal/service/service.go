@@ -133,9 +133,6 @@ type Options struct {
 	// MaxTicks bounds the virtual clock (default 1<<22); exceeding it is an
 	// error, not a long run.
 	MaxTicks int64
-	// SweepWorkers is forwarded to flat lanes (sharded guard sweeps); runs
-	// are bit-identical across worker counts.
-	SweepWorkers int
 	// Clock, when non-nil, supplies wall-clock nanosecond readings for the
 	// latency report. A nil Clock keeps the run and its report fully
 	// deterministic.

@@ -282,7 +282,7 @@ func TestWorkloadGenerate(t *testing.T) {
 }
 
 // TestServiceDeterminism: same (topology, engine, seed, stream) → byte-equal
-// canonical reports, across repetitions and flat sweep worker counts.
+// canonical reports across repetitions.
 func TestServiceDeterminism(t *testing.T) {
 	g, err := graph.Parse("grid:4x4")
 	if err != nil {
@@ -295,19 +295,14 @@ func TestServiceDeterminism(t *testing.T) {
 	}
 	for _, eng := range engines {
 		t.Run(eng, func(t *testing.T) {
-			run := func(workers int) []byte {
+			run := func() []byte {
 				rep := mustServe(t, Options{
-					Graph: g, Engine: eng, Initiators: []int{0, 15},
-					Seed: 5, SweepWorkers: workers,
+					Graph: g, Engine: eng, Initiators: []int{0, 15}, Seed: 5,
 				}, arrivals, false)
 				return rep.Canonical()
 			}
-			base := run(0)
-			if !bytes.Equal(base, run(0)) {
+			if !bytes.Equal(run(), run()) {
 				t.Fatal("two identical runs diverged")
-			}
-			if eng == "flat" && !bytes.Equal(base, run(4)) {
-				t.Fatal("flat run diverged across SweepWorkers 1 vs 4")
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 
 	"snappif/internal/check"
 	"snappif/internal/core"
+	"snappif/internal/event"
 	"snappif/internal/flat"
 	"snappif/internal/graph"
 	"snappif/internal/hunt"
@@ -203,9 +204,9 @@ func TestFlightDumpMidRunWindow(t *testing.T) {
 	}
 }
 
-// TestFlightDumpFlatEngine dumps from the flat engine's built-in hooks and
-// replays on the generic engine — the cross-engine half of the bit-identity
-// claim, via the recorder.
+// TestFlightDumpFlatEngine dumps from the flat engine's built-in hooks
+// (event.Runner under an external daemon) and replays on the generic engine
+// — the cross-engine half of the bit-identity claim, via the recorder.
 func TestFlightDumpFlatEngine(t *testing.T) {
 	g, err := graph.Ring(16)
 	if err != nil {
@@ -226,14 +227,14 @@ func TestFlightDumpFlatEngine(t *testing.T) {
 	tel := telemetry.New(telemetry.Config{SampleEvery: 16, FlightDepth: 2, FlightEvery: 16})
 	d := sim.DistributedRandom{P: 0.5}
 	const seed, steps = 9, 150
-	if _, err := flat.Run(fc, kern, d, flat.Options{
+	if _, err := event.Run(fc, kern, d, event.Options{
 		Options: sim.Options{
 			MaxSteps: steps + 1,
 			Seed:     seed,
 			StopWhen: func(rs *sim.RunState) bool { return rs.Steps >= steps },
 		},
 		Telemetry:     tel,
-		TelemetryMeta: telemetry.RunMeta{Seed: seed - 1},
+		TelemetryMeta: telemetry.RunMeta{Seed: seed - 1, Engine: "flat"},
 	}); err != nil {
 		t.Fatal(err)
 	}

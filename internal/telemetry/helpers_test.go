@@ -7,6 +7,7 @@ import (
 
 	"snappif/internal/check"
 	"snappif/internal/core"
+	"snappif/internal/event"
 	"snappif/internal/flat"
 	"snappif/internal/graph"
 	"snappif/internal/sim"
@@ -58,19 +59,19 @@ func runGenericInto(tel *telemetry.Telemetry, g *graph.Graph, seed int64, k int)
 	return nil
 }
 
-// runFlatTelemetry is runGenericTelemetry on the flat engine (optionally
-// with the sharded sweep); the engines are bit-identical, so both report
-// the same logical telemetry.
-func runFlatTelemetry(t *testing.T, g *graph.Graph, seed int64, k, sweepWorkers int) *telemetry.Telemetry {
+// runFlatTelemetry is runGenericTelemetry on the flat engine — event.Runner
+// under the same daemon, reporting through its built-in hooks; the engines
+// are bit-identical, so both report the same logical telemetry.
+func runFlatTelemetry(t *testing.T, g *graph.Graph, seed int64, k int) *telemetry.Telemetry {
 	t.Helper()
 	tel := telemetry.New(testConfig())
-	if err := runFlatInto(tel, g, seed, k, sweepWorkers); err != nil {
+	if err := runFlatInto(tel, g, seed, k); err != nil {
 		t.Fatal(err)
 	}
 	return tel
 }
 
-func runFlatInto(tel *telemetry.Telemetry, g *graph.Graph, seed int64, k, sweepWorkers int) error {
+func runFlatInto(tel *telemetry.Telemetry, g *graph.Graph, seed int64, k int) error {
 	pr, err := core.New(g, 0)
 	if err != nil {
 		return err
@@ -85,21 +86,17 @@ func runFlatInto(tel *telemetry.Telemetry, g *graph.Graph, seed int64, k, sweepW
 	}
 	cy := check.NewCycleObserver(pr)
 	d := sim.DistributedRandom{P: 0.5}
-	opts := flat.Options{
+	opts := event.Options{
 		Options: sim.Options{
 			MaxSteps:  500_000,
 			Seed:      seed,
 			Observers: []sim.Observer{cy},
 			StopWhen:  cy.StopAfterCycles(k),
 		},
-		SweepWorkers:  sweepWorkers,
 		Telemetry:     tel,
-		TelemetryMeta: telemetry.RunMeta{Seed: seed - 1},
+		TelemetryMeta: telemetry.RunMeta{Seed: seed - 1, Engine: "flat"},
 	}
-	if sweepWorkers > 1 {
-		opts.MinSweep = 1
-	}
-	if _, err := flat.Run(fc, kern, d, opts); err != nil {
+	if _, err := event.Run(fc, kern, d, opts); err != nil {
 		return err
 	}
 	if cy.CompletedCycles() < k {

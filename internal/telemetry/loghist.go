@@ -14,8 +14,8 @@ const logBuckets = 65
 
 // LogHist is a lock-free log₂-bucketed histogram: Observe is one atomic
 // add on the value's bucket plus count/sum upkeep, with no mutex and no
-// allocation, so sharded sweep workers and the per-step telemetry hook can
-// feed it concurrently. The trade-off against obs.Histogram's exact
+// allocation, so concurrent runs sharing one Telemetry can feed it from
+// their per-step hooks. The trade-off against obs.Histogram's exact
 // user-chosen bounds is resolution: quantiles are exact only up to the
 // power-of-two bucket width, which is all the wave-latency and
 // step-duration views need.

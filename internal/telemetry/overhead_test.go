@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"snappif/internal/core"
+	"snappif/internal/event"
 	"snappif/internal/flat"
 	"snappif/internal/graph"
 	"snappif/internal/sim"
@@ -28,9 +29,9 @@ func fullConfig() telemetry.Config {
 	}
 }
 
-// newFlatStepper builds a flat-engine runner over a ring of size n,
-// optionally with telemetry attached. Caller must Close the runner.
-func newFlatStepper(n int, tel *telemetry.Telemetry, maxSteps int) (*flat.Runner, error) {
+// newEventStepper builds an event.Runner over a ring of size n under the
+// synchronous daemon, optionally with telemetry attached.
+func newEventStepper(n int, tel *telemetry.Telemetry, maxSteps int) (*event.Runner, error) {
 	g, err := graph.Ring(n)
 	if err != nil {
 		return nil, err
@@ -47,7 +48,7 @@ func newFlatStepper(n int, tel *telemetry.Telemetry, maxSteps int) (*flat.Runner
 	if err != nil {
 		return nil, err
 	}
-	return flat.NewRunner(fc, kern, sim.Synchronous{}, flat.Options{
+	return event.NewRunner(fc, kern, sim.Synchronous{}, event.Options{
 		Options:       sim.Options{Seed: 1, MaxSteps: maxSteps},
 		Telemetry:     tel,
 		TelemetryMeta: telemetry.RunMeta{Seed: 0},
@@ -55,7 +56,7 @@ func newFlatStepper(n int, tel *telemetry.Telemetry, maxSteps int) (*flat.Runner
 }
 
 // warm advances a runner k steps without timing.
-func warm(r *flat.Runner, k int) error {
+func warm(r *event.Runner, k int) error {
 	for i := 0; i < k; i++ {
 		if done, err := r.Step(); done {
 			return fmt.Errorf("run ended during warm-up: %v", err)
@@ -69,7 +70,7 @@ func warm(r *flat.Runner, k int) error {
 // arm's sizable flight ring right before its window — and not the off
 // arm's small heap before its — leaving an arm-correlated thermal and
 // cache footprint. Callers quiesce the heap once, before the first window.
-func timeWindow(r *flat.Runner, steps int) (ns, aps float64, err error) {
+func timeWindow(r *event.Runner, steps int) (ns, aps float64, err error) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
@@ -106,16 +107,14 @@ func median(xs []float64) float64 {
 // happened to land in.
 func measureOffOn(n, warmup, window, pairs int) (off, on, ratio, apsOff, apsOn float64, err error) {
 	maxSteps := warmup + pairs*window + 1
-	rOff, err := newFlatStepper(n, nil, maxSteps)
+	rOff, err := newEventStepper(n, nil, maxSteps)
 	if err != nil {
 		return 0, 0, 0, 0, 0, err
 	}
-	defer rOff.Close()
-	rOn, err := newFlatStepper(n, telemetry.New(fullConfig()), maxSteps)
+	rOn, err := newEventStepper(n, telemetry.New(fullConfig()), maxSteps)
 	if err != nil {
 		return 0, 0, 0, 0, 0, err
 	}
-	defer rOn.Close()
 	if err := warm(rOff, warmup); err != nil {
 		return 0, 0, 0, 0, 0, err
 	}

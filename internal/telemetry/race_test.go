@@ -11,10 +11,10 @@ import (
 )
 
 // TestConcurrentTelemetryWriters shares one Telemetry between concurrent
-// engine runs — generic and flat-with-sharded-sweep — while readers hammer
-// every read surface (registry JSON, spans, series, dumps). Run under
-// -race (ci.sh does), this pins the concurrency contract of every hook:
-// the sharded counters stay lock-free, the per-step path serializes on one
+// engine runs — generic and flat (event.Runner under the daemon) — while
+// readers hammer every read surface (registry JSON, spans, series, dumps).
+// Run under -race (ci.sh does), this pins the concurrency contract of every
+// hook: the counters stay lock-free, the per-step path serializes on one
 // mutex, and no read tears.
 func TestConcurrentTelemetryWriters(t *testing.T) {
 	tel := telemetry.New(telemetry.Config{SampleEvery: 8, FlightDepth: 2, FlightEvery: 32})
@@ -57,7 +57,7 @@ func TestConcurrentTelemetryWriters(t *testing.T) {
 			defer writers.Done()
 			var err error
 			if w%2 == 0 {
-				err = runFlatInto(tel, g, int64(100+w), 2, 2)
+				err = runFlatInto(tel, g, int64(100+w), 2)
 			} else {
 				err = runGenericInto(tel, g, int64(100+w), 2)
 			}

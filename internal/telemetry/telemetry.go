@@ -9,9 +9,9 @@
 //
 // Four surfaces, one hook:
 //
-//   - Aggregates: sharded lock-free counters and LogHist latency
-//     histograms (wave rounds/steps/wall-time, step duration, sweep
-//     shards), published through an obs.Registry into expvar.
+//   - Aggregates: lock-free counters and LogHist latency histograms (wave
+//     rounds/steps/wall-time, step duration, guard refresh and commit),
+//     published through an obs.Registry into expvar.
 //   - Time series: a bounded ring of Rows (enabled count, phase census,
 //     wave counts, guard-cache hit rate) sampled every SampleEvery steps.
 //   - Causal wave spans: one Span per PIF wave (broadcast start → feedback
@@ -155,7 +155,7 @@ type RunMeta struct {
 // instance: every method nil-checks and returns, allocation-free, so
 // engines wire their hooks unconditionally. All methods are safe for
 // concurrent use; the per-step hook serializes on one mutex while the
-// sharded counters and histogram reads stay lock-free.
+// atomic counters and histogram reads stay lock-free.
 //
 //snapvet:nilsafe
 type Telemetry struct {
@@ -169,8 +169,8 @@ type Telemetry struct {
 	waveRounds, waveSteps  LogHist
 	waveNS, stepNS         LogHist
 	evalNS, commitNS       LogHist
-	shardEvals             Sharded
-	shardApplies           Sharded
+	shardEvals             obs.Counter
+	shardApplies           obs.Counter
 
 	mu         sync.Mutex
 	meta       RunMeta
@@ -344,25 +344,25 @@ func (t *Telemetry) Step(info StepInfo, src StateSource) {
 	t.mu.Unlock()
 }
 
-// ShardEvals adds the guard evaluations one sweep worker performed in one
-// shard range; lock-free, callable concurrently from the worker pool.
+// ShardEvals adds n guard evaluations to flat.sweep.shard_evals; lock-free.
 //
 //snapvet:hotpath
-func (t *Telemetry) ShardEvals(worker int, n int64) {
+func (t *Telemetry) ShardEvals(n int64) {
 	if t == nil {
 		return
 	}
-	t.shardEvals.Add(worker, n)
+	t.shardEvals.Add(n)
 }
 
-// ShardApplies is ShardEvals for staged action applications.
+// ShardApplies is ShardEvals for staged action applications
+// (flat.sweep.shard_applies).
 //
 //snapvet:hotpath
-func (t *Telemetry) ShardApplies(worker int, n int64) {
+func (t *Telemetry) ShardApplies(n int64) {
 	if t == nil {
 		return
 	}
-	t.shardApplies.Add(worker, n)
+	t.shardApplies.Add(n)
 }
 
 // waveTransitionLocked tracks the root's phase transitions into wave
@@ -606,8 +606,8 @@ func (t *Telemetry) Hist(name string) *LogHist {
 //	telemetry.step_ns          loghist   wall time per step
 //	telemetry.series           series    sampled time-series ring
 //	flat.guard.hits/misses     counter   hbits guard-cache tallies
-//	flat.sweep.shard_evals     sharded   per-worker guard evaluations
-//	flat.sweep.shard_applies   sharded   per-worker staged applications
+//	flat.sweep.shard_evals     counter   guard evaluations
+//	flat.sweep.shard_applies   counter   staged action applications
 //	flat.sweep.eval_ns         loghist   guard-refresh duration per step
 //	flat.sweep.commit_ns       loghist   commit duration per step
 func (t *Telemetry) PublishTo(reg *obs.Registry) {

@@ -60,26 +60,6 @@ func TestLogHist(t *testing.T) {
 	}
 }
 
-func TestSharded(t *testing.T) {
-	var s telemetry.Sharded
-	for w := 0; w < 200; w++ { // worker ids beyond the slot count must fold in
-		s.Add(w, int64(w))
-	}
-	if got := s.Value(); got != 199*200/2 {
-		t.Fatalf("Value = %d, want %d", s.Value(), 199*200/2)
-	}
-	var parsed struct {
-		Total  int64   `json:"total"`
-		Shards []int64 `json:"shards"`
-	}
-	if err := json.Unmarshal([]byte(s.String()), &parsed); err != nil {
-		t.Fatalf("String() is not JSON: %v\n%s", err, s.String())
-	}
-	if parsed.Total != s.Value() {
-		t.Fatalf("String total = %d, Value = %d", parsed.Total, s.Value())
-	}
-}
-
 func TestSeriesRing(t *testing.T) {
 	tel := telemetry.New(telemetry.Config{SampleEvery: 1, SeriesCap: 4})
 	tel.BeginRun(telemetry.RunMeta{}, nil)
@@ -112,8 +92,8 @@ func TestDisabledNilSafe(t *testing.T) {
 	}
 	tel.BeginRun(telemetry.RunMeta{}, nil)
 	tel.Step(telemetry.StepInfo{Step: 1}, nil)
-	tel.ShardEvals(0, 1)
-	tel.ShardApplies(0, 1)
+	tel.ShardEvals(1)
+	tel.ShardApplies(1)
 	tel.Freeze()
 	if tel.Now() != 0 || tel.DetailTiming() {
 		t.Fatal("disabled timing must be off")
@@ -150,8 +130,8 @@ func TestDisabledAllocs(t *testing.T) {
 	info := telemetry.StepInfo{Step: 7, Enabled: 3, DB: 1, DC: -1}
 	if n := testing.AllocsPerRun(200, func() {
 		tel.Step(info, nil)
-		tel.ShardEvals(1, 5)
-		tel.ShardApplies(1, 5)
+		tel.ShardEvals(5)
+		tel.ShardApplies(5)
 		_ = tel.Now()
 		_ = tel.DetailTiming()
 	}); n != 0 {
@@ -170,7 +150,7 @@ func TestEnabledSteadyStateAllocs(t *testing.T) {
 	tel.Step(info, nil) // warm the schedule-ring slot
 	if n := testing.AllocsPerRun(200, func() {
 		tel.Step(info, nil)
-		tel.ShardEvals(0, 3)
+		tel.ShardEvals(3)
 	}); n != 0 {
 		t.Fatalf("enabled steady-state Step allocates %.1f/step, want 0", n)
 	}
@@ -289,12 +269,12 @@ func TestPublishTo(t *testing.T) {
 func runBothEngines(t *testing.T, g *graph.Graph, seed int64, k int) (gen, flt *telemetry.Telemetry) {
 	t.Helper()
 	gen = runGenericTelemetry(t, g, seed, k)
-	flt = runFlatTelemetry(t, g, seed, k, 0)
+	flt = runFlatTelemetry(t, g, seed, k)
 	return gen, flt
 }
 
 // TestEnginesAgree pins the cross-engine telemetry contract: the generic
-// observer adapter and the flat engine's built-in hooks must report the
+// observer adapter and event.Runner's built-in hooks must report the
 // same logical facts for the bit-identical run — step/move totals, wave
 // spans, census, and the logical histograms.
 func TestEnginesAgree(t *testing.T) {
@@ -342,7 +322,7 @@ func TestEnginesAgree(t *testing.T) {
 	}
 	for i := range gRows {
 		gr, fr := gRows[i], fRows[i]
-		fr.GuardHitPct = gr.GuardHitPct // hbits cache exists only in flat
+		fr.GuardHitPct = gr.GuardHitPct // the guard cache exists only in event.Runner
 		if gr != fr {
 			t.Fatalf("series row %d diverges:\ngeneric: %+v\nflat:    %+v", i, gr, fr)
 		}

@@ -16,7 +16,7 @@ import (
 )
 
 // Telemetry is the sampling/aggregating observability layer for long or
-// large runs: sharded counters, wave-latency histograms, a bounded
+// large runs: lock-free counters, wave-latency histograms, a bounded
 // time-series ring, causal wave spans (Perfetto-exportable), and the flight
 // recorder that turns the last recorded window into a replayable pifhunt
 // scenario. Build one with NewTelemetry, attach it WithTelemetry, and read

@@ -9,9 +9,7 @@
 # taken on different machines are distinguishable; the RNG seed is fixed
 # (default 1), so the *schedules* — steps, moves/step, daemon choices — are
 # identical across regenerations and machines, and only the time columns
-# move. The scale report additionally records the sharded sweep's worker
-# count per cell: on a single-core box (gomaxprocs 1) those cells measure
-# pool overhead, not speedup.
+# move.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -24,11 +22,11 @@ echo "GOMAXPROCS=${GOMAXPROCS:-default} (effective value is stamped inside the r
 echo "== BENCH_sim.json (N=64 hot path + full-suite experiment cell timings) =="
 go run ./cmd/pifexp -parallel -seed "$SEED" -bench BENCH_sim.json > /dev/null
 
-echo "== BENCH_scale.json (N up to 1M; generic vs flat vs sharded sweep) =="
+echo "== BENCH_scale.json (N up to 1M; generic vs event) =="
 go run ./cmd/pifexp -only NONE -seed "$SEED" -scale BENCH_scale.json
 
 echo "== benchstat-trackable engine micro-benchmarks =="
-go test -run xxx -bench 'BenchmarkStepGeneric|BenchmarkStepFlat|BenchmarkSweepParallel' \
+go test -run xxx -bench 'BenchmarkStepGeneric|BenchmarkStepFlat' \
     -benchmem -count=1 .
 
 echo "bench OK"

@@ -26,13 +26,13 @@ go vet ./...
 # unsafe.Pointer audit is a second pass on top of the default suite.
 go vet -unsafeptr ./...
 
-echo "== snapvet (model conformance, determinism, radius/shard/observer contracts) =="
+echo "== snapvet (model conformance, determinism, radius/observer contracts) =="
 go run ./cmd/snapvet -tests ./...
 go run ./cmd/snapvet -tests -json ./... > artifacts/snapvet.json
 echo "snapvet findings artifact: artifacts/snapvet.json"
 
 echo "== snapvet negative gate (planted-defect fixtures must yield exactly the expected findings) =="
-go test ./internal/analysis/ -run 'TestGuardpure|TestWritelocal|TestDetrange|TestHotalloc|TestRadiusbound|TestSharddisjoint|TestObspure' -count=1
+go test ./internal/analysis/ -run 'TestGuardpure|TestWritelocal|TestDetrange|TestHotalloc|TestRadiusbound|TestObspure' -count=1
 
 echo "== go build =="
 go build ./...
@@ -90,10 +90,10 @@ awk -v p="$service_pct" 'BEGIN { exit (p + 0 >= 85) ? 0 : 1 }' || {
 echo "== race: simulation engine, experiment executor, concurrent runtime, tracer =="
 go test -race ./internal/sim/ ./internal/exp/ ./internal/runtime/ ./cmd/pifexp/ ./internal/obs/
 
-echo "== race: flat engine (differential grid + sharded sweep) =="
+echo "== race: flat engine (SoA kernels under event.Runner: differential grid, fuzz seeds) =="
 go test -race ./internal/flat/
 
-echo "== race: event engine (three-way differential + latency properties) =="
+echo "== race: event engine (differential vs sim + latency properties) =="
 go test -race ./internal/event/
 
 echo "== race: counterexample hunter =="
@@ -105,7 +105,7 @@ go test -race ./internal/explore/
 echo "== race: telemetry (concurrent engine writers + registry readers) =="
 go test -race ./internal/telemetry/
 
-echo "== race: service (open-loop generator + pipelined waves, parallel flat sweeps) =="
+echo "== race: service (open-loop generator + pipelined waves on sim/flat/event lanes) =="
 go test -race ./internal/service/ ./cmd/pifserve/
 
 echo "== race: soak (reduced horizon) =="
@@ -115,7 +115,7 @@ echo "== allocation budget (zero allocs/step after warm-up, disabled tracer incl
 go test ./internal/sim/ -run 'TestZeroAllocs|TestCycleByteBudget|TestChoicesBufferReuse|TestCopyFromZeroAllocs' -count=1 -v
 go test ./internal/explore/ -run TestSimEngineAllocs -count=1 -v
 go test ./internal/obs/ -run TestDisabledTracerZeroAllocs -count=1 -v
-go test ./internal/flat/ -run 'TestFlatZeroAllocsPerStep|TestFlatShardedZeroAllocsPerStep|TestFlatCopyFromZeroAllocs' -count=1 -v
+go test ./internal/flat/ -run 'TestFlatCopyFromZeroAllocs' -count=1 -v
 go test ./internal/event/ -run TestEventZeroAllocsPerStep -count=1 -v
 go test ./internal/telemetry/ -run 'TestDisabledAllocs|TestEnabledSteadyStateAllocs' -count=1 -v
 
@@ -125,11 +125,10 @@ go test ./internal/exp/ -run TestSerialParallelIdentical -count=1
 go test ./cmd/pifexp/ -run TestParallelStdoutByteIdentical -count=1
 
 echo "== determinism (flat engine bit-identical to generic) =="
-go test ./internal/flat/ -run TestFlatMatchesGeneric -count=1
 go test ./internal/exp/ -run TestFlatEngineTablesByteIdentical -count=1
 go test ./cmd/pifexp/ -run TestRunFlatEngineIdenticalStdout -count=1
 
-echo "== determinism (event engine: three-way differential, latency repeatability, guard-cache invariants) =="
+echo "== determinism (event engine: differential vs sim, latency repeatability, guard-cache invariants) =="
 go test ./internal/event/ -run 'TestEventMatchesThreeWay|TestEventTraceByteIdentical|TestEventRunDeterministic|TestEventLatencyMatchesInducedDaemon|TestEventGuardCacheFresh|TestReadersCoverGuardChanges' -count=1
 
 echo "== determinism + pipelining (service: pipelined == serial payloads, canonical bytes stable) =="
