@@ -3,12 +3,11 @@ package event
 import "math/bits"
 
 // hbits is the event scheduler's two-level hierarchical bitset with a
-// maintained population count, structurally the same cache as the flat
-// engine's (see internal/flat/hbits.go). The runner keeps three: the
-// enabled set, enumerated by forEach to rebuild the choice buffer, and two
-// sets filled by set and emptied by drain: the dirty set of a step's guard
-// refresh and the latency mode's wake batch. Both walks hand the IDs out in
-// ascending order.
+// maintained population count. The runner keeps three: the enabled set,
+// enumerated by forEach to rebuild the choice buffer, and two sets filled
+// by set and emptied by drain: the dirty set of a step's guard refresh and
+// the latency mode's wake batch. Both walks hand the IDs out in ascending
+// order.
 //
 // The span [lo, hi] holds every summary word with a bit set: set widens
 // it, forEach narrows it to the non-empty words it finds, and drain

@@ -95,8 +95,8 @@ func TestMCDifferentialPerTransition(t *testing.T) {
 			}
 			h := &hasher{}
 			checkedSteps := 0
-			for id := range e.nodes {
-				nd := &e.nodes[id]
+			for id := int32(0); id < int32(e.nodes.len()); id++ {
+				nd := e.nodes.at(id)
 				for p, s := range nd.states {
 					core.Set(cfg, p, s)
 				}

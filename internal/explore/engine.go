@@ -124,9 +124,7 @@ func (e *simEngine) Name() string { return "sim" }
 // load writes the vector into the scratch configuration's boxes and
 // restarts the runner on it.
 func (e *simEngine) load(states []core.State) {
-	for p := range states {
-		*(e.cfg.States[p].(*core.State)) = states[p]
-	}
+	loadStates(e.cfg, states)
 	e.runner.Reset()
 }
 

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,8 +65,8 @@ type Options struct {
 	// Depth bounds the number of BFS layers explored; ≤ 0 means run to
 	// closure (bounded only by MaxStates).
 	Depth int
-	// Workers is the expansion parallelism; ≤ 0 means GOMAXPROCS. Results
-	// are independent of the worker count.
+	// Workers is the parallelism of expansion and of the per-state checks;
+	// ≤ 0 means GOMAXPROCS. Results are independent of the worker count.
 	Workers int
 	// POR enables sleep-set partial-order reduction. Only consulted under
 	// the central daemon; subsets of the other powers are not reduced.
@@ -133,10 +134,31 @@ type frontierEntry struct {
 }
 
 // task is one forced engine step scheduled for the parallel expand phase.
+// A central task carries its one choice by value in ch and leaves sel nil,
+// so only the tasks whose target gets interned allocate a selection slice.
 type task struct {
 	node       int32
-	sel        []sim.Choice
+	ch         sim.Choice
+	sel        []sim.Choice // distributed and synchronous selections
 	childSleep uint64
+}
+
+// selection returns the task's daemon selection; a central task's one
+// choice is written into the caller's one-element buffer.
+func (t *task) selection(buf *[1]sim.Choice) []sim.Choice {
+	if t.sel != nil {
+		return t.sel
+	}
+	buf[0] = t.ch
+	return buf[:]
+}
+
+// ownSelection returns the selection as a slice the caller may keep.
+func (t *task) ownSelection() []sim.Choice {
+	if t.sel != nil {
+		return t.sel
+	}
+	return []sim.Choice{t.ch}
 }
 
 // taskResult is the expand phase's per-task output slot; merge consumes the
@@ -160,6 +182,44 @@ type violationRec struct {
 	sel  []sim.Choice // final step, delivery violations only
 }
 
+// nodeChunkBits sizes the node store's growth unit: 1<<nodeChunkBits nodes.
+const nodeChunkBits = 10
+
+// nodeStore is the explorer's node arena, indexed by node ID. It grows one
+// fixed-size chunk at a time, so growing never copies a node, a node's
+// address is stable, and at most one chunk is slack.
+type nodeStore struct {
+	chunks []*[1 << nodeChunkBits]node
+	n      int
+}
+
+// len returns the number of stored nodes.
+func (s *nodeStore) len() int { return s.n }
+
+// at returns node id, 0 ≤ id < len.
+func (s *nodeStore) at(id int32) *node {
+	return &s.chunks[id>>nodeChunkBits][id&(1<<nodeChunkBits-1)]
+}
+
+// push appends nd and returns its ID.
+func (s *nodeStore) push(nd node) int32 {
+	if s.n == len(s.chunks)<<nodeChunkBits {
+		s.chunks = append(s.chunks, new([1 << nodeChunkBits]node))
+	}
+	id := int32(s.n)
+	*s.at(id) = nd
+	s.n++
+	return id
+}
+
+// truncate drops every node from ID n on.
+func (s *nodeStore) truncate(n int) {
+	for id := n; id < s.n; id++ {
+		*s.at(int32(id)) = node{}
+	}
+	s.n = n
+}
+
 // Explorer runs one exhaustive exploration. Single-use: construct with New,
 // call Run once, then read Scenario/FrontierSeeds/Visited.
 type Explorer struct {
@@ -169,14 +229,14 @@ type Explorer struct {
 
 	pr      *core.Protocol // unplanted, for invariant checks
 	checks  []check.Check
-	scratch *sim.Configuration
+	scratch []*sim.Configuration // one per check worker, built by Run
 	autos   []automorphism
 	indep   []uint64
 	engines []Engine
 	hashers []hasher
 
 	index       map[string]int32
-	nodes       []node
+	nodes       nodeStore
 	frontier    []frontierEntry
 	violation   *violationRec
 	transitions int64
@@ -184,6 +244,12 @@ type Explorer struct {
 	maxDepth    int
 	initial     int
 	ran         bool
+
+	// Per-layer buffers, reused across layers and dropped when Run returns.
+	tasks   []task
+	results []taskResult
+	at      map[int32]int // node ID → index in the next frontier
+	newTask []int32       // task index of each node the layer interned
 }
 
 // New validates the options and builds one engine and hasher per worker.
@@ -218,14 +284,13 @@ func New(g *graph.Graph, root int, opts Options) (*Explorer, error) {
 		return nil, fmt.Errorf("explore: Lmax=%d / N'=%d exceed the 16-bit key layout", pr.Lmax, pr.NPrime)
 	}
 	e := &Explorer{
-		g:       g,
-		root:    root,
-		opts:    opts,
-		pr:      pr,
-		checks:  check.StandardChecks(),
-		scratch: sim.NewConfiguration(g, pr),
-		indep:   independenceMasks(g, root),
-		index:   make(map[string]int32),
+		g:      g,
+		root:   root,
+		opts:   opts,
+		pr:     pr,
+		checks: check.StandardChecks(),
+		indep:  independenceMasks(g, root),
+		index:  make(map[string]int32),
 	}
 	if opts.Symmetry {
 		e.autos = admissibleAutomorphisms(g, root)
@@ -261,6 +326,7 @@ func (e *Explorer) Run(inits [][]core.State) (*Result, error) {
 			return nil, fmt.Errorf("explore: initial vector has %d states, want %d", len(init), e.g.N())
 		}
 	}
+	defer e.dropLayerBuffers()
 	if err := e.seedLayer(inits); err != nil {
 		return nil, err
 	}
@@ -282,8 +348,16 @@ func (e *Explorer) Run(inits [][]core.State) (*Result, error) {
 	return e.result(), nil
 }
 
-// seedLayer interns the normalized initial vectors as layer 0.
+// dropLayerBuffers releases the per-layer buffers once Run is done, so a
+// finished explorer holds only its nodes, index and frontier.
+func (e *Explorer) dropLayerBuffers() {
+	e.tasks, e.results, e.at, e.newTask = nil, nil, nil, nil
+}
+
+// seedLayer interns the normalized initial vectors as layer 0, then checks
+// them.
 func (e *Explorer) seedLayer(inits [][]core.State) error {
+	var stop error
 	for _, init := range inits {
 		v := normalizeSeed(init)
 		key := e.hashers[0].key(v, monState{})
@@ -292,35 +366,39 @@ func (e *Explorer) seedLayer(inits [][]core.State) error {
 		}
 		enabled, err := e.engines[0].Probe(v)
 		if err != nil {
-			return err
+			stop = err
+			break
 		}
 		id, err := e.intern(v, monState{}, key, enabled, -1, 0, nil)
 		if err != nil {
-			return err
-		}
-		e.frontier = append(e.frontier, frontierEntry{id: id})
-		if e.violation != nil {
+			stop = err
 			break
 		}
+		e.frontier = append(e.frontier, frontierEntry{id: id})
+	}
+	// The frontier holds exactly the new nodes, in ID order.
+	if v := e.checkNodes(0); v != nil {
+		e.rollback(v.node + 1)
+		e.frontier = e.frontier[:v.node+1]
+		e.violation = v
+		stop = nil
 	}
 	e.initial = len(e.frontier)
-	return nil
+	return stop
 }
 
-// intern appends a new node, records its discovery edge, and evaluates the
-// per-state checks (deadlock, guard exclusivity, Section-4 invariants). A
-// failing check records the run's violation; interning itself still
-// succeeds so the violating node is addressable for schedule export.
+// intern appends a new node and records its discovery edge. It runs no
+// check: seedLayer and merge intern a whole layer in order and then hand
+// the new nodes to checkNodes, which evaluates them on the worker pool.
 func (e *Explorer) intern(states []core.State, mon monState, key string, enabled []sim.Choice, pred int32, depth int32, sel []sim.Choice) (int32, error) {
-	if len(e.nodes) >= e.opts.MaxStates {
+	if e.nodes.len() >= e.opts.MaxStates {
 		return -1, fmt.Errorf("explore: state budget %d exceeded (raise MaxStates or lower the depth bound)", e.opts.MaxStates)
 	}
-	id := int32(len(e.nodes))
 	var mask uint64
 	for _, ch := range enabled {
 		mask |= 1 << uint(ch.Proc)
 	}
-	e.nodes = append(e.nodes, node{
+	id := e.nodes.push(node{
 		states: states, mon: mon, key: key,
 		enabled: enabled, enabledMask: mask,
 		pred: pred, depth: depth, sel: sel,
@@ -329,15 +407,88 @@ func (e *Explorer) intern(states []core.State, mon monState, key string, enabled
 	if int(depth) > e.maxDepth {
 		e.maxDepth = int(depth)
 	}
-	if e.violation == nil {
-		e.violation = e.checkNode(id)
-	}
 	return id, nil
 }
 
-// checkNode evaluates the per-state verdict checks on one interned node.
-func (e *Explorer) checkNode(id int32) *violationRec {
-	nd := &e.nodes[id]
+// checkBatch is how many consecutive nodes a check worker claims at once.
+const checkBatch = 64
+
+// checkNodes runs checkNode on every node from ID first on, on the worker
+// pool with one scratch configuration per worker, and returns the violation
+// of the lowest failing ID (nil if none). Workers claim batches in
+// ascending ID order and a worker stops at its first failure, so every ID
+// below the lowest failure has been checked: the verdict is the one a
+// serial check in ID order reaches.
+func (e *Explorer) checkNodes(first int) *violationRec {
+	n := e.nodes.len()
+	if first >= n {
+		return nil
+	}
+	workers := min(e.opts.Workers, (n-first+checkBatch-1)/checkBatch)
+	for len(e.scratch) < workers {
+		e.scratch = append(e.scratch, sim.NewConfiguration(e.g, e.pr))
+	}
+	found := make([]*violationRec, workers)
+	var claim atomic.Int64
+	claim.Store(int64(first))
+	parallel(workers, func(w int) {
+		for {
+			lo := int(claim.Add(checkBatch) - checkBatch)
+			if lo >= n {
+				return
+			}
+			for id := lo; id < min(lo+checkBatch, n); id++ {
+				if v := e.checkNode(e.scratch[w], int32(id)); v != nil {
+					found[w] = v
+					return
+				}
+			}
+		}
+	})
+	var lowest *violationRec
+	for _, v := range found {
+		if v != nil && (lowest == nil || v.node < lowest.node) {
+			lowest = v
+		}
+	}
+	return lowest
+}
+
+// parallel runs body(w) for w in [0, workers) on workers goroutines, or on
+// the calling one when workers is 1, and waits for all of them.
+func parallel(workers int, body func(w int)) {
+	if workers == 1 {
+		body(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			body(w)
+		}(w)
+	}
+	wg.Wait()
+}
+
+// rollback drops every node from ID keep on together with its index entry,
+// and recomputes the depth high-water mark over the nodes kept.
+func (e *Explorer) rollback(keep int32) {
+	for id := keep; id < int32(e.nodes.len()); id++ {
+		delete(e.index, e.nodes.at(id).key)
+	}
+	e.nodes.truncate(int(keep))
+	e.maxDepth = 0
+	for id := int32(0); id < keep; id++ {
+		e.maxDepth = max(e.maxDepth, int(e.nodes.at(id).depth))
+	}
+}
+
+// checkNode evaluates the per-state verdict checks on one interned node,
+// loading its states into the worker's scratch configuration.
+func (e *Explorer) checkNode(scratch *sim.Configuration, id int32) *violationRec {
+	nd := e.nodes.at(id)
 	if len(nd.enabled) == 0 {
 		return &violationRec{kind: "deadlock", msg: "no processor enabled", node: id}
 	}
@@ -353,15 +504,21 @@ func (e *Explorer) checkNode(id int32) *violationRec {
 		}
 		seen |= bit
 	}
-	for p := range nd.states {
-		core.Set(e.scratch, p, nd.states[p])
-	}
+	loadStates(scratch, nd.states)
 	for _, chk := range e.checks {
-		if err := chk.Fn(e.scratch, e.pr); err != nil {
+		if err := chk.Fn(scratch, e.pr); err != nil {
 			return &violationRec{kind: "invariant:" + chk.Name, msg: err.Error(), node: id}
 		}
 	}
 	return nil
+}
+
+// loadStates writes states into the boxes of a private scratch
+// configuration in place (no box is shared, so nothing is reallocated).
+func loadStates(cfg *sim.Configuration, states []core.State) {
+	for p := range states {
+		*(cfg.States[p].(*core.State)) = states[p]
+	}
 }
 
 // prepare turns the current frontier into the layer's task list (serial).
@@ -372,9 +529,9 @@ func (e *Explorer) checkNode(id int32) *violationRec {
 // executed; a transition first pruned and later executed on a revisit is
 // reclaimed so the POR savings figure stays honest.
 func (e *Explorer) prepare() []task {
-	var tasks []task
+	tasks := e.tasks[:0]
 	for _, fe := range e.frontier {
-		nd := &e.nodes[fe.id]
+		nd := e.nodes.at(fe.id)
 		if e.opts.Power != PowerCentral {
 			if nd.explored != 0 {
 				continue
@@ -407,11 +564,12 @@ func (e *Explorer) prepare() []task {
 			if e.opts.POR {
 				childSleep = base & e.indep[ch.Proc]
 			}
-			tasks = append(tasks, task{node: fe.id, sel: []sim.Choice{ch}, childSleep: childSleep})
+			tasks = append(tasks, task{node: fe.id, ch: ch, childSleep: childSleep})
 			base |= bit
 		}
 		nd.explored |= todo
 	}
+	e.tasks = tasks
 	return tasks
 }
 
@@ -442,39 +600,29 @@ func (e *Explorer) appendSubsetTasks(tasks []task, id int32, enabled []sim.Choic
 // worker drives its private engine and hasher, so the phase shares no
 // mutable state beyond the counter.
 func (e *Explorer) expand(tasks []task) []taskResult {
-	results := make([]taskResult, len(tasks))
-	workers := e.opts.Workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			eng, h := e.engines[w], &e.hashers[w]
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				t := &tasks[i]
-				r := &results[i]
-				pre := e.nodes[t.node].states
-				preMon := e.nodes[t.node].mon
-				succ, enabled, err := eng.Step(pre, t.sel)
-				if err != nil {
-					r.err = err
-					continue
-				}
-				r.mon, r.delivery = e.applyMonitor(pre, preMon, t.sel, succ)
-				r.succ, r.enabled = succ, enabled
-				r.key = h.key(succ, r.mon)
+	e.results = slices.Grow(e.results[:0], len(tasks))
+	results := e.results[:len(tasks)]
+	var next atomic.Int64
+	parallel(min(e.opts.Workers, len(tasks)), func(w int) {
+		eng, h := e.engines[w], &e.hashers[w]
+		var one [1]sim.Choice
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(tasks) {
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
+			t := &tasks[i]
+			pre := e.nodes.at(t.node)
+			sel := t.selection(&one)
+			succ, enabled, err := eng.Step(pre.states, sel)
+			if err != nil {
+				results[i] = taskResult{err: err}
+				continue
+			}
+			mon, delivery := e.applyMonitor(pre.states, pre.mon, sel, succ)
+			results[i] = taskResult{succ: succ, mon: mon, enabled: enabled, key: h.key(succ, mon), delivery: delivery}
+		}
+	})
 	return results
 }
 
@@ -483,36 +631,65 @@ func (e *Explorer) expand(tasks []task) []taskResult {
 // narrowing sleep sets by intersection when several same-layer paths reach
 // one state. A delivery violation ends the run without counting the
 // transition or interning its target, mirroring internal/mc.
+//
+// The layer's new nodes are then checked on the worker pool (checkNodes).
+// A failing check at node v means a serial run would have stopped right
+// after interning v: merge rolls back to that point — it drops the nodes
+// interned after v and restores the transition count to its value at v's
+// task — so every count, the fingerprint and the exported schedule are the
+// same at every worker count. The stop is the earliest event in task order:
+// a delivery violation, an engine error or an exhausted state budget at a
+// task before v's is never reached, and one after it is discarded.
 func (e *Explorer) merge(tasks []task, results []taskResult) ([]frontierEntry, error) {
 	var next []frontierEntry
-	at := make(map[int32]int, len(tasks))
+	if e.at == nil {
+		e.at = make(map[int32]int, len(tasks))
+	}
+	clear(e.at)
+	first, transitions := e.nodes.len(), e.transitions
+	e.newTask = e.newTask[:0]
+	var stop error
+	var delivery *violationRec
 	for i := range tasks {
 		t, r := &tasks[i], &results[i]
 		if r.err != nil {
-			return nil, r.err
+			stop = r.err
+			break
 		}
 		if r.delivery != "" {
-			e.violation = &violationRec{kind: "pif-delivery", msg: r.delivery, node: t.node, sel: t.sel}
-			return nil, nil
+			delivery = &violationRec{kind: "pif-delivery", msg: r.delivery, node: t.node, sel: t.ownSelection()}
+			break
 		}
 		e.transitions++
 		id, ok := e.index[r.key]
 		if !ok {
 			var err error
-			id, err = e.intern(r.succ, r.mon, r.key, r.enabled, t.node, e.nodes[t.node].depth+1, t.sel)
+			id, err = e.intern(r.succ, r.mon, r.key, r.enabled, t.node, e.nodes.at(t.node).depth+1, t.ownSelection())
 			if err != nil {
-				return nil, err
+				stop = err
+				break
 			}
-			if e.violation != nil {
-				return nil, nil
-			}
+			e.newTask = append(e.newTask, int32(i))
 		}
-		if j, seen := at[id]; seen {
+		if j, seen := e.at[id]; seen {
 			next[j].sleep &= t.childSleep
 		} else {
-			at[id] = len(next)
+			e.at[id] = len(next)
 			next = append(next, frontierEntry{id: id, sleep: t.childSleep})
 		}
+	}
+	if v := e.checkNodes(first); v != nil {
+		e.transitions = transitions + int64(e.newTask[int(v.node)-first]) + 1
+		e.rollback(v.node + 1)
+		e.violation = v
+		return nil, nil
+	}
+	if stop != nil {
+		return nil, stop
+	}
+	if delivery != nil {
+		e.violation = delivery
+		return nil, nil
 	}
 	return next, nil
 }
@@ -529,7 +706,7 @@ func (e *Explorer) result() *Result {
 		Depth:         e.opts.Depth,
 		MaxDepth:      e.maxDepth,
 		InitialStates: e.initial,
-		States:        len(e.nodes),
+		States:        e.nodes.len(),
 		Transitions:   e.transitions,
 		Slept:         e.slept,
 		SymmetryAutos: len(e.autos),
@@ -541,8 +718,8 @@ func (e *Explorer) result() *Result {
 		r.PORSavingsPct = 100 * float64(e.slept) / float64(total)
 	}
 	var fp uint64
-	for i := range e.nodes {
-		fp ^= sim.FNV1a(sim.FNVOffset, []byte(e.nodes[i].key))
+	for id := int32(0); id < int32(e.nodes.len()); id++ {
+		fp ^= sim.FNV1a(sim.FNVOffset, []byte(e.nodes.at(id).key))
 	}
 	r.Fingerprint = fmt.Sprintf("%016x", fp)
 	switch {
@@ -562,9 +739,9 @@ func (e *Explorer) result() *Result {
 // oracle the POR soundness tests compare: sleep sets may prune transitions
 // but never reachable states.
 func (e *Explorer) Visited() []string {
-	keys := make([]string, len(e.nodes))
-	for i := range e.nodes {
-		keys[i] = e.nodes[i].key
+	keys := make([]string, e.nodes.len())
+	for i := range keys {
+		keys[i] = e.nodes.at(int32(i)).key
 	}
 	sort.Strings(keys)
 	return keys
@@ -585,9 +762,9 @@ func (e *Explorer) Scenario(name string) (*hunt.Scenario, error) {
 	}
 	var rev [][]sim.Choice
 	id := e.violation.node
-	for e.nodes[id].pred >= 0 {
-		rev = append(rev, e.nodes[id].sel)
-		id = e.nodes[id].pred
+	for e.nodes.at(id).pred >= 0 {
+		rev = append(rev, e.nodes.at(id).sel)
+		id = e.nodes.at(id).pred
 	}
 	schedule := make([][]sim.Choice, 0, len(rev)+1)
 	for i := len(rev) - 1; i >= 0; i-- {
@@ -597,7 +774,7 @@ func (e *Explorer) Scenario(name string) (*hunt.Scenario, error) {
 		schedule = append(schedule, e.violation.sel)
 	}
 	cfg := sim.NewConfiguration(e.g, e.pr)
-	for p, s := range e.nodes[id].states {
+	for p, s := range e.nodes.at(id).states {
 		core.Set(cfg, p, s)
 	}
 	return hunt.NewScheduleScenario(name, e.g, e.root, cfg, schedule, e.opts.Plant), nil
@@ -611,7 +788,7 @@ func (e *Explorer) FrontierSeeds(prefix, daemon string, maxSteps int) []*hunt.Sc
 	out := make([]*hunt.Scenario, 0, len(e.frontier))
 	for i, fe := range e.frontier {
 		cfg := sim.NewConfiguration(e.g, e.pr)
-		for p, s := range e.nodes[fe.id].states {
+		for p, s := range e.nodes.at(fe.id).states {
 			core.Set(cfg, p, s)
 		}
 		name := fmt.Sprintf("%s-%04d", prefix, i)

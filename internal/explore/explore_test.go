@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -89,6 +90,53 @@ func TestDeterministicAcrossRunsAndWorkers(t *testing.T) {
 		}
 		if !reflect.DeepEqual(e.Visited(), baseVisited) {
 			t.Fatalf("workers=%d visited a different state set", workers)
+		}
+	}
+}
+
+// TestViolatingRunDeterministicAcrossWorkers pins a violating exploration
+// and shows that it, too, is independent of the worker count. With the
+// level-overflow plant, grid:2x3 explored from faults:1 with POR and
+// symmetry first breaks the domains invariant in its third layer. That
+// layer interns 84 states from ID 78 on before they are checked; the
+// checks fail at ID 79, so the explorer rolls back the other 82 states
+// together with their index entries and transitions. The pinned values are
+// those of the explorer that checked every state serially as it interned
+// it.
+func TestViolatingRunDeterministicAcrossWorkers(t *testing.T) {
+	g, err := graph.Grid(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Plant: "level-overflow", POR: true, Symmetry: true}
+	twoLayers := opts
+	twoLayers.Depth = 2
+	_, before := run(t, g, twoLayers, "faults:1")
+	if before.Verdict != "bounded" || before.States != 78 {
+		t.Fatalf("two layers: verdict %q, %d states; want bounded, 78", before.Verdict, before.States)
+	}
+	var baseScenario []byte
+	for _, workers := range []int{1, 2, 3, 7} {
+		opts.Workers = workers
+		e, res := run(t, g, opts, "faults:1")
+		if res.States != 80 || res.Transitions != 91 || res.Slept != 52 ||
+			res.Fingerprint != "6056e47d86ddf13a" || res.MaxDepth != 3 ||
+			res.Violation != "invariant:domains: check: p2 has L=6 outside [1,5]" {
+			t.Fatalf("workers=%d: %+v", workers, res)
+		}
+		sc, err := e.Scenario("grid-level-overflow")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := sc.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if baseScenario == nil {
+			baseScenario = data
+			t.Logf("violating layer 3 starts at state %d; the run keeps %d of its states", before.States, res.States-before.States)
+		} else if !bytes.Equal(data, baseScenario) {
+			t.Fatalf("workers=%d exported a different scenario", workers)
 		}
 	}
 }

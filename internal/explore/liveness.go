@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"snappif/internal/check"
@@ -75,12 +74,51 @@ type LivenessResult struct {
 	Violation     string `json:"violation,omitempty"`
 }
 
-// livenessNode is one product state awaiting expansion.
+// livenessNode is one product state: a quotient state, the set of
+// processors still owed a move in the round in progress, and the 1-based
+// index of that round. Comparable, so it keys the product BFS directly.
 type livenessNode struct {
+	id      int32
+	rounds  int32
+	pending uint64
+}
+
+// quotientState is one interned identity-group quotient state of the
+// liveness search, with everything the product BFS reads of it.
+type quotientState struct {
 	states  []core.State
 	enabled []sim.Choice
-	pending uint64 // processors still owed a move in the round in progress
-	rounds  int    // 1-based index of the round in progress
+	mask    uint64
+	target  bool
+	succ    []int32 // per enabled choice: the successor's ID once stepped, -1 before
+}
+
+// livenessSearch is one CertifyLiveness call: the engine, the interned
+// quotient states with their cached successors, and the product BFS.
+//
+// The cache is sound because the identity-group quotient key fixes every
+// input of what the search reads off a state. The key holds Pif, Par, L,
+// Count and Fok of every processor exactly, Msg only as its nonzero bit,
+// and Val and Agg not at all. No guard of Algorithms 1 and 2 reads Msg, Val
+// or Agg, and neither do IsNormalConfiguration and IsSBN, so two vectors
+// with one key have the same enabled set and the same target verdict. Under
+// one choice both step to successors with one key: every statement writes
+// Pif, Par, L, Count and Fok from those same variables, a root B stamps a
+// fresh nonzero Msg, a non-root B copies its parent's Msg (and with it the
+// nonzero bit), and Val and Agg feed only Val and Agg. So a product state
+// may name its quotient state by ID, and one step from whichever vector was
+// interned first answers for every vector with that key.
+type livenessSearch struct {
+	g       *graph.Graph
+	opts    LivenessOptions
+	pr      *core.Protocol
+	eng     Engine
+	h       hasher // identity group: pending masks name concrete processors
+	scratch *sim.Configuration
+	index   map[string]int32
+	states  []quotientState
+	one     [1]sim.Choice
+	steps   int64 // engine steps: one per distinct (quotient state, choice)
 }
 
 // CertifyLiveness explores every central-daemon schedule from the given
@@ -88,7 +126,22 @@ type livenessNode struct {
 // is reached within the round bound on all of them. A bound violation (or a
 // deadlock before the target) is a Result with Verdict "violation", not an
 // error; an error means the exploration itself could not finish.
+//
+// The product BFS visits every (quotient state, pending, round) triple, but
+// the engine steps each distinct (quotient state, choice) pair once: the
+// search interns each quotient state with its enabled set and target
+// verdict and caches the successor of every choice it steps (see
+// livenessSearch for why that is sound).
 func CertifyLiveness(g *graph.Graph, root int, inits [][]core.State, opts LivenessOptions) (*LivenessResult, error) {
+	s, err := newLivenessSearch(g, root, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(inits)
+}
+
+// newLivenessSearch validates the options and builds the search's engine.
+func newLivenessSearch(g *graph.Graph, root int, opts LivenessOptions) (*livenessSearch, error) {
 	if g.N() > maxN {
 		return nil, fmt.Errorf("explore: %d processors exceeds the exploration bound %d", g.N(), maxN)
 	}
@@ -101,50 +154,93 @@ func CertifyLiveness(g *graph.Graph, root int, inits [][]core.State, opts Livene
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = 2_000_000
 	}
-	if len(inits) == 0 {
-		return nil, fmt.Errorf("explore: no initial states")
-	}
 	pr, err := core.New(g, root, opts.CoreOptions...)
 	if err != nil {
 		return nil, err
 	}
-	bound := opts.Bound
-	if bound <= 0 {
+	if opts.Bound <= 0 {
 		if opts.Target == TargetCycle {
-			bound = 5*(g.N()-1) + 5 // h ≤ n−1 for any constructed tree
+			opts.Bound = 5*(g.N()-1) + 5 // h ≤ n−1 for any constructed tree
 		} else {
-			bound = 3*pr.Lmax + 3
+			opts.Bound = 3*pr.Lmax + 3
 		}
 	}
 	eng, err := newEngine(opts.Engine, g, root, "", opts.CoreOptions)
 	if err != nil {
 		return nil, err
 	}
-	var h hasher // identity group: pending masks name concrete processors
-	scratch := sim.NewConfiguration(g, pr)
-	done := func(states []core.State) bool {
-		for p := range states {
-			core.Set(scratch, p, states[p])
-		}
-		if opts.Target == TargetCycle {
-			return check.IsSBN(scratch, pr)
-		}
-		return check.IsNormalConfiguration(scratch, pr)
+	return &livenessSearch{
+		g: g, opts: opts, pr: pr, eng: eng,
+		scratch: sim.NewConfiguration(g, pr),
+		index:   make(map[string]int32),
+	}, nil
+}
+
+// isTarget reports whether states is a target configuration.
+func (s *livenessSearch) isTarget(states []core.State) bool {
+	loadStates(s.scratch, states)
+	if s.opts.Target == TargetCycle {
+		return check.IsSBN(s.scratch, s.pr)
 	}
-	keyOf := func(sk string, pending uint64, rounds int) string {
-		var b [10]byte
-		binary.LittleEndian.PutUint64(b[:8], pending)
-		binary.LittleEndian.PutUint16(b[8:], uint16(rounds))
-		return sk + string(b[:])
+	return check.IsNormalConfiguration(s.scratch, s.pr)
+}
+
+// intern returns the ID of states' quotient state, interning it with the
+// given engine-reported enabled set when it is new.
+func (s *livenessSearch) intern(states []core.State, enabled []sim.Choice) int32 {
+	key := s.h.key(states, monState{})
+	if id, ok := s.index[key]; ok {
+		return id
 	}
+	var mask uint64
+	for _, ch := range enabled {
+		mask |= 1 << uint(ch.Proc)
+	}
+	succ := make([]int32, len(enabled))
+	for i := range succ {
+		succ[i] = -1
+	}
+	id := int32(len(s.states))
+	s.states = append(s.states, quotientState{
+		states: states, enabled: enabled, mask: mask,
+		target: s.isTarget(states), succ: succ,
+	})
+	s.index[key] = id
+	return id
+}
+
+// successor returns the ID of the state that quotient state id's i-th
+// enabled choice steps to, stepping the engine only the first time.
+func (s *livenessSearch) successor(id int32, i int) (int32, error) {
+	q := &s.states[id]
+	if next := q.succ[i]; next >= 0 {
+		return next, nil
+	}
+	s.one[0] = q.enabled[i]
+	succ, enabled, err := s.eng.Step(q.states, s.one[:])
+	if err != nil {
+		return -1, err
+	}
+	s.steps++
+	next := s.intern(succ, enabled)
+	s.states[id].succ[i] = next // intern may have grown s.states
+	return next, nil
+}
+
+// run certifies the target from inits with a FIFO BFS over product states.
+func (s *livenessSearch) run(inits [][]core.State) (*LivenessResult, error) {
+	if len(inits) == 0 {
+		return nil, fmt.Errorf("explore: no initial states")
+	}
+	opts, bound := s.opts, s.opts.Bound
 	res := &LivenessResult{
-		Topology: g.Name(), N: g.N(), Root: root,
+		Topology: s.g.Name(), N: s.g.N(), Root: s.pr.Root,
 		Engine: opts.Engine, Power: PowerCentral,
 		Target: opts.Target, Bound: bound,
 	}
 	var (
 		queue       []livenessNode
-		seen        = make(map[string]struct{})
+		seen        = make(map[livenessNode]struct{})
 		transitions int64
 		worst       int
 		reached     bool
@@ -157,77 +253,73 @@ func CertifyLiveness(g *graph.Graph, root int, inits [][]core.State, opts Livene
 		res.Violation = msg
 		return res, nil
 	}
-	enqueue := func(states []core.State, enabled []sim.Choice, pending uint64, rounds int) bool {
-		k := keyOf(h.key(states, monState{}), pending, rounds)
-		if _, ok := seen[k]; ok {
+	enqueue := func(nd livenessNode) bool {
+		if _, ok := seen[nd]; ok {
 			return true
 		}
 		if len(seen) >= opts.MaxStates {
 			return false
 		}
-		seen[k] = struct{}{}
-		queue = append(queue, livenessNode{states: states, enabled: enabled, pending: pending, rounds: rounds})
+		seen[nd] = struct{}{}
+		queue = append(queue, nd)
 		return true
 	}
 	for _, init := range inits {
-		if len(init) != g.N() {
-			return nil, fmt.Errorf("explore: initial vector has %d states, want %d", len(init), g.N())
+		if len(init) != s.g.N() {
+			return nil, fmt.Errorf("explore: initial vector has %d states, want %d", len(init), s.g.N())
 		}
 		v := normalizeSeed(init)
+		id, ok := s.index[s.h.key(v, monState{})]
+		if !ok {
+			enabled, err := s.eng.Probe(v)
+			if err != nil {
+				return nil, err
+			}
+			id = s.intern(v, enabled)
+		}
+		q := &s.states[id]
 		// TargetCycle's initial state IS the target (SBN); the cycle it
 		// certifies is the return to it, so the init check applies only to
 		// TargetNormal.
-		if opts.Target == TargetNormal && done(v) {
+		if opts.Target == TargetNormal && q.target {
 			reached = true // reached within 0 rounds
 			continue
 		}
-		enabled, err := eng.Probe(v)
-		if err != nil {
-			return nil, err
-		}
-		if len(enabled) == 0 {
+		if q.mask == 0 {
 			return violation(fmt.Sprintf("deadlock at an initial state before reaching the %s target", opts.Target))
 		}
-		var mask uint64
-		for _, ch := range enabled {
-			mask |= 1 << uint(ch.Proc)
-		}
-		if !enqueue(v, enabled, mask, 1) {
+		if !enqueue(livenessNode{id: id, rounds: 1, pending: q.mask}) {
 			return nil, fmt.Errorf("explore: product-state budget %d exceeded (raise MaxStates)", opts.MaxStates)
 		}
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		nd := queue[qi]
-		for _, ch := range nd.enabled {
-			succ, enabledAfter, err := eng.Step(nd.states, []sim.Choice{ch})
+		for i, n := 0, len(s.states[nd.id].enabled); i < n; i++ {
+			next, err := s.successor(nd.id, i)
 			if err != nil {
 				return nil, err
 			}
 			transitions++
-			if done(succ) {
+			q := &s.states[next]
+			if q.target {
 				reached = true
-				if nd.rounds > worst {
-					worst = nd.rounds
-				}
+				worst = max(worst, int(nd.rounds))
 				continue
 			}
-			var after uint64
-			for _, c := range enabledAfter {
-				after |= 1 << uint(c.Proc)
-			}
-			if after == 0 {
+			if q.mask == 0 {
 				return violation(fmt.Sprintf("deadlock during round %d before reaching the %s target", nd.rounds, opts.Target))
 			}
-			pending := (nd.pending &^ (1 << uint(ch.Proc))) & after
+			proc := s.states[nd.id].enabled[i].Proc
+			pending := (nd.pending &^ (1 << uint(proc))) & q.mask
 			rounds := nd.rounds
 			if pending == 0 {
-				if rounds >= bound {
+				if int(rounds) >= bound {
 					return violation(fmt.Sprintf("%d rounds completed without reaching the %s target (bound %d)", rounds, opts.Target, bound))
 				}
 				rounds++
-				pending = after
+				pending = q.mask
 			}
-			if !enqueue(succ, enabledAfter, pending, rounds) {
+			if !enqueue(livenessNode{id: next, rounds: rounds, pending: pending}) {
 				return nil, fmt.Errorf("explore: product-state budget %d exceeded (raise MaxStates)", opts.MaxStates)
 			}
 		}

@@ -135,6 +135,9 @@ echo "== determinism + pipelining (service: pipelined == serial payloads, canoni
 go test ./internal/service/ -run 'TestPipelinedMatchesSerial|TestServiceDeterminism|TestScenarioDumpReplayBitIdentical' -count=1
 go test . -run TestMultiInitiatorCrossEngine -count=1
 
+echo "== determinism (explore: violating runs across worker counts, liveness successor cache) =="
+go test ./internal/explore/ -run 'TestViolatingRunDeterministicAcrossWorkers|TestLivenessCacheSound' -count=1
+
 echo "== hunt smoke (clean protocol must hunt clean on a 2x4 grid) =="
 go run ./cmd/pifhunt hunt -topo grid:2x4 -trials 4 -steps 4000
 
@@ -143,6 +146,7 @@ if [ "${CI_EXPLORE:-0}" = "1" ]; then
     go run ./cmd/pifexplore run -topo line:3 -init faults:3 -expect-states 209
     go run ./cmd/pifexplore run -topo star:4 -init faults:3 -depth 6 -expect-states 357
     go run ./cmd/pifexplore certify -json artifacts/explore-smoke.json
+    cmp explore.json artifacts/explore-smoke.json
 fi
 
 if [ "${CI_SERVICE:-0}" = "1" ]; then
