@@ -84,19 +84,23 @@ func assertCacheFresh(t *testing.T, r *event.Runner, k *flat.Protocol, fc *flat.
 // under the synchronous, central-random and distributed-random daemons and
 // under uniform and Pareto latency with an admission gate. The gate
 // withholds the root's broadcast until the runner parks, then admits one
-// wave, so each latency run also crosses park → Wake → wave cycles.
+// wave, so each latency run also crosses park → Wake → wave cycles. A run
+// whose stop predicate holds at the start still has a fresh cache, and its
+// Enabled equals that of a runner without the predicate.
 func TestEventGuardCacheFresh(t *testing.T) {
 	const steps = 300
 	schedules := []struct {
-		name   string
-		daemon func() sim.Daemon // nil in latency mode
-		lat    event.Latency
+		name    string
+		daemon  func() sim.Daemon // nil in latency mode
+		lat     event.Latency
+		stopped bool // the stop predicate holds before the first step
 	}{
-		{"synchronous", func() sim.Daemon { return sim.Synchronous{} }, nil},
-		{"central-random", func() sim.Daemon { return sim.Central{Order: sim.CentralRandom} }, nil},
-		{"dist-random", func() sim.Daemon { return sim.DistributedRandom{P: 0.5} }, nil},
-		{"uniform+gate", nil, event.Uniform{Lo: 1, Hi: 4}},
-		{"pareto+gate", nil, event.Pareto{Alpha: 1.5, Cap: 16}},
+		{"synchronous", func() sim.Daemon { return sim.Synchronous{} }, nil, false},
+		{"central-random", func() sim.Daemon { return sim.Central{Order: sim.CentralRandom} }, nil, false},
+		{"dist-random", func() sim.Daemon { return sim.DistributedRandom{P: 0.5} }, nil, false},
+		{"uniform+gate", nil, event.Uniform{Lo: 1, Hi: 4}, false},
+		{"pareto+gate", nil, event.Pareto{Alpha: 1.5, Cap: 16}, false},
+		{"stopped-at-start", func() sim.Daemon { return sim.Synchronous{} }, nil, true},
 	}
 	for _, g := range cacheTopologies(t) {
 		for _, sc := range schedules {
@@ -111,11 +115,27 @@ func TestEventGuardCacheFresh(t *testing.T) {
 					} else {
 						opts.Gate = func(p int, a int32) bool { return open || p != k.Root || a != core.ActionB }
 					}
+					if sc.stopped {
+						opts.StopWhen = func(*sim.RunState) bool { return true }
+					}
 					r, err := event.NewRunner(fc, k, d, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					assertCacheFresh(t, r, k, fc, 0)
+					if sc.stopped {
+						fresh, err := event.NewRunner(fc, k, d, event.Options{Options: sim.Options{Seed: 5}})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got, want := r.Enabled(), fresh.Enabled(); !slices.Equal(got, want) {
+							t.Fatalf("stopped at the start: enabled %v, a runner without the stop predicate %v", got, want)
+						}
+						if done, err := r.Step(); !done || err != nil || !r.Result().Stopped {
+							t.Fatalf("stopped at the start: Step() = (%v, %v), result %+v", done, err, r.Result())
+						}
+						return
+					}
 					admitted := 0
 					for step := 1; step <= steps; {
 						if sc.lat == nil {

@@ -238,12 +238,6 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 	}
 	r.rs = sim.RunState{Config: r.mirror}
 
-	if opts.StopWhen != nil && opts.StopWhen(&r.rs) {
-		r.res.Stopped = true
-		r.finish()
-		return r, nil
-	}
-
 	for p := 0; p < n; p++ {
 		a := k.EnabledAction(c, p)
 		r.acts[p] = a
@@ -253,6 +247,12 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 	}
 	r.enabledCount = r.enabled.count()
 	r.pendingCount = r.enabledCount
+
+	if opts.StopWhen != nil && opts.StopWhen(&r.rs) {
+		r.res.Stopped = true
+		r.finish()
+		return r, nil
+	}
 
 	if r.lat != nil {
 		r.q = newQueue(r.lat.Max() + 2)

@@ -117,7 +117,7 @@ func TestMCDifferentialPerTransition(t *testing.T) {
 					}
 					wantKey := h.key(succ, mon)
 
-					engSucc, _, err := eng.Step(nd.states, []sim.Choice{ch})
+					engSucc, _, err := eng.Step(nd.states, nd.enabled, []sim.Choice{ch})
 					if err != nil {
 						t.Fatalf("state %d: engine rejects abstract choice %v: %v", id, ch, err)
 					}

@@ -23,15 +23,21 @@ import (
 // Every Probe and Step starts a pristine run on the engine's scratch
 // configuration: ages start at zero, so the weak-fairness forcing never adds
 // a choice and the committed step is exactly the requested selection. The
-// sim engine keeps one runner (one per explorer worker) and restarts it with
-// sim.Runner.Reset, which is exactly a fresh NewRunner; the runner seeds its
-// RNG on the first draw and the forced daemon never draws, so a transition
-// costs one state load, one guard evaluation and one step. The flat and
-// event engines — both event.Runner in external-daemon mode — build a
-// runner per call: a lazily seeded source would add an interface call to
-// every latency-mode draw of the event runner. The successor's enabled set
-// is read back from the stepped runner's own guard cache — the incremental
-// refresh path included — not recomputed from scratch.
+// sim engine keeps one runner (one per explorer worker). Probe restarts it
+// with sim.Runner.Reset, which is exactly a fresh NewRunner and evaluates
+// every guard; Step restarts it with ResetWith from the enabled set the
+// caller stored for the vector, which is this engine's own earlier report,
+// so the guard cache carries along an explored path exactly as it does
+// along a production run. The runner seeds its RNG on the first draw and
+// the forced daemon never draws, so a transition costs one state load and
+// one step, whose refresh evaluates the guards of the movers' closed
+// neighbourhoods and nothing else. The flat and event engines — both
+// event.Runner in external-daemon mode — build a runner per call and
+// evaluate every guard: a lazily seeded source would add an interface call
+// to every latency-mode draw of the event runner. Either way the
+// successor's enabled set is read back from the stepped runner's own guard
+// cache — the incremental refresh path included — not recomputed from
+// scratch.
 type Engine interface {
 	// Name identifies the engine in results ("sim", "flat" or "event").
 	Name() string
@@ -41,11 +47,13 @@ type Engine interface {
 	Probe(states []core.State) ([]sim.Choice, error)
 
 	// Step executes exactly sel from states and returns the successor state
-	// vector together with the engine's post-step enabled choices. Every
-	// choice in sel must be enabled (they come from a previous Probe/Step of
-	// the same vector); a selection the engine does not recognize is an
-	// error, never a silent substitution.
-	Step(states []core.State, sel []sim.Choice) (succ []core.State, enabled []sim.Choice, err error)
+	// vector together with the engine's post-step enabled choices. enabled
+	// must be the engine's own report for states — a Probe of states, or
+	// the Step that produced them — and is never modified or retained; an
+	// engine may restart from it instead of evaluating every guard. Every
+	// choice in sel must be in enabled; a selection the engine does not
+	// recognize is an error, never a silent substitution.
+	Step(states []core.State, enabled, sel []sim.Choice) (succ []core.State, succEnabled []sim.Choice, err error)
 }
 
 // forcedDaemon replays one externally chosen selection. Unlike hunt's
@@ -91,7 +99,8 @@ func engineOptions() sim.Options {
 }
 
 // simEngine drives the boxed generic engine (sim.Runner over *core.State).
-// Its one runner is restarted with Reset for every Probe and Step.
+// Its one runner is restarted with Reset for every Probe and with ResetWith
+// for every Step.
 type simEngine struct {
 	cfg    *sim.Configuration
 	forced *forcedDaemon
@@ -113,30 +122,31 @@ func newSimEngine(g *graph.Graph, root int, plant string, copts []core.Option) (
 		}
 		proto = pl.Wrap(pr)
 	}
+	return simEngineOver(g, proto), nil
+}
+
+// simEngineOver builds a scratch boxed engine over an already constructed
+// protocol.
+func simEngineOver(g *graph.Graph, proto sim.Protocol) *simEngine {
 	e := &simEngine{cfg: sim.NewConfiguration(g, proto), forced: &forcedDaemon{}}
 	e.runner = sim.NewRunner(e.cfg, proto, e.forced, engineOptions())
-	return e, nil
+	return e
 }
 
 // Name implements Engine.
 func (e *simEngine) Name() string { return "sim" }
 
-// load writes the vector into the scratch configuration's boxes and
-// restarts the runner on it.
-func (e *simEngine) load(states []core.State) {
-	loadStates(e.cfg, states)
-	e.runner.Reset()
-}
-
 // Probe implements Engine.
 func (e *simEngine) Probe(states []core.State) ([]sim.Choice, error) {
-	e.load(states)
+	loadStates(e.cfg, states)
+	e.runner.Reset()
 	return e.runner.Enabled(), nil
 }
 
 // Step implements Engine.
-func (e *simEngine) Step(states []core.State, sel []sim.Choice) ([]core.State, []sim.Choice, error) {
-	e.load(states)
+func (e *simEngine) Step(states []core.State, enabled, sel []sim.Choice) ([]core.State, []sim.Choice, error) {
+	loadStates(e.cfg, states)
+	e.runner.ResetWith(enabled)
 	e.forced.sel = sel
 	e.forced.miss = false
 	done, err := e.runner.Step()
@@ -210,8 +220,9 @@ func (e *eventEngine) Probe(states []core.State) ([]sim.Choice, error) {
 	return r.Enabled(), nil
 }
 
-// Step implements Engine.
-func (e *eventEngine) Step(states []core.State, sel []sim.Choice) ([]core.State, []sim.Choice, error) {
+// Step implements Engine. The fresh runner evaluates every guard, so the
+// caller's enabled set goes unused.
+func (e *eventEngine) Step(states []core.State, _, sel []sim.Choice) ([]core.State, []sim.Choice, error) {
 	e.load(states)
 	e.forced.sel = sel
 	e.forced.miss = false

@@ -614,7 +614,7 @@ func (e *Explorer) expand(tasks []task) []taskResult {
 			t := &tasks[i]
 			pre := e.nodes.at(t.node)
 			sel := t.selection(&one)
-			succ, enabled, err := eng.Step(pre.states, sel)
+			succ, enabled, err := eng.Step(pre.states, pre.enabled, sel)
 			if err != nil {
 				results[i] = taskResult{err: err}
 				continue

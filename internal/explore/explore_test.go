@@ -141,6 +141,52 @@ func TestViolatingRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestExploredEnabledSetsMatchProbe is the oracle for the sim engine's
+// seeded restarts. Every explored transition restarts the runner from the
+// predecessor's stored enabled set instead of evaluating its guards, so a
+// stale set would carry along a path and silently prune branches. For every
+// interned node, the stored enabled set must equal a fresh Probe of its
+// states. Two instances run: the benchmark's certify safety question
+// (grid:2x3 from faults:2, central daemon, POR, symmetry, two workers), and
+// the planted level-overflow run of TestViolatingRunDeterministicAcrossWorkers,
+// whose out-of-domain levels reach guards no clean run does.
+func TestExploredEnabledSetsMatchProbe(t *testing.T) {
+	g, err := graph.Grid(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		init   string
+		states int
+	}{
+		{"certify", Options{POR: true, Symmetry: true, Workers: 2}, "faults:2", 109560},
+		{"level-overflow", Options{Plant: "level-overflow", POR: true, Symmetry: true, Workers: 2}, "faults:1", 80},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, res := run(t, g, tc.opts, tc.init)
+			eng, err := newEngine("sim", g, 0, tc.opts.Plant, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := int32(0); id < int32(e.nodes.len()); id++ {
+				nd := e.nodes.at(id)
+				probed, err := eng.Probe(nd.states)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(probed, nd.enabled) {
+					t.Fatalf("state %d: stored enabled set %v, a fresh probe gives %v", id, nd.enabled, probed)
+				}
+			}
+			if res.States != tc.states {
+				t.Fatalf("%d states, want %d", res.States, tc.states)
+			}
+		})
+	}
+}
+
 // TestSimAndFlatEnginesAgree: the boxed and the struct-of-arrays engines
 // explore identical state spaces with identical counts.
 func TestSimAndFlatEnginesAgree(t *testing.T) {

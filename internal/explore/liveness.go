@@ -217,7 +217,7 @@ func (s *livenessSearch) successor(id int32, i int) (int32, error) {
 		return next, nil
 	}
 	s.one[0] = q.enabled[i]
-	succ, enabled, err := s.eng.Step(q.states, s.one[:])
+	succ, enabled, err := s.eng.Step(q.states, q.enabled, s.one[:])
 	if err != nil {
 		return -1, err
 	}

@@ -67,12 +67,14 @@ func TestLivenessCertifiesRoundBounds(t *testing.T) {
 // TestLivenessCacheSound checks the argument that lets CertifyLiveness step
 // each (quotient state, choice) pair once: two vectors with one quotient
 // key behave alike. For every quotient state the Theorem-1 search reaches
-// from the faults:2 starts, a copy with other nonzero Msg stamps and
-// arbitrary Val/Agg has the same enabled set and target verdicts, and under
-// every enabled choice both step to successors with equal keys, enabled
-// sets and target verdicts. On ring:5 the search steps the engine once per
-// distinct (state key, choice) pair its product BFS reaches: 16,634 steps
-// for 93,752 product transitions.
+// from the faults:2 starts, the stored enabled set — which the search's
+// engine restarted from when it stepped the state — equals a fresh Probe; a
+// copy with other nonzero Msg stamps and arbitrary Val/Agg has the same
+// enabled set and target verdicts; and under every enabled choice both
+// step to successors with equal keys, enabled sets and target verdicts. On
+// ring:5 the search steps the engine once per distinct (state key, choice)
+// pair its product BFS reaches: 16,634 steps for 93,752 product
+// transitions.
 func TestLivenessCacheSound(t *testing.T) {
 	for _, tc := range []struct {
 		mk    func() (*graph.Graph, error)
@@ -135,15 +137,18 @@ func TestLivenessCacheSound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if !reflect.DeepEqual(enV, s.states[id].enabled) {
+					t.Fatalf("state %d: stored enabled set %v, a fresh probe gives %v", id, s.states[id].enabled, enV)
+				}
 				if !reflect.DeepEqual(enV, enW) || targets(v) != targets(w) {
 					t.Fatalf("state %d: the copy differs before any step", id)
 				}
 				for _, ch := range enV {
-					sv, afterV, err := eng.Step(v, []sim.Choice{ch})
+					sv, afterV, err := eng.Step(v, enV, []sim.Choice{ch})
 					if err != nil {
 						t.Fatal(err)
 					}
-					sw, afterW, err := eng.Step(w, []sim.Choice{ch})
+					sw, afterW, err := eng.Step(w, enW, []sim.Choice{ch})
 					if err != nil {
 						t.Fatal(err)
 					}

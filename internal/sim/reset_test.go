@@ -12,31 +12,44 @@ import (
 	"snappif/internal/sim"
 )
 
-// lockstep steps ref and sub side by side to the end of their runs and
-// fails at the first difference: the configuration, the enabled set and
-// the Result after every step, and the final done/error pair.
-func lockstep(t *testing.T, ref, sub *sim.Runner, refCfg, subCfg *sim.Configuration) {
+// restarted is a runner restarted in place on cfg, named by how it was
+// restarted ("Reset" or "ResetWith") in failure messages.
+type restarted struct {
+	how string
+	r   *sim.Runner
+	cfg *sim.Configuration
+}
+
+// lockstep steps ref and every sub side by side to the end of their runs
+// and fails at the first difference: the configuration, the enabled set
+// and the Result after every step, and the final done/error pair.
+func lockstep(t *testing.T, ref *sim.Runner, refCfg *sim.Configuration, subs ...restarted) {
 	t.Helper()
 	for step := 0; ; step++ {
-		for p := range refCfg.States {
-			if a, b := core.At(refCfg, p), core.At(subCfg, p); a != b {
-				t.Fatalf("step %d: processor %d is %+v after Reset, %+v after NewRunner", step, p, b, a)
+		a := ref.Result()
+		for _, sub := range subs {
+			for p := range refCfg.States {
+				if x, y := core.At(refCfg, p), core.At(sub.cfg, p); x != y {
+					t.Fatalf("step %d: processor %d is %+v after %s, %+v after NewRunner", step, p, y, sub.how, x)
+				}
+			}
+			if x, y := ref.Enabled(), sub.r.Enabled(); !reflect.DeepEqual(x, y) {
+				t.Fatalf("step %d: enabled %v after %s, %v after NewRunner", step, y, sub.how, x)
+			}
+			b := sub.r.Result()
+			if a.Steps != b.Steps || a.Moves != b.Moves || a.Rounds != b.Rounds ||
+				a.Terminal != b.Terminal || a.Stopped != b.Stopped ||
+				!reflect.DeepEqual(a.MovesPerAction, b.MovesPerAction) {
+				t.Fatalf("step %d: result %+v after %s, %+v after NewRunner", step, b, sub.how, a)
 			}
 		}
-		if a, b := ref.Enabled(), sub.Enabled(); !reflect.DeepEqual(a, b) {
-			t.Fatalf("step %d: enabled %v after Reset, %v after NewRunner", step, b, a)
-		}
-		a, b := ref.Result(), sub.Result()
-		if a.Steps != b.Steps || a.Moves != b.Moves || a.Rounds != b.Rounds ||
-			a.Terminal != b.Terminal || a.Stopped != b.Stopped ||
-			!reflect.DeepEqual(a.MovesPerAction, b.MovesPerAction) {
-			t.Fatalf("step %d: result %+v after Reset, %+v after NewRunner", step, b, a)
-		}
 		doneRef, errRef := ref.Step()
-		doneSub, errSub := sub.Step()
-		if doneRef != doneSub || fmt.Sprint(errRef) != fmt.Sprint(errSub) {
-			t.Fatalf("step %d: Step() = (%v, %v) after Reset, (%v, %v) after NewRunner",
-				step, doneSub, errSub, doneRef, errRef)
+		for _, sub := range subs {
+			doneSub, errSub := sub.r.Step()
+			if doneRef != doneSub || fmt.Sprint(errRef) != fmt.Sprint(errSub) {
+				t.Fatalf("step %d: Step() = (%v, %v) after %s, (%v, %v) after NewRunner",
+					step, doneSub, errSub, sub.how, doneRef, errRef)
+			}
 		}
 		if doneRef {
 			return
@@ -44,14 +57,15 @@ func lockstep(t *testing.T, ref, sub *sim.Runner, refCfg, subCfg *sim.Configurat
 	}
 }
 
-// TestResetMatchesNewRunner pins Reset's contract: one runner restarted
-// with Reset for every scenario steps exactly like a fresh NewRunner per
-// scenario. The matrix crosses line, ring and grid topologies, every
-// fault.All() start and the synchronous, central-random and
-// distributed-random daemons; the random daemons and a small fairness
+// TestResetMatchesNewRunner pins the contracts of Reset and ResetWith: one
+// runner restarted with Reset for every scenario, and one restarted with
+// ResetWith from the fresh runner's enabled set, step exactly like a fresh
+// NewRunner per scenario. The matrix crosses line, ring and grid
+// topologies, every fault.All() start and the synchronous, central-random
+// and distributed-random daemons; the random daemons and a small fairness
 // bound (forcing draws too) make a stale seed or age visible, and the
-// stop predicate ends each run after a few rounds. The reused runner
-// carries a warm-up run's counters, ages, RNG position and enabled cache
+// stop predicate ends each run after a few rounds. The reused runners
+// carry a warm-up run's counters, ages, RNG position and enabled cache
 // into the first scenario, and each scenario's leftovers into the next.
 func TestResetMatchesNewRunner(t *testing.T) {
 	topos := []struct {
@@ -80,8 +94,8 @@ func TestResetMatchesNewRunner(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The two sides need their own protocol instances (core.Protocol
-				// numbers broadcasts); both run the same sequence of runs, so
+				// Every runner needs its own protocol instance (core.Protocol
+				// numbers broadcasts); all run the same sequence of runs, so
 				// their counters stay equal.
 				refPr, err := core.New(g, 0)
 				if err != nil {
@@ -91,11 +105,18 @@ func TestResetMatchesNewRunner(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				seedPr, err := core.New(g, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
 				subCfg := sim.NewConfiguration(g, subPr)
 				sub := sim.NewRunner(subCfg, subPr, d, opts)
+				seedCfg := sim.NewConfiguration(g, seedPr)
+				seeded := sim.NewRunner(seedCfg, seedPr, d, opts)
 				warm := sim.NewRunner(sim.NewConfiguration(g, refPr), refPr, d, opts)
 				for i := 0; i < 25; i++ {
 					sub.Step()
+					seeded.Step()
 					warm.Step()
 				}
 
@@ -104,17 +125,23 @@ func TestResetMatchesNewRunner(t *testing.T) {
 					inj.Apply(start, refPr, rand.New(rand.NewSource(int64(i+1))))
 					refCfg := start.Clone()
 					subCfg.CopyFrom(start)
+					seedCfg.CopyFrom(start)
 					ref := sim.NewRunner(refCfg, refPr, d, opts)
 					sub.Reset()
-					lockstep(t, ref, sub, refCfg, subCfg)
+					seeded.ResetWith(ref.Enabled())
+					lockstep(t, ref, refCfg,
+						restarted{"Reset", sub, subCfg},
+						restarted{"ResetWith", seeded, seedCfg})
 				}
 			})
 		}
 	}
 }
 
-// TestResetAfterPreStoppedStart covers the runner whose stop predicate held
-// before its first step, so NewRunner built no guard cache: a Reset once
+// TestResetAfterPreStoppedStart covers runs whose stop predicate holds
+// before the first step. Such a run still reports the enabled set of its
+// configuration: at NewRunner, and after a Reset or ResetWith that loads
+// another configuration, its Enabled equals a fresh runner's. A Reset once
 // the predicate no longer holds starts a full run, exactly like NewRunner.
 func TestResetAfterPreStoppedStart(t *testing.T) {
 	g, err := graph.Ring(6)
@@ -136,8 +163,19 @@ func TestResetAfterPreStoppedStart(t *testing.T) {
 		StopWhen: func(*sim.RunState) bool { return stop },
 	}
 	d := sim.Central{Order: sim.CentralRandom}
+	// sameEnabled compares the runner's enabled set with that of a fresh
+	// runner, without a stop predicate, over a copy of cfg.
+	sameEnabled := func(when string, r *sim.Runner, cfg *sim.Configuration) {
+		t.Helper()
+		fresh := sim.NewRunner(cfg.Clone(), refPr, d, sim.Options{})
+		if got, want := r.Enabled(), fresh.Enabled(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the pre-stopped runner reports enabled %v, a fresh runner %v", when, got, want)
+		}
+	}
 	subCfg := sim.NewConfiguration(g, subPr)
+	fault.PhantomTree().Apply(subCfg, subPr, rand.New(rand.NewSource(5)))
 	sub := sim.NewRunner(subCfg, subPr, d, opts)
+	sameEnabled("NewRunner", sub, subCfg)
 	if done, err := sub.Step(); !done || err != nil || !sub.Result().Stopped {
 		t.Fatalf("pre-stopped run: Step() = (%v, %v), result %+v", done, err, sub.Result())
 	}
@@ -148,8 +186,16 @@ func TestResetAfterPreStoppedStart(t *testing.T) {
 	subCfg.CopyFrom(refCfg)
 	ref := sim.NewRunner(refCfg, refPr, d, opts)
 	sub.Reset()
-	lockstep(t, ref, sub, refCfg, subCfg)
+	lockstep(t, ref, refCfg, restarted{"Reset", sub, subCfg})
 	if got := sub.Result().Steps; got != opts.MaxSteps {
 		t.Fatalf("the restarted run took %d steps, want the full %d", got, opts.MaxSteps)
 	}
+
+	stop = true
+	clean := sim.NewConfiguration(g, subPr)
+	subCfg.CopyFrom(clean)
+	sub.Reset()
+	sameEnabled("Reset to the clean start", sub, clean)
+	sub.ResetWith(sim.NewRunner(clean.Clone(), refPr, d, sim.Options{}).Enabled())
+	sameEnabled("ResetWith to the clean start", sub, clean)
 }

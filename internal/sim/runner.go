@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // ErrStepLimit is returned (wrapped) when a run exhausts Options.MaxSteps
@@ -106,9 +107,9 @@ func Run(c *Configuration, p Protocol, d Daemon, opts Options) (Result, error) {
 // zero heap allocations once warm. NewRunner + a Step loop is exactly
 // equivalent to Run; the split exists for callers that need to observe or
 // meter individual steps (the allocation-budget tests, the benchmark
-// harness). Reset restarts the run in place, so a caller that runs many
-// short runs over one configuration (the exhaustive explorer) builds one
-// Runner instead of one per run.
+// harness). Reset and ResetWith restart the run in place, so a caller that
+// runs many short runs over one configuration (the exhaustive explorer)
+// builds one Runner instead of one per run.
 type Runner struct {
 	c    *Configuration
 	p    Protocol
@@ -177,16 +178,17 @@ func NewRunner(c *Configuration, p Protocol, d Daemon, opts Options) *Runner {
 	r.rng = rand.New(&r.src)
 	r.names = p.ActionNames()
 	r.res.MovesPerAction = make(map[string]int, len(r.names))
-	r.Reset()
+	r.build()
+	r.restart()
 	return r
 }
 
 // Reset restarts the run from the configuration's current contents, exactly
-// as NewRunner with the runner's original arguments would: the step, move
-// and round counters, the fairness ages and the RNG seed start over, the
-// StopWhen pre-check runs again, and every processor's guards are
-// re-evaluated. It keeps every buffer, so once warm a Reset allocates
-// nothing; reseeding the RNG is deferred to the run's first draw.
+// as NewRunner with the runner's original arguments would: every
+// processor's guards are re-evaluated, the step, move and round counters,
+// the fairness ages and the RNG seed start over, and the StopWhen
+// pre-check runs again. It keeps every buffer, so once warm a Reset
+// allocates nothing; reseeding the RNG is deferred to the run's first draw.
 //
 // The daemon and the observers belong to the caller and are not reset: a
 // stateful daemon (RoundRobin's cursor, Adversarial's memory) carries its
@@ -195,30 +197,52 @@ func NewRunner(c *Configuration, p Protocol, d Daemon, opts Options) *Runner {
 //
 //snapvet:hotpath
 func (r *Runner) Reset() {
+	r.cache.reevaluate()
+	r.restart()
+}
+
+// ResetWith is Reset for a caller that already knows the configuration's
+// enabled set: instead of re-evaluating every guard it copies enabled into
+// the guard cache. enabled must be exactly what this runner reports for the
+// configuration's current contents — Enabled after a NewRunner, Reset or
+// Step on these states — in ascending processor order, with every enabled
+// action of a processor; the runner then behaves exactly as after Reset. A
+// set that disagrees with the guards goes unchecked and stays stale for
+// every processor no later step re-evaluates. ResetWith copies enabled and
+// never retains it. The exhaustive explorer restarts from a state's stored
+// enabled set this way, so an explored transition evaluates only the
+// guards its step can change.
+//
+//snapvet:hotpath
+func (r *Runner) ResetWith(enabled []Choice) {
+	r.cache.seed(enabled)
+	r.restart()
+}
+
+// restart starts the run over the guard cache's current contents: it
+// zeroes the counters and the fairness ages, reseeds the RNG, opens the
+// first round, and runs the StopWhen pre-check.
+//
+//snapvet:hotpath
+func (r *Runner) restart() {
 	clear(r.res.MovesPerAction)
 	r.res = Result{MovesPerAction: r.res.MovesPerAction, Final: r.c}
 	r.rs = RunState{Config: r.c}
 	clear(r.age)
 	r.finished, r.err = false, nil
 	r.rng.Seed(r.opts.Seed)
+	r.pending.copyFrom(r.cache.enabledBits)
 
 	if r.opts.StopWhen != nil && r.opts.StopWhen(&r.rs) {
 		r.res.Stopped = true
 		r.finished = true
-		return
 	}
-	if r.cache == nil {
-		r.build()
-	} else {
-		r.cache.reevaluate()
-	}
-	r.pending.copyFrom(r.cache.enabledBits)
 }
 
 // build creates the guard cache (evaluating every guard) and the shadow
-// boxes on the first Reset that starts a run.
+// boxes.
 //
-//snapvet:coldpath runs once per Runner, at its first start
+//snapvet:coldpath runs once per Runner, in NewRunner
 func (r *Runner) build() {
 	// cache holds per-processor enabled actions; for LocalProtocol
 	// implementations only the moved processors' neighborhoods are
@@ -366,8 +390,8 @@ func (r *Runner) EnabledCount() int { return r.cache.enabledBits.count() }
 
 // EnabledActionsOf returns processor p's cached enabled actions (nil when p
 // is disabled). The slice is the cache's storage: read-only, valid until
-// the next Step. The serving layer's park check reads it to decide whether
-// a gated lane has fully quiesced.
+// the next Step, Reset or ResetWith. The serving layer's park check reads
+// it to decide whether a gated lane has fully quiesced.
 func (r *Runner) EnabledActionsOf(p int) []int { return r.cache.acts[p] }
 
 // forceAged appends to selected every enabled processor whose age has
@@ -420,6 +444,7 @@ type enabledCache struct {
 	enabledBits bitset
 	buf         []Choice
 	bufValid    bool
+	seeded      []int  // backing store of the acts a seed loaded
 	scratch     bitset // processors re-evaluated in the current refresh
 	frontier    []int  // BFS frontier scratch for radius > 1
 	next        []int
@@ -449,6 +474,29 @@ func (ec *enabledCache) reevaluate() {
 	for proc := range ec.acts {
 		ec.update(proc)
 	}
+}
+
+// seed loads a known enabled set instead of evaluating any guard: enabled
+// lists choices in ascending processor order, as choices reports them. The
+// choice buffer becomes a copy of enabled, and each enabled processor's
+// acts a window of the seeded store, so nothing aliases the caller's slice.
+//
+//snapvet:hotpath
+func (ec *enabledCache) seed(enabled []Choice) {
+	clear(ec.acts)
+	ec.enabledBits.reset()
+	acts := slices.Grow(ec.seeded[:0], len(enabled))
+	for i := 0; i < len(enabled); {
+		proc, from := enabled[i].Proc, len(acts)
+		for ; i < len(enabled) && enabled[i].Proc == proc; i++ {
+			acts = append(acts, enabled[i].Action)
+		}
+		ec.acts[proc] = acts[from:len(acts):len(acts)]
+		ec.enabledBits.set(proc)
+	}
+	ec.seeded = acts
+	ec.buf = append(ec.buf[:0], enabled...)
+	ec.bufValid = true
 }
 
 // update re-evaluates proc's guards, maintaining the enabled bitset and

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"snappif/internal/graph"
@@ -204,7 +205,10 @@ func (s wbState) Clone() State { return s }
 // buffer through random guard flips and asserts after every refresh that
 // choices() lists exactly the enabled (processor, action) pairs, in
 // ascending processor order with each processor's actions in table order —
-// the ordering the daemons' draw sequence depends on.
+// the ordering the daemons' draw sequence depends on. A second cache is
+// seeded from the first one's choices before every refresh (processors
+// with several actions included) and must then hold the same per-processor
+// actions and enabled set, before and after the same refresh.
 func TestChoicesAscendingAfterRandomRefreshes(t *testing.T) {
 	const n = 67 // crosses a word boundary
 	g, err := graph.Ring(n)
@@ -230,14 +234,19 @@ func TestChoicesAscendingAfterRandomRefreshes(t *testing.T) {
 	}
 	cfg := NewConfiguration(g, tp)
 	ec := newEnabledCache(cfg, tp, false)
+	seeded := newEnabledCache(cfg, tp, false)
 
-	verify := func(step int) {
+	verify := func(cache *enabledCache, step int) {
 		t.Helper()
-		got := ec.choices()
+		got := cache.choices()
 		var want []Choice
 		for p := 0; p < n; p++ {
 			for _, a := range tp.acts[p] {
 				want = append(want, Choice{Proc: p, Action: a})
+			}
+			if !slices.Equal(cache.acts[p], tp.acts[p]) || cache.enabledBits.test(p) != (len(tp.acts[p]) > 0) {
+				t.Fatalf("step %d: processor %d caches %v (enabled %v), want %v",
+					step, p, cache.acts[p], cache.enabledBits.test(p), tp.acts[p])
 			}
 		}
 		if !reflect.DeepEqual(want, append([]Choice(nil), got...)) {
@@ -250,8 +259,10 @@ func TestChoicesAscendingAfterRandomRefreshes(t *testing.T) {
 		}
 	}
 
-	verify(0)
+	verify(ec, 0)
 	for step := 1; step <= 200; step++ {
+		seeded.seed(ec.choices())
+		verify(seeded, step-1)
 		// Flip a few processors' guards, then refresh as the runner would.
 		var executed []Choice
 		for k := 0; k < 1+rng.Intn(3); k++ {
@@ -260,10 +271,12 @@ func TestChoicesAscendingAfterRandomRefreshes(t *testing.T) {
 			executed = append(executed, Choice{Proc: p, Action: 0})
 		}
 		ec.refresh(executed)
-		verify(step)
+		verify(ec, step)
+		seeded.refresh(executed)
+		verify(seeded, step)
 		// An idle refresh must not disturb the buffer.
 		ec.refresh(nil)
-		verify(step)
+		verify(ec, step)
 	}
 }
 

@@ -111,9 +111,9 @@ go test -race ./internal/service/ ./cmd/pifserve/
 echo "== race: soak (reduced horizon) =="
 go test -race -short -run TestSoakManyWaves -count=1 .
 
-echo "== allocation budget (zero allocs/step after warm-up, disabled tracer included) =="
+echo "== allocation budget (zero allocs/step after warm-up, disabled tracer included; guard work of an explored transition) =="
 go test ./internal/sim/ -run 'TestZeroAllocs|TestCycleByteBudget|TestChoicesBufferReuse|TestCopyFromZeroAllocs' -count=1 -v
-go test ./internal/explore/ -run TestSimEngineAllocs -count=1 -v
+go test ./internal/explore/ -run 'TestSimEngineAllocs|TestSimEngineGuardWork' -count=1 -v
 go test ./internal/obs/ -run TestDisabledTracerZeroAllocs -count=1 -v
 go test ./internal/flat/ -run 'TestFlatCopyFromZeroAllocs' -count=1 -v
 go test ./internal/event/ -run TestEventZeroAllocsPerStep -count=1 -v
@@ -135,8 +135,8 @@ echo "== determinism + pipelining (service: pipelined == serial payloads, canoni
 go test ./internal/service/ -run 'TestPipelinedMatchesSerial|TestServiceDeterminism|TestScenarioDumpReplayBitIdentical' -count=1
 go test . -run TestMultiInitiatorCrossEngine -count=1
 
-echo "== determinism (explore: violating runs across worker counts, liveness successor cache) =="
-go test ./internal/explore/ -run 'TestViolatingRunDeterministicAcrossWorkers|TestLivenessCacheSound' -count=1
+echo "== determinism (explore: violating runs across worker counts, liveness successor cache, stored enabled sets == fresh probes) =="
+go test ./internal/explore/ -run 'TestViolatingRunDeterministicAcrossWorkers|TestLivenessCacheSound|TestExploredEnabledSetsMatchProbe' -count=1
 
 echo "== hunt smoke (clean protocol must hunt clean on a 2x4 grid) =="
 go run ./cmd/pifhunt hunt -topo grid:2x4 -trials 4 -steps 4000
