@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
 	"snappif/internal/core"
 	"snappif/internal/exp"
@@ -38,49 +37,30 @@ type benchReport struct {
 	CellTimes  []trace.Timing `json:"experiment_cell_seconds,omitempty"`
 }
 
-// measureSim steps a warm runner for a fixed number of committed steps and
-// reports throughput and per-step heap traffic. The warm-up phase absorbs
-// the one-time allocations (runner scratch, MovesPerAction map growth);
-// after it, the engine's zero-allocation contract makes allocs/step ≈ 0.
+// measureSim measures the generic engine's hot path on one (topology,
+// daemon) cell: measureStepper over a warm sim.Runner.
 func measureSim(g *graph.Graph, d sim.Daemon, steps int) (benchCell, error) {
 	const warmup = 2000
 	pr, err := core.New(g, 0)
 	if err != nil {
 		return benchCell{}, err
 	}
-	cfg := sim.NewConfiguration(g, pr)
-	r := sim.NewRunner(cfg, pr, d, sim.Options{Seed: 1, MaxSteps: warmup + steps + 1})
-	for i := 0; i < warmup; i++ {
-		if done, err := r.Step(); done {
-			return benchCell{}, fmt.Errorf("bench: run ended during warm-up: %v", err)
-		}
+	r := sim.NewRunner(sim.NewConfiguration(g, pr), pr, d, sim.Options{Seed: 1, MaxSteps: warmup + steps + 1})
+	c, err := measureStepper(genericStepper{r: r}, warmup, steps)
+	if err != nil {
+		return benchCell{}, fmt.Errorf("bench: %s/%s: %w", g.Name(), d.Name(), err)
 	}
-	movesBefore := r.Result().Moves
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	//snapvet:ok benchmark harness timing; the measurement is the output, not engine state
-	start := time.Now()
-	for i := 0; i < steps; i++ {
-		if done, err := r.Step(); done {
-			return benchCell{}, fmt.Errorf("bench: run ended during measurement: %v", err)
-		}
-	}
-	//snapvet:ok benchmark harness timing; the measurement is the output, not engine state
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	fs := float64(steps)
 	return benchCell{
 		Topology:      g.Name(),
 		N:             g.N(),
 		Engine:        "generic",
 		Daemon:        d.Name(),
 		Steps:         steps,
-		NsPerStep:     float64(elapsed.Nanoseconds()) / fs,
-		StepsPerSec:   fs / elapsed.Seconds(),
-		MovesPerStep:  float64(r.Result().Moves-movesBefore) / fs,
-		AllocsPerStep: float64(m1.Mallocs-m0.Mallocs) / fs,
-		BytesPerStep:  float64(m1.TotalAlloc-m0.TotalAlloc) / fs,
+		NsPerStep:     c.ns,
+		StepsPerSec:   c.sps,
+		MovesPerStep:  c.moves,
+		AllocsPerStep: c.allocs,
+		BytesPerStep:  c.bytes,
 	}, nil
 }
 

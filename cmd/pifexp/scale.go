@@ -103,34 +103,42 @@ type eventStepper struct{ r *event.Runner }
 func (s eventStepper) Step() (bool, error) { return s.r.Step() }
 func (s eventStepper) Moves() int          { return s.r.Result().Moves }
 
-// measureStepper warms a stepper and measures ns/step, steps/sec,
-// moves/step, and allocs/step over the given number of committed steps.
-func measureStepper(s stepper, warmup, steps int) (ns, sps, mps, aps float64, err error) {
+// stepCost is one measured window of committed steps, per step: wall
+// time, throughput, moves, heap allocations and heap bytes.
+type stepCost struct{ ns, sps, moves, allocs, bytes float64 }
+
+// measureStepper warms a stepper and measures its cost over the given
+// number of committed steps. The warm-up absorbs one-time allocations
+// (runner scratch, map growth), so a zero-allocation engine reads ≈ 0
+// allocs and bytes per step.
+func measureStepper(s stepper, warmup, steps int) (stepCost, error) {
 	for i := 0; i < warmup; i++ {
 		if done, err := s.Step(); done {
-			return 0, 0, 0, 0, fmt.Errorf("scale: run ended during warm-up: %v", err)
+			return stepCost{}, fmt.Errorf("run ended during warm-up: %v", err)
 		}
 	}
 	movesBefore := s.Moves()
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
-	//snapvet:ok scaling-benchmark wall time is the measured quantity itself
+	//snapvet:ok benchmark wall time is the measured quantity itself
 	start := time.Now()
 	for i := 0; i < steps; i++ {
 		if done, err := s.Step(); done {
-			return 0, 0, 0, 0, fmt.Errorf("scale: run ended during measurement: %v", err)
+			return stepCost{}, fmt.Errorf("run ended during measurement: %v", err)
 		}
 	}
-	//snapvet:ok scaling-benchmark wall time is the measured quantity itself
+	//snapvet:ok benchmark wall time is the measured quantity itself
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
 	fs := float64(steps)
-	return float64(elapsed.Nanoseconds()) / fs,
-		fs / elapsed.Seconds(),
-		float64(s.Moves()-movesBefore) / fs,
-		float64(m1.Mallocs-m0.Mallocs) / fs,
-		nil
+	return stepCost{
+		ns:     float64(elapsed.Nanoseconds()) / fs,
+		sps:    fs / elapsed.Seconds(),
+		moves:  float64(s.Moves()-movesBefore) / fs,
+		allocs: float64(m1.Mallocs-m0.Mallocs) / fs,
+		bytes:  float64(m1.TotalAlloc-m0.TotalAlloc) / fs,
+	}, nil
 }
 
 // measureScaleCell measures one engine on one graph. engine is "generic"
@@ -164,9 +172,9 @@ func measureScaleCell(g *graph.Graph, engine string, pt scalePoint, seed int64) 
 	default:
 		return scaleCell{}, fmt.Errorf("scale: unknown engine %q", engine)
 	}
-	ns, sps, mps, aps, err := measureStepper(s, pt.warmup, pt.steps)
+	c, err := measureStepper(s, pt.warmup, pt.steps)
 	if err != nil {
-		return scaleCell{}, fmt.Errorf("%s/%s/N=%d: %w", engine, g.Name(), g.N(), err)
+		return scaleCell{}, fmt.Errorf("scale: %s/%s/N=%d: %w", engine, g.Name(), g.N(), err)
 	}
 	return scaleCell{
 		Topology:      g.Name(),
@@ -174,10 +182,10 @@ func measureScaleCell(g *graph.Graph, engine string, pt scalePoint, seed int64) 
 		Engine:        engine,
 		Daemon:        d.Name(),
 		Steps:         pt.steps,
-		NsPerStep:     ns,
-		StepsPerSec:   sps,
-		MovesPerStep:  mps,
-		AllocsPerStep: aps,
+		NsPerStep:     c.ns,
+		StepsPerSec:   c.sps,
+		MovesPerStep:  c.moves,
+		AllocsPerStep: c.allocs,
 	}, nil
 }
 
@@ -249,9 +257,9 @@ func measureFrontierCell(fp frontierPoint, seed int64) (scaleCell, error) {
 	if err != nil {
 		return scaleCell{}, err
 	}
-	ns, sps, mps, aps, err := measureStepper(eventStepper{r: er}, fp.warmup, fp.steps)
+	c, err := measureStepper(eventStepper{r: er}, fp.warmup, fp.steps)
 	if err != nil {
-		return scaleCell{}, fmt.Errorf("event/line-frontier/N=%d: %w", fp.n, err)
+		return scaleCell{}, fmt.Errorf("scale: event/line-frontier/N=%d: %w", fp.n, err)
 	}
 	return scaleCell{
 		Topology:      "line-frontier",
@@ -259,10 +267,10 @@ func measureFrontierCell(fp frontierPoint, seed int64) (scaleCell, error) {
 		Engine:        "event",
 		Daemon:        d.Name(),
 		Steps:         fp.steps,
-		NsPerStep:     ns,
-		StepsPerSec:   sps,
-		MovesPerStep:  mps,
-		AllocsPerStep: aps,
+		NsPerStep:     c.ns,
+		StepsPerSec:   c.sps,
+		MovesPerStep:  c.moves,
+		AllocsPerStep: c.allocs,
 	}, nil
 }
 

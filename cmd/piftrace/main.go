@@ -28,8 +28,9 @@
 //
 // Traces are produced by pifsim -events, the snappif.WithEventTrace
 // network option, or any direct obs.Tracer user. summary and diff work on
-// any trace; timeline needs snapshots and phase events; check additionally
-// needs the topology (edge list) in the header.
+// any trace, though wave spans (summary's wave table, timeline's wave
+// lines) need the meta header's root; timeline needs snapshots and phase
+// events; check additionally needs the topology (edge list) in the header.
 package main
 
 import (
@@ -37,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
 	"snappif/internal/check"
@@ -153,97 +153,57 @@ func summary(out io.Writer, tr *obs.Trace) error {
 	} else {
 		fmt.Fprintln(out, "totals: trace has no summary event (truncated trace?)")
 	}
-	if waves := waveSpans(tr); len(waves) > 0 {
+	if spans := waveSpans(out, tr); len(spans) > 0 {
 		tbl := trace.NewTable("waves", "wave", "msg", "start step", "end step", "start round", "end round", "rounds")
-		for _, w := range waves {
-			if w.endStep == 0 {
-				tbl.AddRow(w.id, w.msg, w.startStep, "open", w.startRound, "-", "-")
+		for _, w := range spans {
+			if w.Open {
+				tbl.AddRow(w.Wave, w.Msg, w.StartStep, "open", w.StartRound, "-", "-")
 				continue
 			}
-			tbl.AddRow(w.id, w.msg, w.startStep, w.endStep, w.startRound, w.endRound, w.endRound-w.startRound+1)
+			tbl.AddRow(w.Wave, w.Msg, w.StartStep, w.EndStep, w.StartRound, w.EndRound, w.Rounds())
 		}
 		tbl.Render(out)
-		waveLatency(out, waves)
+		waveLatency(out, spans)
 	}
 	return nil
 }
 
+// waveSpans reconstructs the trace's waves with telemetry.SpansFromTrace,
+// the pairing pinned equal to the live recording. A trace without a meta
+// header has no root to pair against: it gets a note instead of waves.
+func waveSpans(out io.Writer, tr *obs.Trace) []telemetry.Span {
+	spans, err := telemetry.SpansFromTrace(tr)
+	if err != nil {
+		fmt.Fprintf(out, "waves: %v\n", err)
+	}
+	return spans
+}
+
 // waveLatency prints the completed-wave latency percentiles: rounds always,
 // wall time when the trace was recorded with a clock (obs.WithClock).
-func waveLatency(out io.Writer, waves []waveSpan) {
-	var rounds []int
-	var walls []int64 // µs
-	for _, w := range waves {
-		if w.endStep == 0 {
+func waveLatency(out io.Writer, spans []telemetry.Span) {
+	var rounds, walls []int64 // walls in µs
+	for _, w := range spans {
+		if w.Open {
 			continue
 		}
-		rounds = append(rounds, w.endRound-w.startRound+1)
-		if w.startTS > 0 && w.endTS >= w.startTS {
-			walls = append(walls, w.endTS-w.startTS)
+		rounds = append(rounds, int64(w.Rounds()))
+		if w.StartNS > 0 && w.EndNS >= w.StartNS {
+			walls = append(walls, (w.EndNS-w.StartNS)/1000)
 		}
 	}
 	if len(rounds) == 0 {
 		return
 	}
-	sort.Ints(rounds)
-	fmt.Fprintf(out, "wave latency (%d completed): rounds p50=%d p95=%d p99=%d\n",
-		len(rounds), pctInt(rounds, 50), pctInt(rounds, 95), pctInt(rounds, 99))
+	fmt.Fprintf(out, "wave latency (%d completed): rounds p50=%d p95=%d p99=%d\n", len(rounds),
+		telemetry.ExactQuantile(rounds, 0.50), telemetry.ExactQuantile(rounds, 0.95), telemetry.ExactQuantile(rounds, 0.99))
 	if len(walls) > 0 {
-		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-		us := func(q int) time.Duration { return time.Duration(pct64(walls, q)) * time.Microsecond }
+		us := func(q float64) time.Duration {
+			return time.Duration(telemetry.ExactQuantile(walls, q)) * time.Microsecond
+		}
 		fmt.Fprintf(out, "wave wall time (%d timed): p50=%v p95=%v p99=%v\n",
-			len(walls), us(50), us(95), us(99))
+			len(walls), us(0.50), us(0.95), us(0.99))
 	}
-}
-
-// pctInt is the nearest-rank q-th percentile of a sorted slice.
-func pctInt(sorted []int, q int) int {
-	return sorted[pctIdx(len(sorted), q)]
-}
-
-func pct64(sorted []int64, q int) int64 {
-	return sorted[pctIdx(len(sorted), q)]
-}
-
-func pctIdx(n, q int) int {
-	i := (n*q + 99) / 100 // ceil(n·q/100), nearest-rank
-	if i < 1 {
-		i = 1
-	}
-	return i - 1
-}
-
-// waveSpan is one reconstructed PIF wave.
-type waveSpan struct {
-	id                   int
-	msg                  string
-	startStep, endStep   int
-	startRound, endRound int
-	startTS, endTS       int64 // µs wall stamps, 0 when the trace has no clock
-}
-
-// waveSpans pairs wave start/end events.
-func waveSpans(tr *obs.Trace) []waveSpan {
-	var out []waveSpan
-	open := make(map[int]int) // wave id -> index in out
-	for _, ev := range tr.Events {
-		if ev.T != "wave" {
-			continue
-		}
-		switch ev.Kind {
-		case "start":
-			open[ev.Wave] = len(out)
-			out = append(out, waveSpan{id: ev.Wave, msg: ev.M, startStep: ev.I, startRound: ev.Round, startTS: ev.TS})
-		case "end":
-			if i, ok := open[ev.Wave]; ok {
-				out[i].endStep = ev.I
-				out[i].endRound = ev.Round
-				out[i].endTS = ev.TS
-				delete(open, ev.Wave)
-			}
-		}
-	}
-	return out
 }
 
 // spansCmd exports the trace's causal wave spans as Chrome trace_event JSON.
@@ -319,13 +279,13 @@ func timeline(out io.Writer, tr *obs.Trace, every int) error {
 	if !sawSnapshot {
 		return fmt.Errorf("trace has no state snapshots; record with snapshots and phase events enabled")
 	}
-	for _, w := range waveSpans(tr) {
-		if w.endStep == 0 {
-			fmt.Fprintf(out, "wave %d: rounds %d.. (open at end of trace), msg=%s\n", w.id, w.startRound, w.msg)
+	for _, w := range waveSpans(out, tr) {
+		if w.Open {
+			fmt.Fprintf(out, "wave %d: rounds %d.. (open at end of trace), msg=%d\n", w.Wave, w.StartRound, w.Msg)
 			continue
 		}
-		fmt.Fprintf(out, "wave %d: rounds %d..%d (%d rounds), steps %d..%d, msg=%s\n",
-			w.id, w.startRound, w.endRound, w.endRound-w.startRound+1, w.startStep, w.endStep, w.msg)
+		fmt.Fprintf(out, "wave %d: rounds %d..%d (%d rounds), steps %d..%d, msg=%d\n",
+			w.Wave, w.StartRound, w.EndRound, w.Rounds(), w.StartStep, w.EndStep, w.Msg)
 	}
 	return nil
 }

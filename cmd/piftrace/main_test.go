@@ -223,6 +223,25 @@ func TestSummaryAndTimeline(t *testing.T) {
 	if err := run([]string{"timeline", "-every", "2", path}, &out); err != nil {
 		t.Fatalf("timeline -every 2: %v", err)
 	}
+
+	// Without the meta header there is no root to pair waves against, but
+	// the totals still print.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, _ := strings.Cut(string(data), "\n")
+	headless := filepath.Join(t.TempDir(), "headless.jsonl")
+	if err := os.WriteFile(headless, []byte(rest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"summary", headless}, &out); err != nil {
+		t.Fatalf("summary without a meta header: %v", err)
+	}
+	if got := out.String(); !strings.Contains(got, "totals:") || !strings.Contains(got, "no meta header") {
+		t.Fatalf("headless summary lacks its totals or the wave note:\n%s", got)
+	}
 }
 
 // TestUsageErrors covers the CLI error paths.

@@ -522,9 +522,6 @@ func (r *Runner) Step() (done bool, err error) {
 	for i, ch := range selected {
 		r.k.Apply(r.c, ch.Proc, int32(ch.Action), &r.stage[i])
 	}
-	if r.tel != nil {
-		r.tel.ShardApplies(int64(len(selected)))
-	}
 	packed := false
 	if r.tel != nil {
 		packed = r.tel.WantPacked()
@@ -823,9 +820,6 @@ func (r *Runner) refresh(selected []sim.Choice) {
 		for _, q := range r.k.Readers(r.c, ch.Proc, int32(ch.Action)) {
 			r.dirty.set(int(q))
 		}
-	}
-	if r.tel != nil {
-		r.tel.ShardEvals(int64(r.dirty.count()))
 	}
 	r.dirty.drain(r.reguard)
 }

@@ -33,7 +33,7 @@ func runGrid[T any](opt Options, label func(i int) string, n int, fn func(i int)
 			if errs[i] != nil {
 				m.Counter("exp.cell_errors").Add(1)
 			}
-			m.Histogram("exp.cell_seconds", 1, 10, 60).Observe(int64(elapsed.Seconds()))
+			m.Histogram("exp.cell_ns").Observe(elapsed.Nanoseconds())
 		}
 	}
 	if !opt.Parallel || n <= 1 {

@@ -41,8 +41,8 @@ type Options struct {
 	// Timings, if non-nil, collects per-cell wall-clock durations.
 	Timings *trace.Timings
 	// Metrics, if non-nil, receives executor counters: exp.cells (completed
-	// table cells), exp.cell_errors, and the exp.cell_seconds histogram —
-	// the live progress feed behind pifexp's -http endpoint.
+	// table cells), exp.cell_errors, and the exp.cell_ns histogram of cell
+	// wall times — the live progress feed behind pifexp's -http endpoint.
 	Metrics *obs.Registry
 	// Engine selects the simulation engine for the snap-PIF runs that
 	// support it: "generic" (the interface-based sim.Runner, the default),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"snappif/internal/exp"
+	"snappif/internal/obs"
 	"snappif/internal/trace"
 )
 
@@ -67,12 +68,21 @@ func TestSerialParallelIdentical(t *testing.T) {
 // parallel grid experiment records one entry per cell under its label.
 func TestParallelTimingsCoverCells(t *testing.T) {
 	tm := &trace.Timings{}
-	opt := exp.Options{Quick: true, Trials: 2, Seed: 1, Parallel: true, Timings: tm}
+	reg := obs.NewRegistry()
+	opt := exp.Options{Quick: true, Trials: 2, Seed: 1, Parallel: true, Timings: tm, Metrics: reg}
 	if _, err := exp.CycleRounds(opt); err != nil {
 		t.Fatal(err)
 	}
 	if tm.Len() == 0 {
 		t.Fatal("no cell timings recorded")
+	}
+	// The metrics feed sees the same cells: one exp.cell_ns observation
+	// each, in nanoseconds, so sub-second cells still add to its sum.
+	if got := reg.Counter("exp.cells").Value(); got != int64(tm.Len()) {
+		t.Errorf("exp.cells = %d, want %d", got, tm.Len())
+	}
+	if h := reg.Histogram("exp.cell_ns"); h.Count() != int64(tm.Len()) || h.Sum() <= 0 {
+		t.Errorf("exp.cell_ns count=%d sum=%d, want count %d and a positive sum", h.Count(), h.Sum(), tm.Len())
 	}
 	for _, e := range tm.Entries() {
 		if len(e.Label) < 3 || e.Label[:3] != "E1/" {

@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 import (
 	"math/bits"
@@ -12,13 +12,14 @@ import (
 // buckets cover the whole uint64 range.
 const logBuckets = 65
 
-// LogHist is a lock-free log₂-bucketed histogram: Observe is one atomic
-// add on the value's bucket plus count/sum upkeep, with no mutex and no
-// allocation, so concurrent runs sharing one Telemetry can feed it from
-// their per-step hooks. The trade-off against obs.Histogram's exact
-// user-chosen bounds is resolution: quantiles are exact only up to the
-// power-of-two bucket width, which is all the wave-latency and
-// step-duration views need.
+// LogHist is the registry's only histogram: lock-free and log₂-bucketed.
+// Observe is one atomic add on the value's bucket plus count/sum upkeep,
+// with no mutex and no allocation, so concurrent runs sharing one
+// telemetry instance can feed it from their per-step hooks. It needs no
+// bounds: 65 buckets cover every int64. The price is resolution —
+// quantiles are exact only up to the power-of-two bucket width, which is
+// all the monitoring views need; exact percentiles come from the samples
+// themselves (telemetry.ExactQuantile). The zero value is ready to use.
 type LogHist struct {
 	count   atomic.Int64
 	sum     atomic.Int64
@@ -76,8 +77,8 @@ func (h *LogHist) Mean() float64 {
 // percentile — the bucket's width is its lower edge. Buckets 0 (v ≤ 0) and
 // 1 (v = 1) are single-valued, so estimates landing there are exact, and
 // the result is clamped to the true observed maximum, which makes
-// Quantile(1) exact as well. ExactQuantile is the test oracle for these
-// bounds.
+// Quantile(1) exact as well. telemetry.ExactQuantile is the test oracle
+// for these bounds.
 //
 // The reads are not a consistent snapshot — concurrent Observes can skew a
 // quantile by their in-flight observations, which is fine for monitoring
@@ -89,7 +90,7 @@ func (h *LogHist) Quantile(q float64) int64 {
 	}
 	rank := int64(q * float64(total))
 	if float64(rank) < q*float64(total) {
-		rank++ // ceil: nearest-rank, matching ExactQuantile
+		rank++ // ceil: nearest-rank, matching telemetry.ExactQuantile
 	}
 	if rank < 1 {
 		rank = 1

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"encoding/json"
+	"maps"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"snappif/internal/graph"
 	"snappif/internal/obs"
 	"snappif/internal/sim"
+	"snappif/internal/telemetry"
 )
 
 func TestRegistryBasics(t *testing.T) {
@@ -27,7 +29,7 @@ func TestRegistryBasics(t *testing.T) {
 	if g.Value() != -2 {
 		t.Fatalf("gauge = %d, want -2", g.Value())
 	}
-	h := reg.Histogram("a.hist", 1, 10)
+	h := reg.Histogram("a.hist")
 	for _, v := range []int64{0, 1, 5, 50} {
 		h.Observe(v)
 	}
@@ -53,8 +55,11 @@ func TestRegistryBasics(t *testing.T) {
 	if err := json.Unmarshal(decoded["a.hist"], &hist); err != nil {
 		t.Fatal(err)
 	}
-	if hist.Count != 4 || hist.Buckets["le_1"] != 2 || hist.Buckets["le_10"] != 1 || hist.Buckets["inf"] != 1 {
-		t.Fatalf("histogram export wrong: %+v", hist)
+	// Log₂ buckets keyed by inclusive upper edge: 0 → le_0, 1 → le_1,
+	// 5 ∈ [4,7] → le_7, 50 ∈ [32,63] → le_63; empty buckets are omitted.
+	want := map[string]int64{"le_0": 1, "le_1": 1, "le_7": 1, "le_63": 1}
+	if hist.Count != 4 || !maps.Equal(hist.Buckets, want) {
+		t.Fatalf("histogram export wrong: %+v, want buckets %v", hist, want)
 	}
 }
 
@@ -81,8 +86,11 @@ func TestTypeCollisionPanics(t *testing.T) {
 	reg.Gauge("dual")
 }
 
-// TestSimMetricsMatchesRun feeds a run through SimMetrics and cross-checks
-// the registry against the run result.
+// TestSimMetricsMatchesRun feeds a run through the sim engine's metrics
+// adapter, telemetry.Observer, into a registry via PublishTo and
+// cross-checks the registry's counters against the run result, its census
+// gauges against the final configuration, and its wave histogram against
+// the wave counter.
 func TestSimMetricsMatchesRun(t *testing.T) {
 	g, err := graph.Ring(12)
 	if err != nil {
@@ -91,35 +99,40 @@ func TestSimMetricsMatchesRun(t *testing.T) {
 	pr := core.MustNew(g, 0)
 	cfg := sim.NewConfiguration(g, pr)
 	reg := obs.NewRegistry()
-	m := obs.NewSimMetrics(reg, pr)
+	tel := telemetry.New(telemetry.Config{})
+	tel.PublishTo(reg)
+	o := &telemetry.Observer{T: tel, Proto: pr}
+	o.Begin(telemetry.RunMeta{G: g}, cfg)
 	res, err := sim.Run(cfg, pr, sim.Synchronous{}, sim.Options{
 		Seed:      1,
-		Observers: []sim.Observer{m},
+		Observers: []sim.Observer{o},
 		StopWhen:  func(rs *sim.RunState) bool { return rs.Rounds >= 60 },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("sim.steps").Value(); got != int64(res.Steps) {
-		t.Fatalf("sim.steps = %d, run steps %d", got, res.Steps)
+	if got := reg.Counter("telemetry.steps").Value(); got != int64(res.Steps) {
+		t.Fatalf("telemetry.steps = %d, run steps %d", got, res.Steps)
 	}
-	if got := reg.Counter("sim.moves").Value(); got != int64(res.Moves) {
-		t.Fatalf("sim.moves = %d, run moves %d", got, res.Moves)
+	if got := reg.Counter("telemetry.moves").Value(); got != int64(res.Moves) {
+		t.Fatalf("telemetry.moves = %d, run moves %d", got, res.Moves)
 	}
-	if got := reg.Counter("sim.rounds").Value(); got != int64(res.Rounds) {
-		t.Fatalf("sim.rounds = %d, run rounds %d", got, res.Rounds)
+	census := make(map[core.Phase]int64)
+	for p := 0; p < g.N(); p++ {
+		census[core.At(cfg, p).Pif]++
 	}
-	for name, n := range res.MovesPerAction {
-		if got := reg.Counter("sim.moves." + name).Value(); got != int64(n) {
-			t.Fatalf("sim.moves.%s = %d, run %d", name, got, n)
+	for _, c := range []struct {
+		name string
+		ph   core.Phase
+	}{{"telemetry.census_b", core.B}, {"telemetry.census_f", core.F}, {"telemetry.census_c", core.C}} {
+		if got := reg.Gauge(c.name).Value(); got != census[c.ph] {
+			t.Fatalf("%s = %d, final configuration has %d", c.name, got, census[c.ph])
 		}
 	}
-	if got := reg.Histogram("sim.step_enabled").Count(); got != int64(res.Steps) {
-		t.Fatalf("sim.step_enabled has %d observations, want one per step (%d)", got, res.Steps)
-	}
 	// 60 rounds of a synchronous ring-12 span multiple full cycles.
-	if got := reg.Histogram("sim.rounds_per_cycle").Count(); got < 2 {
-		t.Fatalf("sim.rounds_per_cycle has %d observations, want ≥ 2", got)
+	waves := reg.Counter("telemetry.waves").Value()
+	if got := reg.Histogram("telemetry.wave_rounds").Count(); got != waves || waves < 2 {
+		t.Fatalf("telemetry.wave_rounds has %d observations for %d waves, want ≥ 2", got, waves)
 	}
 }
 
@@ -132,7 +145,7 @@ func TestRegistryWriteJSONByteStable(t *testing.T) {
 		for _, name := range order {
 			reg.Counter(name).Add(int64(len(name)))
 		}
-		reg.Histogram("h", 1, 10).Observe(5)
+		reg.Histogram("h").Observe(5)
 		var b strings.Builder
 		if err := reg.WriteJSON(&b); err != nil {
 			t.Fatal(err)

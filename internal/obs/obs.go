@@ -1,7 +1,10 @@
 // Package obs is the observability layer of the repository: a structured
-// JSONL event tracer for simulation and concurrent-runtime runs, a small
-// metrics registry (counters, gauges, histograms) exported via expvar, and
-// the decoder the piftrace analysis CLI is built on.
+// JSONL event tracer for simulation and concurrent-runtime runs, the
+// decoder the piftrace analysis CLI is built on, and the one metrics
+// surface — a registry exported via expvar, holding one type per metric
+// kind: Counter, Gauge, Text and the log₂-bucketed LogHist histogram.
+// Every package that reports a number (telemetry, the concurrent runtime,
+// the experiment executor, the service report) uses these types.
 //
 // # Event traces
 //

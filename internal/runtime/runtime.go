@@ -232,7 +232,7 @@ func Run(g *graph.Graph, root, cycles int, opts Options) (Result, error) {
 		m.Counter("runtime.moves").Add(res.Moves)
 		m.Counter("runtime.idle_spins").Add(res.IdleSpins)
 		m.Counter("runtime.check_snapshots").Add(int64(snapshots))
-		h := m.Histogram("runtime.moves_per_proc", 10, 100, 1000, 10000)
+		h := m.Histogram("runtime.moves_per_proc")
 		for _, n := range res.MovesPerProc {
 			h.Observe(n)
 		}

@@ -8,6 +8,7 @@ import (
 	"snappif/internal/core"
 	"snappif/internal/fault"
 	"snappif/internal/graph"
+	"snappif/internal/obs"
 	rt "snappif/internal/runtime"
 	"snappif/internal/sim"
 )
@@ -85,13 +86,22 @@ func TestStopTheWorldInvariantChecking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
 	res, err := rt.Run(g, 0, 3, rt.Options{
 		Timeout:         20 * time.Second,
 		CheckInvariants: true,
 		CheckEvery:      500 * time.Microsecond,
+		Metrics:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := reg.Counter("runtime.check_snapshots").Value(); got != int64(res.Snapshots) {
+		t.Errorf("runtime.check_snapshots = %d, result has %d", got, res.Snapshots)
+	}
+	// One moves_per_proc observation per processor, summing to the moves.
+	if h := reg.Histogram("runtime.moves_per_proc"); h.Count() != int64(g.N()) || h.Sum() != res.Moves {
+		t.Errorf("runtime.moves_per_proc count=%d sum=%d, want %d and %d", h.Count(), h.Sum(), g.N(), res.Moves)
 	}
 	if len(res.InvariantViolations) > 0 {
 		t.Fatalf("invariants violated under concurrency: %v", res.InvariantViolations[0])

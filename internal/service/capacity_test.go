@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"snappif/internal/graph"
+	"snappif/internal/telemetry"
 )
 
 // TestPlanCapacity runs the binary search on a small ring and checks the
@@ -89,14 +90,17 @@ func TestPlanCapacityValidation(t *testing.T) {
 }
 
 // TestReportJSONSummary covers the CLI summary path, including wall-clock
-// percentiles under an injected clock.
+// percentiles under an injected clock: they are exact over the waves'
+// wall latencies, like the tick percentiles beside them. The clock's
+// growing increments spread the latencies over several log₂ buckets, so a
+// bucket estimate of the median would miss the exact value.
 func TestReportJSONSummary(t *testing.T) {
 	g, err := graph.Parse("line:6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fake int64
-	clock := func() int64 { fake += 1000; return fake }
+	var fake, reads int64
+	clock := func() int64 { reads++; fake += 100 * reads * reads; return fake }
 	srv, err := New(Options{Graph: g, Engine: "sim", Clock: clock})
 	if err != nil {
 		t.Fatal(err)
@@ -104,6 +108,9 @@ func TestReportJSONSummary(t *testing.T) {
 	rep, err := srv.Run([]Arrival{
 		{T: 1, Lane: 0, Kind: "snapshot"},
 		{T: 2, Lane: 0, Kind: "barrier"},
+		{T: 3, Lane: 0, Kind: "snapshot"},
+		{T: 9, Lane: 0, Kind: "barrier"},
+		{T: 40, Lane: 0, Kind: "snapshot"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,25 +124,33 @@ func TestReportJSONSummary(t *testing.T) {
 		Waves     int             `json:"waves"`
 		P50       int64           `json:"p50_ticks"`
 		P50Wall   int64           `json:"p50_wall_ns"`
+		P99Wall   int64           `json:"p99_wall_ns"`
+		MeanWall  float64         `json:"mean_wall_ns"`
 		Hist      json.RawMessage `json:"latency_hist"`
 		LastDoneT int64           `json:"last_done_t"`
 	}
 	if err := json.Unmarshal(data, &s); err != nil {
 		t.Fatalf("summary is not valid JSON: %v\n%s", err, data)
 	}
-	if s.Engine != "sim" || s.Waves != 2 || s.P50 <= 0 || s.LastDoneT <= 0 {
+	if s.Engine != "sim" || s.Waves != 5 || s.P50 <= 0 || s.LastDoneT <= 0 {
 		t.Fatalf("summary %+v", s)
-	}
-	if s.P50Wall <= 0 {
-		t.Fatalf("wall percentiles missing under an injected clock: %+v", s)
 	}
 	if len(s.Hist) == 0 {
 		t.Fatal("latency_hist missing")
 	}
+	var walls []int64
+	var sum int64
 	for _, w := range rep.Waves {
 		if w.WallNS <= 0 {
 			t.Fatalf("wave wall latency %d under an injected clock", w.WallNS)
 		}
+		walls = append(walls, w.WallNS)
+		sum += w.WallNS
+	}
+	p50, p99 := telemetry.ExactQuantile(walls, 0.50), telemetry.ExactQuantile(walls, 0.99)
+	if s.P50Wall != p50 || s.P99Wall != p99 || s.MeanWall != float64(sum)/float64(len(walls)) {
+		t.Fatalf("wall summary p50=%d p99=%d mean=%g, want exact p50=%d p99=%d mean=%g over %v",
+			s.P50Wall, s.P99Wall, s.MeanWall, p50, p99, float64(sum)/float64(len(walls)), walls)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"snappif/internal/obs"
 	"snappif/internal/telemetry"
 )
 
@@ -48,18 +49,13 @@ type Report struct {
 
 	// Hist is the log₂-bucketed virtual-latency histogram — the
 	// monitoring-path view; exact percentiles come from QuantileTicks.
-	Hist telemetry.LogHist `json:"-"`
-	// WallHist aggregates wall-clock latencies when a Clock was injected.
-	WallHist telemetry.LogHist `json:"-"`
+	Hist obs.LogHist `json:"-"`
 }
 
 // record appends a delivered wave.
 func (r *Report) record(w Wave) {
 	r.Waves = append(r.Waves, w)
 	r.Hist.Observe(w.LatencyTicks())
-	if w.WallNS != 0 {
-		r.WallHist.Observe(w.WallNS)
-	}
 	if w.DoneT > r.LastDoneT {
 		r.LastDoneT = w.DoneT
 	}
@@ -155,10 +151,18 @@ func (r *Report) MarshalJSONSummary() ([]byte, error) {
 		P99Ticks:    r.QuantileTicks(0.99),
 		LatencyHist: json.RawMessage(r.Hist.String()),
 	}
-	if r.WallHist.Count() > 0 {
-		s.P50WallNS = r.WallHist.Quantile(0.50)
-		s.P99WallNS = r.WallHist.Quantile(0.99)
-		s.MeanWallNS = r.WallHist.Mean()
+	var walls []int64
+	var sum int64
+	for _, w := range r.Waves {
+		if w.WallNS != 0 {
+			walls = append(walls, w.WallNS)
+			sum += w.WallNS
+		}
+	}
+	if len(walls) > 0 {
+		s.P50WallNS = telemetry.ExactQuantile(walls, 0.50)
+		s.P99WallNS = telemetry.ExactQuantile(walls, 0.99)
+		s.MeanWallNS = float64(sum) / float64(len(walls))
 	}
 	return json.MarshalIndent(&s, "", "  ")
 }

@@ -106,30 +106,36 @@ func TestZeroAllocsResetStep(t *testing.T) {
 // on a ring of 32: a warm runner driving thousands of steps (a ring-32
 // synchronous cycle is ~100 steps, so this spans dozens of complete
 // broadcast/feedback/clean waves) must stay within a tiny byte budget.
+//
+// The runtime may start an OS thread inside a window (ReadMemStats stops
+// and restarts the world, and a restart may start one), and the thread's
+// runtime objects — 5.5 KB — then count against the runner. So the test
+// measures three back-to-back windows and bounds the smallest: a thread
+// start is a one-off that cannot land in all three, but an allocation on
+// the step path lands in every one.
 func TestCycleByteBudget(t *testing.T) {
 	const steps = 10_000
-	const budgetBytes = 2048 // total across all steps, not per step
+	const budgetBytes = 2048 // total across one window's steps, not per step
 	g, err := graph.Ring(32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := warmRunner(t, g, sim.Synchronous{}, 2000)
-	var m0, m1 runtime.MemStats
 	runtime.GC()
-	// ReadMemStats restarts the world after taking its snapshot, and the
-	// restart may start an OS thread whose runtime objects (5504 bytes)
-	// would then count against the runner. The first read takes that
-	// start-up before the window opens; the budget is unchanged.
-	runtime.ReadMemStats(&m0)
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < steps; i++ {
-		if done, err := r.Step(); done {
-			t.Fatalf("run ended mid-measurement: %v", err)
+	var m0, m1 runtime.MemStats
+	least := ^uint64(0)
+	for w := 0; w < 3; w++ {
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < steps; i++ {
+			if done, err := r.Step(); done {
+				t.Fatalf("run ended mid-measurement: %v", err)
+			}
 		}
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
 	}
-	runtime.ReadMemStats(&m1)
-	if got := m1.TotalAlloc - m0.TotalAlloc; got > budgetBytes {
-		t.Errorf("%d warm steps allocated %d bytes, budget %d", steps, got, budgetBytes)
+	if least > budgetBytes {
+		t.Errorf("%d warm steps allocated %d bytes in the least of three windows, budget %d", steps, least, budgetBytes)
 	}
 }
 

@@ -5,10 +5,12 @@ import "slices"
 // ExactQuantile returns the exact nearest-rank q-quantile (0 ≤ q ≤ 1) of
 // samples: the ⌈q·n⌉-th smallest value (minimum 1st, so ExactQuantile(s, 0)
 // is the minimum and ExactQuantile(s, 1) the maximum). It sorts a private
-// copy — O(n log n) and one allocation — which is fine for its two callers:
-// the service layer's latency report, whose sample counts are bounded by
-// the run's completed waves, and the LogHist error-bound tests, where it is
-// the oracle the interpolated Quantile is checked against.
+// copy — O(n log n) and one allocation — which is fine for its callers,
+// whose sample counts are bounded by a run's completed waves or a
+// benchmark's measured steps: the service layer's latency report,
+// piftrace's wave percentiles, perfbench, and the obs.LogHist error-bound
+// tests, where it is the oracle the interpolated Quantile is checked
+// against.
 func ExactQuantile(samples []int64, q float64) int64 {
 	if len(samples) == 0 {
 		return 0

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"snappif/internal/obs"
 	"snappif/internal/telemetry"
 )
 
@@ -31,8 +32,8 @@ func TestExactQuantile(t *testing.T) {
 	}
 }
 
-// TestLogHistQuantileErrorBounds drives random sample sets through both the
-// histogram and the exact oracle and checks the documented contract: the
+// TestLogHistQuantileErrorBounds drives random sample sets through both
+// obs.LogHist and the exact oracle and checks the documented contract: the
 // interpolated estimate stays within a factor of 2 of the exact
 // nearest-rank percentile (same power-of-two bucket), and Quantile(1) is
 // exactly the maximum.
@@ -46,7 +47,7 @@ func TestLogHistQuantileErrorBounds(t *testing.T) {
 	}
 	sizes := map[string]int{"uniform-1k": 5000, "exp-ish": 2000, "heavy-tail": 777, "tiny-sample": 5}
 	for name, gen := range dists {
-		var h telemetry.LogHist
+		var h obs.LogHist
 		samples := make([]int64, 0, sizes[name])
 		for i := 0; i < sizes[name]; i++ {
 			v := gen()

@@ -9,9 +9,10 @@
 //
 // Four surfaces, one hook:
 //
-//   - Aggregates: lock-free counters and LogHist latency histograms (wave
-//     rounds/steps/wall-time, step duration, guard refresh and commit),
-//     published through an obs.Registry into expvar.
+//   - Aggregates: the obs metric types — lock-free counters, phase-census
+//     gauges and obs.LogHist latency histograms (wave rounds/steps/wall
+//     time, step duration, guard refresh and commit) — embedded in the
+//     Telemetry and registered into an obs.Registry by PublishTo.
 //   - Time series: a bounded ring of Rows (enabled count, phase census,
 //     wave counts, guard-cache hit rate) sampled every SampleEvery steps.
 //   - Causal wave spans: one Span per PIF wave (broadcast start → feedback
@@ -31,9 +32,7 @@ package telemetry
 
 import (
 	"io"
-	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"snappif/internal/core"
 	"snappif/internal/graph"
@@ -165,12 +164,10 @@ type Telemetry struct {
 	steps, moves           obs.Counter
 	waves, abnWaves        obs.Counter
 	guardHits, guardMisses obs.Counter
-	cenB, cenF, cenC       atomic.Int64
-	waveRounds, waveSteps  LogHist
-	waveNS, stepNS         LogHist
-	evalNS, commitNS       LogHist
-	shardEvals             obs.Counter
-	shardApplies           obs.Counter
+	cenB, cenF, cenC       obs.Gauge
+	waveRounds, waveSteps  obs.LogHist
+	waveNS, stepNS         obs.LogHist
+	evalNS, commitNS       obs.LogHist
 
 	mu         sync.Mutex
 	meta       RunMeta
@@ -260,9 +257,9 @@ func (t *Telemetry) BeginRun(meta RunMeta, src StateSource) {
 	t.nextSample = t.cfg.SampleEvery
 	if src != nil {
 		b, f, c := src.Census()
-		t.cenB.Store(int64(b))
-		t.cenF.Store(int64(f))
-		t.cenC.Store(int64(c))
+		t.cenB.Set(int64(b))
+		t.cenF.Set(int64(f))
+		t.cenC.Set(int64(c))
 		if t.fl != nil {
 			t.fl.reset()
 			if meta.G != nil && meta.G.N() >= flightMaxProcs {
@@ -344,27 +341,6 @@ func (t *Telemetry) Step(info StepInfo, src StateSource) {
 	t.mu.Unlock()
 }
 
-// ShardEvals adds n guard evaluations to flat.sweep.shard_evals; lock-free.
-//
-//snapvet:hotpath
-func (t *Telemetry) ShardEvals(n int64) {
-	if t == nil {
-		return
-	}
-	t.shardEvals.Add(n)
-}
-
-// ShardApplies is ShardEvals for staged action applications
-// (flat.sweep.shard_applies).
-//
-//snapvet:hotpath
-func (t *Telemetry) ShardApplies(n int64) {
-	if t == nil {
-		return
-	}
-	t.shardApplies.Add(n)
-}
-
 // waveTransitionLocked tracks the root's phase transitions into wave
 // spans. Callers hold t.mu.
 func (t *Telemetry) waveTransitionLocked(info StepInfo) {
@@ -380,7 +356,7 @@ func (t *Telemetry) waveTransitionLocked(info StepInfo) {
 		// Any processor already in B or F besides the root at broadcast
 		// start is leftover debris from corruption or an aborted wave —
 		// this wave is abnormal in the paper's sense.
-		t.wAbnProcs = int(t.cenB.Load()) - 1 + int(t.cenF.Load())
+		t.wAbnProcs = int(t.cenB.Value()) - 1 + int(t.cenF.Value())
 		if t.wAbnProcs > 0 {
 			t.abnWaves.Add(1)
 		}
@@ -428,9 +404,9 @@ func (t *Telemetry) sampleLocked(info StepInfo) {
 	t.series.append(Row{
 		Step:        int64(info.Step),
 		Enabled:     int64(info.Enabled),
-		B:           t.cenB.Load(),
-		F:           t.cenF.Load(),
-		C:           t.cenC.Load(),
+		B:           t.cenB.Value(),
+		F:           t.cenF.Value(),
+		C:           t.cenC.Value(),
 		Waves:       t.waves.Value(),
 		AbnWaves:    t.abnWaves.Value(),
 		GuardHitPct: hitPct,
@@ -549,7 +525,7 @@ func (t *Telemetry) Census() (b, f, c int64) {
 	if t == nil {
 		return 0, 0, 0
 	}
-	return t.cenB.Load(), t.cenF.Load(), t.cenC.Load()
+	return t.cenB.Value(), t.cenF.Value(), t.cenC.Value()
 }
 
 // Waves returns the completed and abnormal wave counts.
@@ -571,7 +547,7 @@ func (t *Telemetry) Totals() (steps, moves int64) {
 // Hist returns an aggregate histogram by its registry suffix — wave_rounds,
 // wave_steps, wave_ns, step_ns, eval_ns, or commit_ns — or nil for unknown
 // names and disabled telemetry.
-func (t *Telemetry) Hist(name string) *LogHist {
+func (t *Telemetry) Hist(name string) *obs.LogHist {
 	if t == nil {
 		return nil
 	}
@@ -606,8 +582,6 @@ func (t *Telemetry) Hist(name string) *LogHist {
 //	telemetry.step_ns          loghist   wall time per step
 //	telemetry.series           series    sampled time-series ring
 //	flat.guard.hits/misses     counter   hbits guard-cache tallies
-//	flat.sweep.shard_evals     counter   guard evaluations
-//	flat.sweep.shard_applies   counter   staged action applications
 //	flat.sweep.eval_ns         loghist   guard-refresh duration per step
 //	flat.sweep.commit_ns       loghist   commit duration per step
 func (t *Telemetry) PublishTo(reg *obs.Registry) {
@@ -618,9 +592,9 @@ func (t *Telemetry) PublishTo(reg *obs.Registry) {
 	reg.Register("telemetry.moves", &t.moves)
 	reg.Register("telemetry.waves", &t.waves)
 	reg.Register("telemetry.abnormal_waves", &t.abnWaves)
-	reg.Register("telemetry.census_b", gauge{&t.cenB})
-	reg.Register("telemetry.census_f", gauge{&t.cenF})
-	reg.Register("telemetry.census_c", gauge{&t.cenC})
+	reg.Register("telemetry.census_b", &t.cenB)
+	reg.Register("telemetry.census_f", &t.cenF)
+	reg.Register("telemetry.census_c", &t.cenC)
 	reg.Register("telemetry.wave_rounds", &t.waveRounds)
 	reg.Register("telemetry.wave_steps", &t.waveSteps)
 	reg.Register("telemetry.wave_ns", &t.waveNS)
@@ -628,13 +602,6 @@ func (t *Telemetry) PublishTo(reg *obs.Registry) {
 	reg.Register("telemetry.series", t.series)
 	reg.Register("flat.guard.hits", &t.guardHits)
 	reg.Register("flat.guard.misses", &t.guardMisses)
-	reg.Register("flat.sweep.shard_evals", &t.shardEvals)
-	reg.Register("flat.sweep.shard_applies", &t.shardApplies)
 	reg.Register("flat.sweep.eval_ns", &t.evalNS)
 	reg.Register("flat.sweep.commit_ns", &t.commitNS)
 }
-
-// gauge adapts an atomic.Int64 to expvar.Var.
-type gauge struct{ v *atomic.Int64 }
-
-func (g gauge) String() string { return strconv.FormatInt(g.v.Load(), 10) }

@@ -13,9 +13,13 @@ import (
 	"snappif/internal/telemetry"
 )
 
+// TestLogHist pins obs.LogHist — the registry's histogram, which the
+// telemetry aggregates embed — on a hand-checked sample: exact count, sum,
+// max and mean, and quantiles against the telemetry.ExactQuantile oracle.
 func TestLogHist(t *testing.T) {
-	var h telemetry.LogHist
-	for _, v := range []int64{1, 2, 3, 4, 5, 6, 7, 8, 100, 1000} {
+	var h obs.LogHist
+	samples := []int64{1, 2, 3, 4, 5, 6, 7, 8, 100, 1000}
+	for _, v := range samples {
 		h.Observe(v)
 	}
 	if got := h.Count(); got != 10 {
@@ -33,12 +37,12 @@ func TestLogHist(t *testing.T) {
 	// Quantiles interpolate inside the covering log bucket: the rank-5
 	// observation lands in bucket [4,7] at fraction 2/4, giving exactly the
 	// true p50 of 5 here.
-	if got := h.Quantile(0.5); got != 5 {
-		t.Fatalf("Quantile(0.5) = %d, want 5", got)
+	if got, exact := h.Quantile(0.5), telemetry.ExactQuantile(samples, 0.5); got != 5 || exact != 5 {
+		t.Fatalf("Quantile(0.5) = %d, exact %d, want 5", got, exact)
 	}
 	// Quantile(1) clamps to the true observed maximum.
-	if got := h.Quantile(1.0); got != 1000 {
-		t.Fatalf("Quantile(1.0) = %d, want 1000", got)
+	if got := h.Quantile(1.0); got != telemetry.ExactQuantile(samples, 1) {
+		t.Fatalf("Quantile(1.0) = %d, want the exact max %d", got, telemetry.ExactQuantile(samples, 1))
 	}
 	var parsed map[string]any
 	if err := json.Unmarshal([]byte(h.String()), &parsed); err != nil {
@@ -50,7 +54,7 @@ func TestLogHist(t *testing.T) {
 		}
 	}
 
-	var empty telemetry.LogHist
+	var empty obs.LogHist
 	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
 		t.Fatalf("empty hist: Quantile=%d Mean=%g, want 0 0", empty.Quantile(0.5), empty.Mean())
 	}
@@ -92,8 +96,6 @@ func TestDisabledNilSafe(t *testing.T) {
 	}
 	tel.BeginRun(telemetry.RunMeta{}, nil)
 	tel.Step(telemetry.StepInfo{Step: 1}, nil)
-	tel.ShardEvals(1)
-	tel.ShardApplies(1)
 	tel.Freeze()
 	if tel.Now() != 0 || tel.DetailTiming() {
 		t.Fatal("disabled timing must be off")
@@ -130,8 +132,6 @@ func TestDisabledAllocs(t *testing.T) {
 	info := telemetry.StepInfo{Step: 7, Enabled: 3, DB: 1, DC: -1}
 	if n := testing.AllocsPerRun(200, func() {
 		tel.Step(info, nil)
-		tel.ShardEvals(5)
-		tel.ShardApplies(5)
 		_ = tel.Now()
 		_ = tel.DetailTiming()
 	}); n != 0 {
@@ -150,7 +150,6 @@ func TestEnabledSteadyStateAllocs(t *testing.T) {
 	tel.Step(info, nil) // warm the schedule-ring slot
 	if n := testing.AllocsPerRun(200, func() {
 		tel.Step(info, nil)
-		tel.ShardEvals(3)
 	}); n != 0 {
 		t.Fatalf("enabled steady-state Step allocates %.1f/step, want 0", n)
 	}
@@ -250,7 +249,7 @@ func TestPublishTo(t *testing.T) {
 	for _, name := range []string{
 		"telemetry.steps", "telemetry.moves", "telemetry.waves",
 		"telemetry.census_c", "telemetry.wave_rounds", "telemetry.series",
-		"flat.guard.hits", "flat.sweep.shard_evals",
+		"flat.guard.hits",
 	} {
 		if _, ok := parsed[name]; !ok {
 			t.Errorf("registry missing %q", name)
@@ -261,6 +260,9 @@ func TestPublishTo(t *testing.T) {
 	}
 	if got := parsed["flat.guard.hits"]; got != float64(3) {
 		t.Errorf("flat.guard.hits = %v, want 3", got)
+	}
+	if got := parsed["telemetry.census_c"]; got != float64(2) {
+		t.Errorf("telemetry.census_c = %v, want 2", got)
 	}
 }
 

@@ -69,7 +69,7 @@ func TestSoakManyWaves(t *testing.T) {
 	}()
 	reg := obs.NewRegistry()
 	wavesDone := reg.Counter("soak.waves")
-	roundsHist := reg.Histogram("soak.rounds_per_wave", 10, 20, 40, 80)
+	roundsHist := reg.Histogram("soak.rounds_per_wave")
 	corruptions := []snappif.Corruption{
 		snappif.CorruptUniform, snappif.CorruptPhantomTree,
 		snappif.CorruptInflatedCounts, snappif.CorruptStaleRegion,
