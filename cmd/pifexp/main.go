@@ -35,8 +35,8 @@
 // additionally writes the causal wave spans as Chrome trace_event JSON that
 // loads in Perfetto (or chrome://tracing); -flight keeps the flight
 // recorder running and dumps the last recorded window as a replayable
-// pifhunt scenario. Both imply -telemetry; both follow one run at a time,
-// so they require a serial run (no -parallel).
+// pifhunt scenario. Both imply -telemetry. A Telemetry follows one run at a
+// time, so all three require a serial run (no -parallel).
 //
 // -http serves live observability while the experiments run: the harness
 // metrics at /debug/vars (expvar; see the "snappif" variable), a /healthz
@@ -91,7 +91,7 @@ func run(args []string, out io.Writer) (err error) {
 		latency  = fs.String("latency", "", "event engine only: per-link latency distribution (const:K, uniform:LO-HI, pareto:a=A,cap=C); replaces the daemon with asynchronous virtual-time scheduling")
 		bench    = fs.String("bench", "", "measure the simulation hot path and write a JSON report to this file")
 		scale    = fs.String("scale", "", "measure the large-N scaling grid (generic vs event) and write a BENCH_scale JSON report to this file")
-		telem    = fs.Bool("telemetry", false, "enable the aggregating telemetry layer (counters, wave histograms, sampled time series); published at /debug/vars, summarized on stderr")
+		telem    = fs.Bool("telemetry", false, "enable the aggregating telemetry layer (counters, wave histograms, sampled time series); published at /debug/vars, summarized on stderr; serial runs only")
 		spansOut = fs.String("spans", "", "write causal wave spans as Chrome trace_event JSON (Perfetto-loadable) to this file; implies -telemetry, serial runs only")
 		flightTo = fs.String("flight", "", "run the flight recorder and dump its last window as a replayable pifhunt scenario (JSON) to this file; implies -telemetry, serial runs only")
 		httpAddr = fs.String("http", "", "serve /debug/vars, /healthz, and /debug/pprof on this address while running (e.g. localhost:6060)")
@@ -155,16 +155,15 @@ func run(args []string, out io.Writer) (err error) {
 	var tel *telemetry.Telemetry
 	var vclock *event.VirtualClock
 	if *telem || *spansOut != "" || *flightTo != "" {
-		if *parallel && (*spansOut != "" || *flightTo != "") {
-			return fmt.Errorf("-spans and -flight follow one run at a time and need a serial run; drop -parallel")
+		if *parallel {
+			return fmt.Errorf("-telemetry, -spans and -flight follow one run at a time and need a serial run; drop -parallel")
 		}
 		//snapvet:ok telemetry clock base for span timestamps; timing fields are measurement output, not engine state
 		base := time.Now()
 		tcfg := telemetry.Config{
 			// Monotonic-delta clock: durations survive wall-clock steps.
 			//snapvet:ok monotonic telemetry clock; timing fields are measurement output, not engine state
-			Clock:  func() int64 { return int64(time.Since(base)) },
-			Timing: true,
+			Clock: func() int64 { return int64(time.Since(base)) },
 		}
 		if *latency != "" {
 			// Asynchronous event runs stamp spans in virtual time: the

@@ -65,8 +65,15 @@ func TestRunWritesCSV(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-definitely-not-a-flag"}, &out); err == nil {
-		t.Fatal("bad flag accepted")
+	for _, args := range [][]string{
+		{"-definitely-not-a-flag"},
+		// A Telemetry follows one run at a time: parallel cells would
+		// interleave its wave state.
+		{"-quick", "-only", "E1", "-telemetry", "-parallel"},
+	} {
+		var out strings.Builder
+		if err := run(args, &out); err == nil {
+			t.Fatalf("run(%q) accepted", args)
+		}
 	}
 }

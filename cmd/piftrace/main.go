@@ -8,8 +8,7 @@
 //
 //	piftrace summary FILE            totals, moves per action, wave table,
 //	                                 wave-latency percentiles (p50/p95/p99
-//	                                 rounds, and wall time when the trace was
-//	                                 recorded with a clock)
+//	                                 rounds)
 //	piftrace timeline [-every k] FILE   phase Gantt (rows: processors,
 //	                                 columns: round boundaries) + wave spans
 //	piftrace spans [-o FILE] FILE    export causal wave spans as Chrome
@@ -38,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"snappif/internal/check"
 	"snappif/internal/core"
@@ -179,17 +177,12 @@ func waveSpans(out io.Writer, tr *obs.Trace) []telemetry.Span {
 	return spans
 }
 
-// waveLatency prints the completed-wave latency percentiles: rounds always,
-// wall time when the trace was recorded with a clock (obs.WithClock).
+// waveLatency prints the completed-wave round percentiles.
 func waveLatency(out io.Writer, spans []telemetry.Span) {
-	var rounds, walls []int64 // walls in µs
+	var rounds []int64
 	for _, w := range spans {
-		if w.Open {
-			continue
-		}
-		rounds = append(rounds, int64(w.Rounds()))
-		if w.StartNS > 0 && w.EndNS >= w.StartNS {
-			walls = append(walls, (w.EndNS-w.StartNS)/1000)
+		if !w.Open {
+			rounds = append(rounds, int64(w.Rounds()))
 		}
 	}
 	if len(rounds) == 0 {
@@ -197,13 +190,6 @@ func waveLatency(out io.Writer, spans []telemetry.Span) {
 	}
 	fmt.Fprintf(out, "wave latency (%d completed): rounds p50=%d p95=%d p99=%d\n", len(rounds),
 		telemetry.ExactQuantile(rounds, 0.50), telemetry.ExactQuantile(rounds, 0.95), telemetry.ExactQuantile(rounds, 0.99))
-	if len(walls) > 0 {
-		us := func(q float64) time.Duration {
-			return time.Duration(telemetry.ExactQuantile(walls, q)) * time.Microsecond
-		}
-		fmt.Fprintf(out, "wave wall time (%d timed): p50=%v p95=%v p99=%v\n",
-			len(walls), us(0.50), us(0.95), us(0.99))
-	}
 }
 
 // spansCmd exports the trace's causal wave spans as Chrome trace_event JSON.

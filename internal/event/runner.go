@@ -443,7 +443,7 @@ func (r *Runner) Step() (done bool, err error) {
 	if r.finished {
 		return true, r.err
 	}
-	stepStart := r.tel.Now() // 0 when telemetry or timing is off
+	stepStart := r.tel.Now() // 0 when telemetry is off or has no clock
 	var rootBefore core.Phase
 	if r.tel != nil {
 		rootBefore = r.c.Phase(r.k.Root)
@@ -516,7 +516,7 @@ func (r *Runner) Step() (done bool, err error) {
 	// Execute: stage every next state from the pre-step slices, then
 	// scatter-commit. Composite atomicity, distributed daemon.
 	var commitStart int64
-	if r.tel.DetailTiming() {
+	if stepStart > 0 {
 		commitStart = r.tel.Now()
 	}
 	for i, ch := range selected {
@@ -597,7 +597,7 @@ func (r *Runner) Step() (done bool, err error) {
 	}
 
 	var evalStart int64
-	if r.tel.DetailTiming() {
+	if stepStart > 0 {
 		evalStart = r.tel.Now()
 	}
 	r.refresh(selected)

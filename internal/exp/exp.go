@@ -65,8 +65,9 @@ type Options struct {
 	// Telemetry, if non-nil, receives the per-step aggregation hooks of
 	// every snap-PIF cycle run (both engines). The instance is shared
 	// across cells — its counters and histograms aggregate the whole
-	// experiment batch, and with Parallel the cells feed it concurrently
-	// (all hooks are safe for concurrent use).
+	// experiment batch. It follows one run at a time (its wave and census
+	// state are per run), so its wave counts are only meaningful without
+	// Parallel; concurrent feeding stays race-free.
 	Telemetry *telemetry.Telemetry
 }
 

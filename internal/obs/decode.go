@@ -51,9 +51,8 @@ type Event struct {
 	Kind  string   `json:"kind,omitempty"`
 	Wave  int      `json:"wave,omitempty"`
 	M     string   `json:"m,omitempty"`
-	TS    int64    `json:"ts,omitempty"` // wall-clock µs at wave boundaries (clock-attached traces only)
 
-	// abn
+	// abn; on a wave start, the census debris
 	Abn int `json:"abn,omitempty"`
 
 	// action
@@ -187,21 +186,13 @@ func Diff(a, b *Trace) string {
 }
 
 // filterDeterministic drops the event kinds whose presence or order is
-// timing-dependent (concurrent-runtime action events) and blanks the
-// per-event fields that are wall-clock-dependent (wave "ts" stamps), so two
-// runs of the same seed diff clean regardless of attached clocks.
+// timing-dependent (concurrent-runtime action events).
 func filterDeterministic(evs []*Event) []*Event {
 	out := make([]*Event, 0, len(evs))
 	for _, e := range evs {
-		if e.T == "action" {
-			continue
+		if e.T != "action" {
+			out = append(out, e)
 		}
-		if e.TS != 0 {
-			cp := *e
-			cp.TS = 0
-			e = &cp
-		}
-		out = append(out, e)
 	}
 	return out
 }

@@ -238,9 +238,8 @@ func appendPhase(buf []byte, step, proc int, from, to core.Phase) []byte {
 }
 
 // appendWave appends {"t":"wave","kind":"start","wave":1,"i":3,"round":2,"m":"7"}
-// plus an optional `"ts"` wall-clock microsecond stamp (emitted when ts > 0,
-// i.e. when the tracer was given a clock).
-func appendWave(buf []byte, kind string, wave, step, round int, msg uint64, ts int64) []byte {
+// plus the census debris at a start, `"abn":2`, when it is positive.
+func appendWave(buf []byte, kind string, wave, step, round int, msg uint64, abn int) []byte {
 	buf = append(buf, `{"t":"wave","kind":"`...)
 	buf = append(buf, kind...)
 	buf = append(buf, `","wave":`...)
@@ -252,9 +251,9 @@ func appendWave(buf []byte, kind string, wave, step, round int, msg uint64, ts i
 	buf = append(buf, `,"m":"`...)
 	buf = strconv.AppendUint(buf, msg, 10)
 	buf = append(buf, '"')
-	if ts > 0 {
-		buf = append(buf, `,"ts":`...)
-		buf = strconv.AppendInt(buf, ts, 10)
+	if abn > 0 {
+		buf = append(buf, `,"abn":`...)
+		buf = strconv.AppendInt(buf, int64(abn), 10)
 	}
 	return append(buf, '}', '\n')
 }

@@ -24,8 +24,9 @@
 //	        (processor, action) pairs.
 //	phase   one processor's PIF phase transition (B/F/C) during a step.
 //	wave    a PIF wave boundary observed at the root: "start" when the
-//	        root's B-action opens a broadcast, "end" when the root returns
-//	        to clean.
+//	        root's B-action opens a broadcast (with "abn", the processors
+//	        other than the root in B or F, when there are any), "end" when
+//	        the root returns to clean.
 //	round   a round boundary (per the paper's round definition).
 //	abn     the abnormal-processor count, sampled at each round boundary.
 //	action  one action execution in the concurrent runtime (globally

@@ -30,7 +30,6 @@ type Tracer struct {
 	w     *asyncWriter
 	mask  Mask
 	proto *core.Protocol
-	clock func() int64 // optional µs wall clock for wave timestamps
 
 	cfg  *sim.Configuration // live configuration, for the final snapshot
 	prev []core.Phase       // last seen phase per processor
@@ -75,16 +74,6 @@ func WithMask(m Mask) Option {
 // 1024).
 func WithRingSize(n int) Option {
 	return func(t *Tracer) { t.ringSize = n }
-}
-
-// WithClock attaches a wall-clock source (microseconds, must be positive)
-// read at wave boundaries: wave events gain a "ts" field, which piftrace
-// summary and the telemetry span exporter turn into wall-time latencies.
-// The tracer itself stays deterministic — obs is clock-free by policy
-// (snapvet detrange), so the clock is injected by callers outside that
-// boundary.
-func WithClock(now func() int64) Option {
-	return func(t *Tracer) { t.clock = now }
 }
 
 // New returns an enabled Tracer streaming JSONL to w.
@@ -158,14 +147,17 @@ func (t *Tracer) Fault(name string, c *sim.Configuration) {
 	}
 }
 
-// now reads the injected clock, or 0 when none is attached. Callers hold
-// t.mu; wave boundaries are the only call sites, so clock reads never land
-// on the per-step path.
-func (t *Tracer) now() int64 {
-	if t.clock == nil {
-		return 0
+// debris counts the processors other than root in B or F — the census
+// debris a wave opening now starts over (cenB−1+cenF, DESIGN.md §11). Wave
+// starts are the only call site, so the O(N) pass is paid once per wave.
+func debris(c *sim.Configuration, root int) int {
+	n := 0
+	for p := 0; p < c.N(); p++ {
+		if p != root && core.At(c, p).Pif != core.C {
+			n++
+		}
 	}
-	return t.clock()
+	return n
 }
 
 // snapshotPhases refreshes the phase-transition baseline from c. Callers
@@ -227,10 +219,10 @@ func (t *Tracer) OnStep(step int, executed []sim.Choice, c *sim.Configuration) {
 		case to == core.B && from == core.C:
 			t.waves++
 			t.waveOpen = true
-			t.w.put(appendWave(t.w.get(), "start", t.waves, step, t.lastRound+1, core.At(c, root).Msg, t.now()))
+			t.w.put(appendWave(t.w.get(), "start", t.waves, step, t.lastRound+1, core.At(c, root).Msg, debris(c, root)))
 		case to == core.C && t.waveOpen:
 			t.waveOpen = false
-			t.w.put(appendWave(t.w.get(), "end", t.waves, step, t.lastRound+1, core.At(c, root).Msg, t.now()))
+			t.w.put(appendWave(t.w.get(), "end", t.waves, step, t.lastRound+1, core.At(c, root).Msg, 0))
 		}
 	}
 }

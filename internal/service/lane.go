@@ -53,7 +53,8 @@ type lane struct {
 	eng laneEngine
 }
 
-// laneEngine abstracts the three engines behind the serving loop.
+// laneEngine abstracts the engines behind the serving loop: syncLane
+// (sim.Runner, or event.Runner under an external daemon) and eventLane.
 type laneEngine interface {
 	// advance runs the lane's schedule up to global tick t, calling observe
 	// after every committed step.
@@ -70,10 +71,8 @@ type laneEngine interface {
 	// global tick t (the event engine's lost-wakeup cure; a no-op for the
 	// synchronous engines, whose serving loop re-polls parked()).
 	wake(t int64)
-	// rootPhase, rootMsg, rootAgg read the root's registers.
-	rootPhase() core.Phase
-	rootMsg() uint64
-	rootAgg() int64
+	// root reads the root's state.
+	root() core.State
 }
 
 // gateOpen is the admission predicate: the root broadcast is admitted only
@@ -107,7 +106,8 @@ func (ln *lane) advance(t int64) error {
 // observe translates root phase transitions into wave lifecycle events; it
 // runs after every committed step of the lane's engine.
 func (ln *lane) observe() error {
-	cur := ln.eng.rootPhase()
+	rs := ln.eng.root()
+	cur := rs.Pif
 	prev := ln.prevPhase
 	if cur == prev {
 		return nil
@@ -141,8 +141,8 @@ func (ln *lane) observe() error {
 		ln.rep.record(Wave{
 			Lane:     ln.idx,
 			Kind:     req.kind.String(),
-			Msg:      ln.eng.rootMsg(),
-			Resp:     ln.eng.rootAgg(),
+			Msg:      rs.Msg,
+			Resp:     rs.Agg,
 			EnqueueT: req.enqueueT,
 			StartT:   ln.startT,
 			DoneT:    ln.tick,
@@ -199,31 +199,24 @@ func newLane(opts *Options, idx, root int, faultName string) (*lane, error) {
 	switch opts.Engine {
 	case "sim":
 		r := sim.NewRunner(cfg, pr, &gateDaemon{admit: ln.admit}, simOpts)
-		ln.eng = &simLane{ln: ln, cfg: cfg, r: r}
+		ln.eng = &syncLane{ln: ln, r: r,
+			rootB: func() bool {
+				acts := r.EnabledActionsOf(root)
+				return len(acts) == 1 && acts[0] == core.ActionB
+			},
+			state: func() core.State { return core.At(cfg, root) },
+		}
 	case "flat":
-		k, err := flat.FromCore(pr)
+		fc, r, err := newEventRunner(pr, cfg, &gateDaemon{admit: ln.admit}, event.Options{Options: simOpts})
 		if err != nil {
 			return nil, err
 		}
-		fc, err := flat.FromSim(cfg)
-		if err != nil {
-			return nil, err
+		ln.eng = &syncLane{ln: ln, r: r,
+			rootB: func() bool { return r.EnabledActionOf(root) == int32(core.ActionB) },
+			state: func() core.State { return fc.StateAt(root) },
 		}
-		r, err := event.NewRunner(fc, k, &gateDaemon{admit: ln.admit}, event.Options{Options: simOpts})
-		if err != nil {
-			return nil, err
-		}
-		ln.eng = &flatLane{ln: ln, fc: fc, r: r}
 	case "event":
-		k, err := flat.FromCore(pr)
-		if err != nil {
-			return nil, err
-		}
-		fc, err := flat.FromSim(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := event.NewRunner(fc, k, nil, event.Options{
+		fc, r, err := newEventRunner(pr, cfg, nil, event.Options{
 			Options: simOpts,
 			Latency: opts.Latency,
 			Gate:    func(p int, a int32) bool { return ln.admit(p, int(a)) },
@@ -233,8 +226,22 @@ func newLane(opts *Options, idx, root int, faultName string) (*lane, error) {
 		}
 		ln.eng = &eventLane{ln: ln, fc: fc, r: r}
 	}
-	ln.prevPhase = ln.eng.rootPhase()
+	ln.prevPhase = ln.eng.root().Pif
 	return ln, nil
+}
+
+// newEventRunner builds an event.Runner over a struct-of-arrays copy of cfg.
+func newEventRunner(pr *core.Protocol, cfg *sim.Configuration, d sim.Daemon, opts event.Options) (*flat.Config, *event.Runner, error) {
+	k, err := flat.FromCore(pr)
+	if err != nil {
+		return nil, nil, err
+	}
+	fc, err := flat.FromSim(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := event.NewRunner(fc, k, d, opts)
+	return fc, r, err
 }
 
 // gateDaemon wraps the synchronous daemon for the sim and flat engines
@@ -268,14 +275,21 @@ func (d *gateDaemon) Select(step int, c *sim.Configuration, enabled []sim.Choice
 	return out
 }
 
-// simLane runs a lane on the generic engine: one synchronous step per tick.
-type simLane struct {
-	ln  *lane
-	cfg *sim.Configuration
-	r   *sim.Runner
+// syncLane runs a lane under gateDaemon, one synchronous step per tick: the
+// sim engine is sim.Runner, the flat engine event.Runner with no latency.
+type syncLane struct {
+	ln *lane
+	r  interface {
+		Step() (done bool, err error)
+		EnabledCount() int
+	}
+	// rootB reports whether the root's enabled action is its B-action;
+	// state reads the root's state.
+	rootB func() bool
+	state func() core.State
 }
 
-func (e *simLane) advance(_ int64, observe func() error) error {
+func (e *syncLane) advance(_ int64, observe func() error) error {
 	if e.parked() {
 		return nil
 	}
@@ -289,76 +303,22 @@ func (e *simLane) advance(_ int64, observe func() error) error {
 	return observe()
 }
 
-func (e *simLane) parked() bool {
+// parked: nothing enabled, or only the root's withheld broadcast.
+func (e *syncLane) parked() bool {
 	n := e.r.EnabledCount()
-	if n == 0 {
-		return true
-	}
-	if e.ln.gateOpen() || n != 1 {
-		return false
-	}
-	acts := e.r.EnabledActionsOf(e.ln.root)
-	return len(acts) == 1 && acts[0] == core.ActionB
+	return n == 0 || n == 1 && !e.ln.gateOpen() && e.rootB()
 }
 
-func (e *simLane) nextWake() int64 {
+func (e *syncLane) nextWake() int64 {
 	if e.parked() {
 		return -1
 	}
 	return e.ln.tick + 1
 }
 
-func (e *simLane) wake(int64) {} // the serving loop re-polls parked()
+func (e *syncLane) wake(int64) {} // the serving loop re-polls parked()
 
-func (e *simLane) rootPhase() core.Phase { return core.At(e.cfg, e.ln.root).Pif }
-func (e *simLane) rootMsg() uint64       { return core.At(e.cfg, e.ln.root).Msg }
-func (e *simLane) rootAgg() int64        { return core.At(e.cfg, e.ln.root).Agg }
-
-// flatLane runs a lane on the flat engine — event.Runner in external-daemon
-// mode under gateDaemon: one synchronous step per tick.
-type flatLane struct {
-	ln *lane
-	fc *flat.Config
-	r  *event.Runner
-}
-
-func (e *flatLane) advance(_ int64, observe func() error) error {
-	if e.parked() {
-		return nil
-	}
-	done, err := e.r.Step()
-	if err != nil {
-		return err
-	}
-	if done {
-		return nil
-	}
-	return observe()
-}
-
-func (e *flatLane) parked() bool {
-	n := e.r.EnabledCount()
-	if n == 0 {
-		return true
-	}
-	if e.ln.gateOpen() || n != 1 {
-		return false
-	}
-	return e.r.EnabledActionOf(e.ln.root) == int32(core.ActionB)
-}
-
-func (e *flatLane) nextWake() int64 {
-	if e.parked() {
-		return -1
-	}
-	return e.ln.tick + 1
-}
-
-func (e *flatLane) wake(int64) {}
-
-func (e *flatLane) rootPhase() core.Phase { return e.fc.Phase(e.ln.root) }
-func (e *flatLane) rootMsg() uint64       { return e.fc.Msg(e.ln.root) }
-func (e *flatLane) rootAgg() int64        { return e.fc.Agg(e.ln.root) }
+func (e *syncLane) root() core.State { return e.state() }
 
 // eventLane runs a lane on the discrete-event engine: drain every effective
 // wake batch up to the global tick.
@@ -387,6 +347,4 @@ func (e *eventLane) parked() bool    { return e.r.Idle() }
 func (e *eventLane) nextWake() int64 { return e.r.NextWake() }
 func (e *eventLane) wake(t int64)    { e.r.Wake(e.ln.root, t) }
 
-func (e *eventLane) rootPhase() core.Phase { return e.fc.Phase(e.ln.root) }
-func (e *eventLane) rootMsg() uint64       { return e.fc.Msg(e.ln.root) }
-func (e *eventLane) rootAgg() int64        { return e.fc.Agg(e.ln.root) }
+func (e *eventLane) root() core.State { return e.fc.StateAt(e.ln.root) }

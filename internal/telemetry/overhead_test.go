@@ -18,13 +18,13 @@ import (
 )
 
 // fullConfig is the everything-on telemetry shape the overhead gate and the
-// EXPERIMENTS.md table measure: wall-clock timestamps, per-step timing
-// histograms, and the flight recorder at its default cadence.
+// EXPERIMENTS.md table measure: a clock (wall-clock timestamps, per-step
+// timing histograms with the eval/commit split), and the flight recorder at
+// its default cadence.
 func fullConfig() telemetry.Config {
 	base := time.Now()
 	return telemetry.Config{
 		Clock:       func() int64 { return int64(time.Since(base)) },
-		Timing:      true,
 		FlightDepth: 8,
 	}
 }

@@ -38,19 +38,25 @@ func TestExactQuantile(t *testing.T) {
 // nearest-rank percentile (same power-of-two bucket), and Quantile(1) is
 // exactly the maximum.
 func TestLogHistQuantileErrorBounds(t *testing.T) {
+	// A fixed-order slice: the generators share one rng, so the iteration
+	// order decides each distribution's samples.
 	rng := rand.New(rand.NewSource(42))
-	dists := map[string]func() int64{
-		"uniform-1k":  func() int64 { return 1 + rng.Int63n(1000) },
-		"exp-ish":     func() int64 { return 1 + int64(1)<<uint(rng.Intn(20)) + rng.Int63n(64) },
-		"heavy-tail":  func() int64 { return int64(1000 / (1 + rng.Intn(31))) },
-		"tiny-sample": func() int64 { return 1 + rng.Int63n(8) },
+	dists := []struct {
+		name string
+		size int
+		gen  func() int64
+	}{
+		{"uniform-1k", 5000, func() int64 { return 1 + rng.Int63n(1000) }},
+		{"exp-ish", 2000, func() int64 { return 1 + int64(1)<<uint(rng.Intn(20)) + rng.Int63n(64) }},
+		{"heavy-tail", 777, func() int64 { return int64(1000 / (1 + rng.Intn(31))) }},
+		{"tiny-sample", 5, func() int64 { return 1 + rng.Int63n(8) }},
 	}
-	sizes := map[string]int{"uniform-1k": 5000, "exp-ish": 2000, "heavy-tail": 777, "tiny-sample": 5}
-	for name, gen := range dists {
+	for _, d := range dists {
+		name := d.name
 		var h obs.LogHist
-		samples := make([]int64, 0, sizes[name])
-		for i := 0; i < sizes[name]; i++ {
-			v := gen()
+		samples := make([]int64, 0, d.size)
+		for i := 0; i < d.size; i++ {
+			v := d.gen()
 			h.Observe(v)
 			samples = append(samples, v)
 		}

@@ -10,31 +10,31 @@ import (
 )
 
 // Span is one causal PIF wave span: the root's broadcast start (C→B),
-// feedback completion (B→F), and cleaning completion (→C), in both logical
-// time (steps, rounds) and — when a clock is attached — wall time.
+// feedback completion (B→F), and cleaning completion (→C), in logical time
+// (steps, rounds) and — live, when a clock is attached — wall time.
 type Span struct {
 	// Wave is the 1-based wave number.
 	Wave int
-	// Msg is the wave's payload stamp (the root's Msg register during the
-	// wave).
+	// Msg is the wave's payload stamp (the root's Msg register at start).
 	Msg uint64
 	// StartStep, FeedbackStep, EndStep are the committed step indices of
-	// the three root transitions. FeedbackStep is 0 when the trace carries
-	// no phase events or the span is still open.
+	// the three root transitions. FeedbackStep is 0 before the root's
+	// F-action, and in traces recorded without phase events.
 	StartStep, FeedbackStep, EndStep int
 	// StartRound, EndRound are the 1-based rounds in progress at start and
 	// end.
 	StartRound, EndRound int
-	// StartNS, FeedbackNS, EndNS are wall-clock nanosecond stamps (0
-	// without a clock).
+	// StartNS, FeedbackNS, EndNS are the telemetry clock's nanosecond
+	// stamps (0 without a clock, and in spans built from a trace).
 	StartNS, FeedbackNS, EndNS int64
 	// Abnormal reports broadcast/feedback leftovers from corruption or an
 	// earlier aborted wave were present when this wave started; AbnProcs is
-	// how many.
+	// how many (the processors other than the root in B or F at start).
 	Abnormal bool
 	AbnProcs int
-	// Open reports the wave had not completed when the run (or trace)
-	// ended; EndStep/EndRound/EndNS are then unset.
+	// Open reports the wave had not completed when its run ended, a fault
+	// cut it, or the recording stopped; EndStep/EndRound/EndNS are then
+	// unset.
 	Open bool
 }
 
@@ -135,67 +135,113 @@ func WriteTraceEvents(w io.Writer, name string, spans []Span) error {
 	return enc.Encode(traceFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
 }
 
-// SpansFromTrace reconstructs wave spans from a decoded obs JSONL trace:
-// wave start/end events bound each span, the root's B→F phase event inside
-// it marks feedback completion, and abn round samples inside it flag
-// abnormal leftovers. Traces recorded with a clock (obs.WithClock) carry
-// per-wave wall time; others yield logical spans only.
+// spanBuilder is the one wave-span state machine. Live telemetry
+// (Telemetry.Step, BeginRun, Spans) and SpansFromTrace feed it the same
+// events, read off the root's own actions in Algorithm 1: its B-action opens
+// a wave, its F-action completes the feedback, and its C-action or
+// B-correction ends the wave. A run boundary or fault cuts a wave still open,
+// which is kept as an Open span with its payload.
+type spanBuilder struct {
+	spans   []Span
+	max     int // retention cap; 0 keeps every span
+	dropped int64
+	waves   int  // waves opened so far
+	cur     Span // the open wave, valid while open
+	open    bool
+}
+
+// start opens the next wave at the root's B-action. debris is the census
+// debris at open — the processors other than the root in B or F — and marks
+// the wave abnormal when positive.
+func (b *spanBuilder) start(step, round int, msg uint64, debris int, ns int64) {
+	b.cut()
+	b.waves++
+	b.cur = Span{Wave: b.waves, Msg: msg, StartStep: step, StartRound: round, StartNS: ns}
+	if debris > 0 {
+		b.cur.Abnormal, b.cur.AbnProcs = true, debris
+	}
+	b.open = true
+}
+
+// feedback records the root's F-action inside the open wave.
+func (b *spanBuilder) feedback(step int, ns int64) {
+	if b.open {
+		b.cur.FeedbackStep, b.cur.FeedbackNS = step, ns
+	}
+}
+
+// end completes the open wave at the root's return to C and reports it; ok
+// is false when no wave is open.
+func (b *spanBuilder) end(step, round int, ns int64) (s Span, ok bool) {
+	if !b.open {
+		return Span{}, false
+	}
+	b.open = false
+	s = b.cur
+	s.EndStep, s.EndRound, s.EndNS = step, round, ns
+	b.keep(s)
+	return s, true
+}
+
+// cut keeps a wave still open at a run boundary or fault as an Open span.
+func (b *spanBuilder) cut() {
+	if b.open {
+		b.open = false
+		s := b.cur
+		s.Open = true
+		b.keep(s)
+	}
+}
+
+func (b *spanBuilder) keep(s Span) {
+	if b.max > 0 && len(b.spans) >= b.max {
+		b.dropped++
+		return
+	}
+	b.spans = append(b.spans, s)
+}
+
+// snapshot returns a copy of the kept spans followed by the open wave, if
+// any, as an Open span.
+func (b *spanBuilder) snapshot() []Span {
+	out := make([]Span, len(b.spans), len(b.spans)+1)
+	copy(out, b.spans)
+	if b.open {
+		s := b.cur
+		s.Open = true
+		out = append(out, s)
+	}
+	return out
+}
+
+// SpansFromTrace reconstructs wave spans from a decoded obs JSONL trace with
+// the builder live telemetry uses: wave start/end events bound each span
+// (the start event carries the census debris), the root's B→F phase event
+// inside it marks feedback completion, and run and fault events cut a wave
+// still open. Offline spans are logical only: steps and rounds.
 func SpansFromTrace(tr *obs.Trace) ([]Span, error) {
 	if tr.Meta == nil {
 		return nil, fmt.Errorf("telemetry: trace has no meta header (wave spans need the root)")
 	}
 	root := tr.Meta.Root
-	var spans []Span
-	var cur *Span
+	var b spanBuilder
 	for _, ev := range tr.Events {
 		switch ev.T {
 		case "wave":
 			switch ev.Kind {
 			case "start":
-				if cur != nil {
-					cur.Open = true
-					spans = append(spans, *cur)
-				}
-				cur = &Span{
-					Wave:       ev.Wave,
-					StartStep:  ev.I,
-					StartRound: ev.Round,
-					StartNS:    ev.TS * 1000,
-				}
-				cur.Msg, _ = strconv.ParseUint(ev.M, 10, 64)
+				msg, _ := strconv.ParseUint(ev.M, 10, 64)
+				b.start(ev.I, ev.Round, msg, ev.Abn, 0)
 			case "end":
-				if cur == nil {
-					continue
-				}
-				cur.EndStep = ev.I
-				cur.EndRound = ev.Round
-				cur.EndNS = ev.TS * 1000
-				spans = append(spans, *cur)
-				cur = nil
+				b.end(ev.I, ev.Round, 0)
 			}
 		case "phase":
-			if cur != nil && ev.P == root && ev.From == "B" && ev.To == "F" {
-				cur.FeedbackStep = ev.I
+			if ev.P == root && ev.From == "B" && ev.To == "F" {
+				b.feedback(ev.I, 0)
 			}
-		case "abn":
-			if cur != nil && ev.Abn > 0 && ev.Round >= cur.StartRound {
-				cur.Abnormal = true
-				if ev.Abn > cur.AbnProcs {
-					cur.AbnProcs = ev.Abn
-				}
-			}
-		case "fault":
-			// Corruption mid-wave aborts the causal span: close it as open.
-			if cur != nil {
-				cur.Open = true
-				spans = append(spans, *cur)
-				cur = nil
-			}
+		case "run", "fault":
+			b.cut()
 		}
 	}
-	if cur != nil {
-		cur.Open = true
-		spans = append(spans, *cur)
-	}
-	return spans, nil
+	return b.snapshot(), nil
 }

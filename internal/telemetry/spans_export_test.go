@@ -9,6 +9,7 @@ import (
 
 	"snappif/internal/check"
 	"snappif/internal/core"
+	"snappif/internal/fault"
 	"snappif/internal/graph"
 	"snappif/internal/obs"
 	"snappif/internal/sim"
@@ -87,60 +88,143 @@ func TestWriteTraceEventsGolden(t *testing.T) {
 	}
 }
 
-// TestSpansFromTraceMatchesLive round-trips the span pipeline: the spans
-// reconstructed offline from a JSONL trace must agree with the spans the
-// live telemetry recorded for the same run.
-func TestSpansFromTraceMatchesLive(t *testing.T) {
-	g, err := graph.RandomConnected(12, 0.25, newRand(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := core.New(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cy, d := check.NewCycleObserver(pr), sim.DistributedRandom{P: 0.5}
+// recordSpans drives one configuration through the given run segments with
+// one tracer and one telemetry.Observer attached across all of them, and
+// returns the spans SpansFromTrace rebuilds from the trace and the spans
+// the live telemetry recorded.
+func recordSpans(t *testing.T, g *graph.Graph, pr *core.Protocol, cfg *sim.Configuration, d sim.Daemon, segs []sim.Options) (offline, live []telemetry.Span) {
+	t.Helper()
 	tel := telemetry.New(testConfig())
 	to := &telemetry.Observer{T: tel, Proto: pr}
 	var traceBuf bytes.Buffer
 	tracer := obs.New(&traceBuf, obs.WithProtocol(pr))
-	cfg := sim.NewConfiguration(g, pr)
-	const seed = 6
-	tracer.BeginRun(g, d.Name(), seed, cfg)
-	to.Begin(telemetry.RunMeta{
-		G: g, Root: 0, Seed: seed - 1, Engine: "generic", Daemon: d.Name(), NextMsg: pr.NextMsg,
-	}, cfg)
-	if _, err := sim.Run(cfg, pr, d, sim.Options{
-		MaxSteps:  500_000,
-		Seed:      seed,
-		Observers: []sim.Observer{cy, tracer, to},
-		StopWhen:  cy.StopAfterCycles(3),
-	}); err != nil {
-		t.Fatal(err)
+	for _, opts := range segs {
+		tracer.BeginRun(g, d.Name(), opts.Seed, cfg)
+		to.Begin(telemetry.RunMeta{
+			G: g, Root: pr.Root, Seed: opts.Seed - 1, Engine: "generic", Daemon: d.Name(), NextMsg: pr.NextMsg,
+		}, cfg)
+		opts.Observers = append(opts.Observers, tracer, to)
+		if _, err := sim.Run(cfg, pr, d, opts); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
-
 	tr, err := obs.ReadTrace(bytes.NewReader(traceBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	offline, err := telemetry.SpansFromTrace(tr)
+	offline, err = telemetry.SpansFromTrace(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := tel.Spans()
-	if len(offline) != len(live) || len(live) < 3 {
-		t.Fatalf("span counts diverge: offline %d, live %d", len(offline), len(live))
+	return offline, tel.Spans()
+}
+
+// sameSpans fails unless the offline and live spans agree field for field.
+func sameSpans(t *testing.T, name string, offline, live []telemetry.Span) {
+	t.Helper()
+	if len(offline) != len(live) {
+		t.Fatalf("%s: span counts diverge: offline %d, live %d\noffline: %+v\nlive:    %+v",
+			name, len(offline), len(live), offline, live)
 	}
 	for i := range live {
-		a, b := offline[i], live[i]
-		if a.Wave != b.Wave || a.Msg != b.Msg || a.StartStep != b.StartStep ||
-			a.EndStep != b.EndStep || a.FeedbackStep != b.FeedbackStep || a.Open != b.Open {
-			t.Fatalf("span %d diverges:\noffline: %+v\nlive:    %+v", i, a, b)
+		if offline[i] != live[i] {
+			t.Fatalf("%s: span %d diverges:\noffline: %+v\nlive:    %+v", name, i, offline[i], live[i])
 		}
 	}
+}
+
+// stepsAtLeast stops a segment after n steps.
+func stepsAtLeast(n int) func(*sim.RunState) bool {
+	return func(rs *sim.RunState) bool { return rs.Steps >= n }
+}
+
+// TestSpansFromTraceMatchesLive round-trips the span pipeline: the spans
+// reconstructed offline from a JSONL trace must agree field for field with
+// the spans the live telemetry recorded for the same runs — on one clean
+// run, across run boundaries that cut open waves, and from every corrupted
+// start, each stopped mid-wave.
+func TestSpansFromTraceMatchesLive(t *testing.T) {
+	t.Run("single-run", func(t *testing.T) {
+		g, err := graph.RandomConnected(12, 0.25, newRand(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := core.New(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cy := check.NewCycleObserver(pr)
+		offline, live := recordSpans(t, g, pr, sim.NewConfiguration(g, pr), sim.DistributedRandom{P: 0.5},
+			[]sim.Options{{MaxSteps: 500_000, Seed: 6, Observers: []sim.Observer{cy}, StopWhen: cy.StopAfterCycles(3)}})
+		if len(live) < 3 {
+			t.Fatalf("recorded %d spans, want ≥ 3", len(live))
+		}
+		sameSpans(t, "single-run", offline, live)
+	})
+
+	t.Run("three-segments", func(t *testing.T) {
+		g, err := graph.Ring(12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := core.New(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var segs []sim.Options
+		for seed := int64(1); seed <= 3; seed++ {
+			segs = append(segs, sim.Options{MaxSteps: 1000, Seed: seed, StopWhen: stepsAtLeast(70)})
+		}
+		offline, live := recordSpans(t, g, pr, sim.NewConfiguration(g, pr), sim.Synchronous{}, segs)
+		sameSpans(t, "three-segments", offline, live)
+		cut := 0
+		for _, s := range live[:len(live)-1] {
+			if s.Open {
+				cut++
+			}
+		}
+		if cut == 0 {
+			t.Fatalf("no wave was open at a run boundary: %+v", live)
+		}
+	})
+
+	t.Run("corrupted-starts", func(t *testing.T) {
+		g, err := graph.Ring(12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		abnormal := 0
+		for i, inj := range fault.All() {
+			pr, err := core.New(g, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sim.NewConfiguration(g, pr)
+			inj.Apply(cfg, pr, newRand(int64(i)))
+			// Stop mid-wave: past the stabilization horizon, with the root
+			// broadcasting.
+			midWave := func(rs *sim.RunState) bool {
+				return rs.Steps >= 300 && core.At(rs.Config, pr.Root).Pif == core.B
+			}
+			offline, live := recordSpans(t, g, pr, cfg, sim.DistributedRandom{P: 0.5},
+				[]sim.Options{{MaxSteps: 100_000, Seed: int64(10 + i), StopWhen: midWave}})
+			sameSpans(t, inj.Name, offline, live)
+			if len(live) == 0 || !live[len(live)-1].Open {
+				t.Fatalf("%s: run did not end mid-wave: %+v", inj.Name, live)
+			}
+			for _, s := range live {
+				if s.Abnormal {
+					abnormal++
+				}
+			}
+		}
+		if abnormal == 0 {
+			t.Fatal("no corrupted start produced an abnormal wave")
+		}
+	})
 }
 
 func TestSpansFromTraceNeedsMeta(t *testing.T) {

@@ -51,14 +51,10 @@ type Config struct {
 	// MaxSpans bounds retained wave spans; later waves still count in the
 	// aggregate histograms but drop their span records (default 4096).
 	MaxSpans int
-	// Timing enables wall-clock measurements (step duration, wave wall
-	// time). Requires Clock.
-	Timing bool
-	// DetailTiming additionally records the eval/commit split inside a
-	// step (flat engine only); costs two extra clock reads per step.
-	DetailTiming bool
 	// Clock is a monotonic nanosecond source (e.g. time.Now().UnixNano or
-	// a monotonic-delta closure). Nil disables all timing.
+	// a monotonic-delta closure). It turns on every timing measurement:
+	// step duration with its eval/commit split (event.Runner) and wave wall
+	// time. Nil disables all timing.
 	Clock func() int64
 	// FlightDepth is the flight recorder's checkpoint count; 0 disables
 	// the recorder.
@@ -106,8 +102,8 @@ type StepInfo struct {
 	// QueueDepth is the event engine's wake-queue occupancy after the step
 	// (entries, duplicates included); zero for the other engines.
 	QueueDepth int
-	// EvalNS, CommitNS, StepNS are wall-clock durations (0 when the engine
-	// has no clock or the corresponding timing level is off).
+	// EvalNS, CommitNS, StepNS are wall-clock durations (0 without a
+	// clock; EvalNS and CommitNS are measured by event.Runner only).
 	EvalNS, CommitNS, StepNS int64
 }
 
@@ -173,19 +169,8 @@ type Telemetry struct {
 	meta       RunMeta
 	series     *Series
 	fl         *flight
-	nextSample int // sampling threshold (under mu): sample at Step ≥ nextSample
-
-	// Wave-span state (under mu).
-	spans         []Span
-	spansDropped  int64
-	waveOpen      bool
-	waveNum       int
-	wStartStep    int
-	wStartRound   int
-	wStartNS      int64
-	wFeedbackStep int
-	wFeedbackNS   int64
-	wAbnProcs     int
+	nextSample int         // sampling threshold (under mu): sample at Step ≥ nextSample
+	spans      spanBuilder // wave spans (under mu)
 }
 
 // New builds an enabled Telemetry, applying Config defaults.
@@ -202,17 +187,10 @@ func New(cfg Config) *Telemetry {
 	if cfg.FlightEvery <= 0 {
 		cfg.FlightEvery = 1024
 	}
-	if cfg.DetailTiming {
-		cfg.Timing = true
-	}
-	if cfg.Clock == nil {
-		cfg.Timing = false
-		cfg.DetailTiming = false
-	}
 	t := &Telemetry{
 		cfg:        cfg,
 		series:     newSeries(cfg.SeriesCap),
-		spans:      make([]Span, 0, cfg.MaxSpans),
+		spans:      spanBuilder{spans: make([]Span, 0, cfg.MaxSpans), max: cfg.MaxSpans},
 		nextSample: cfg.SampleEvery,
 	}
 	if cfg.FlightDepth > 0 {
@@ -227,25 +205,26 @@ func Disabled() *Telemetry { return nil }
 // Enabled reports whether telemetry is recording.
 func (t *Telemetry) Enabled() bool { return t != nil }
 
-// Now reads the configured clock in nanoseconds, or 0 when telemetry or
-// timing is disabled — engines call it unconditionally to stamp StepInfo.
+// Now reads the configured clock in nanoseconds, or 0 when telemetry is
+// disabled or has no clock — engines call it unconditionally to stamp
+// StepInfo.
 //
 //snapvet:hotpath
 func (t *Telemetry) Now() int64 {
-	if t == nil || !t.cfg.Timing {
+	if t == nil || t.cfg.Clock == nil {
 		return 0
 	}
 	return t.cfg.Clock()
 }
 
-// DetailTiming reports whether the engine should take the extra per-phase
-// clock reads (eval/commit split).
-func (t *Telemetry) DetailTiming() bool { return t != nil && t.cfg.DetailTiming }
-
 // BeginRun (re)binds the telemetry to a run: stores the metadata, seeds
-// the incremental phase census from one full pass, resets the wave state,
-// and checkpoints the initial (post-fault) configuration as flight step 0.
-// src may be nil when no state capture is possible.
+// the incremental phase census from one full pass, keeps a wave still open
+// as an Open span, and checkpoints the initial (post-fault) configuration
+// as flight step 0. src may be nil when no state capture is possible.
+//
+// One Telemetry follows one run at a time: the wave and census state are
+// per run, so runs that feed it concurrently interleave them (the hooks
+// stay race-free, and the step and move counters stay exact).
 func (t *Telemetry) BeginRun(meta RunMeta, src StateSource) {
 	if t == nil {
 		return
@@ -253,7 +232,7 @@ func (t *Telemetry) BeginRun(meta RunMeta, src StateSource) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.meta = meta
-	t.waveOpen = false
+	t.spans.cut()
 	t.nextSample = t.cfg.SampleEvery
 	if src != nil {
 		b, f, c := src.Census()
@@ -322,7 +301,7 @@ func (t *Telemetry) Step(info StepInfo, src StateSource) {
 
 	t.mu.Lock()
 	if info.RootAfter != info.RootBefore {
-		t.waveTransitionLocked(info)
+		t.rootMoveLocked(info)
 	}
 	if t.fl != nil {
 		t.fl.record(info.Step, info.Executed, info.Packed)
@@ -341,55 +320,32 @@ func (t *Telemetry) Step(info StepInfo, src StateSource) {
 	t.mu.Unlock()
 }
 
-// waveTransitionLocked tracks the root's phase transitions into wave
-// spans. Callers hold t.mu.
-func (t *Telemetry) waveTransitionLocked(info StepInfo) {
+// rootMoveLocked feeds the root's phase transition to the span builder:
+// C→B opens a wave over the census debris, B→F completes its feedback, and
+// →C ends it. Callers hold t.mu.
+func (t *Telemetry) rootMoveLocked(info StepInfo) {
 	switch {
 	case info.RootBefore == core.C && info.RootAfter == core.B:
-		t.waveNum++
-		t.waveOpen = true
-		t.wStartStep = info.Step
-		t.wStartRound = info.Rounds + 1
-		t.wStartNS = t.Now()
-		t.wFeedbackStep = 0
-		t.wFeedbackNS = 0
 		// Any processor already in B or F besides the root at broadcast
 		// start is leftover debris from corruption or an aborted wave —
 		// this wave is abnormal in the paper's sense.
-		t.wAbnProcs = int(t.cenB.Value()) - 1 + int(t.cenF.Value())
-		if t.wAbnProcs > 0 {
+		debris := int(t.cenB.Value()) - 1 + int(t.cenF.Value())
+		if debris > 0 {
 			t.abnWaves.Add(1)
 		}
-	case t.waveOpen && info.RootBefore == core.B && info.RootAfter == core.F:
-		t.wFeedbackStep = info.Step
-		t.wFeedbackNS = t.Now()
-	case t.waveOpen && info.RootAfter == core.C:
-		t.waveOpen = false
-		endNS := t.Now()
-		span := Span{
-			Wave:         t.waveNum,
-			Msg:          info.RootMsg,
-			StartStep:    t.wStartStep,
-			FeedbackStep: t.wFeedbackStep,
-			EndStep:      info.Step,
-			StartRound:   t.wStartRound,
-			EndRound:     info.Rounds + 1,
-			StartNS:      t.wStartNS,
-			FeedbackNS:   t.wFeedbackNS,
-			EndNS:        endNS,
-			Abnormal:     t.wAbnProcs > 0,
-			AbnProcs:     t.wAbnProcs,
+		t.spans.start(info.Step, info.Rounds+1, info.RootMsg, debris, t.Now())
+	case info.RootBefore == core.B && info.RootAfter == core.F:
+		t.spans.feedback(info.Step, t.Now())
+	case info.RootAfter == core.C:
+		s, ok := t.spans.end(info.Step, info.Rounds+1, t.Now())
+		if !ok {
+			return
 		}
 		t.waves.Add(1)
-		t.waveRounds.Observe(int64(span.Rounds()))
-		t.waveSteps.Observe(int64(span.Steps()))
-		if t.wStartNS > 0 && endNS > t.wStartNS {
-			t.waveNS.Observe(endNS - t.wStartNS)
-		}
-		if len(t.spans) < cap(t.spans) {
-			t.spans = append(t.spans, span)
-		} else {
-			t.spansDropped++
+		t.waveRounds.Observe(int64(s.Rounds()))
+		t.waveSteps.Observe(int64(s.Steps()))
+		if s.StartNS > 0 && s.EndNS > s.StartNS {
+			t.waveNS.Observe(s.EndNS - s.StartNS)
 		}
 	}
 }
@@ -470,22 +426,7 @@ func (t *Telemetry) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans), len(t.spans)+1)
-	copy(out, t.spans)
-	if t.waveOpen {
-		out = append(out, Span{
-			Wave:         t.waveNum,
-			StartStep:    t.wStartStep,
-			StartRound:   t.wStartRound,
-			StartNS:      t.wStartNS,
-			FeedbackStep: t.wFeedbackStep,
-			FeedbackNS:   t.wFeedbackNS,
-			Abnormal:     t.wAbnProcs > 0,
-			AbnProcs:     t.wAbnProcs,
-			Open:         true,
-		})
-	}
-	return out
+	return t.spans.snapshot()
 }
 
 // SpansDropped reports wave spans lost to the MaxSpans cap.
@@ -495,7 +436,7 @@ func (t *Telemetry) SpansDropped() int64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.spansDropped
+	return t.spans.dropped
 }
 
 // WriteSpans exports the retained wave spans as Chrome trace_event JSON.
@@ -584,6 +525,9 @@ func (t *Telemetry) Hist(name string) *obs.LogHist {
 //	flat.guard.hits/misses     counter   hbits guard-cache tallies
 //	flat.sweep.eval_ns         loghist   guard-refresh duration per step
 //	flat.sweep.commit_ns       loghist   commit duration per step
+//
+// The *_ns histograms fill only under a Clock; eval_ns and commit_ns come
+// from event.Runner, the only engine that splits its step.
 func (t *Telemetry) PublishTo(reg *obs.Registry) {
 	if t == nil || reg == nil {
 		return

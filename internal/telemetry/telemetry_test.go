@@ -97,7 +97,7 @@ func TestDisabledNilSafe(t *testing.T) {
 	tel.BeginRun(telemetry.RunMeta{}, nil)
 	tel.Step(telemetry.StepInfo{Step: 1}, nil)
 	tel.Freeze()
-	if tel.Now() != 0 || tel.DetailTiming() {
+	if tel.Now() != 0 {
 		t.Fatal("disabled timing must be off")
 	}
 	if _, err := tel.DumpScenario(); err == nil {
@@ -133,7 +133,6 @@ func TestDisabledAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		tel.Step(info, nil)
 		_ = tel.Now()
-		_ = tel.DetailTiming()
 	}); n != 0 {
 		t.Fatalf("disabled telemetry hooks allocate %.1f/step, want 0", n)
 	}
@@ -209,6 +208,29 @@ func TestWaveSpanLifecycle(t *testing.T) {
 	}
 	if b, f, c := tel.Census(); b != 2 || f != 1 || c != 5 {
 		t.Fatalf("census after closed wave = (%d,%d,%d), want (2,1,5)", b, f, c)
+	}
+
+	// A run boundary while a wave is open keeps it as an Open span with
+	// its payload; only completed waves count in Waves().
+	step(4, 2, core.C, core.B, 1, 0, -1, 9)
+	step(5, 3, core.B, core.F, -1, 1, 0, 9)
+	wavesBefore, abnBefore := tel.Waves()
+	tel.BeginRun(telemetry.RunMeta{Engine: "test"}, fakeSource{c: 8})
+	spans = tel.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("got %d spans after BeginRun, want 2: %+v", len(spans), spans)
+	}
+	want := telemetry.Span{Wave: 2, Msg: 9, StartStep: 4, FeedbackStep: 5, StartRound: 3,
+		Abnormal: true, AbnProcs: 3, Open: true}
+	if spans[1] != want {
+		t.Fatalf("wave open at BeginRun:\ngot  %+v\nwant %+v", spans[1], want)
+	}
+	if waves, abn := tel.Waves(); waves != wavesBefore || abn != abnBefore || waves != 1 {
+		t.Fatalf("Waves() across BeginRun = (%d, %d) → (%d, %d), want it unchanged with 1 completed",
+			wavesBefore, abnBefore, waves, abn)
+	}
+	if got := tel.Hist("wave_rounds").Count(); got != 1 {
+		t.Fatalf("wave_rounds count after BeginRun = %d, want 1", got)
 	}
 }
 

@@ -135,6 +135,9 @@ echo "== determinism + pipelining (service: pipelined == serial payloads, canoni
 go test ./internal/service/ -run 'TestPipelinedMatchesSerial|TestServiceDeterminism|TestScenarioDumpReplayBitIdentical' -count=1
 go test . -run TestMultiInitiatorCrossEngine -count=1
 
+echo "== determinism (telemetry: live wave spans == spans rebuilt from the trace, run-boundary rule) =="
+go test ./internal/telemetry/ -run 'TestSpansFromTraceMatchesLive|TestWaveSpanLifecycle' -count=1
+
 echo "== determinism (explore: violating runs across worker counts, liveness successor cache, stored enabled sets == fresh probes) =="
 go test ./internal/explore/ -run 'TestViolatingRunDeterministicAcrossWorkers|TestLivenessCacheSound|TestExploredEnabledSetsMatchProbe' -count=1
 
