@@ -6,11 +6,14 @@
 //
 // Usage:
 //
-//	piftrace summary FILE            totals, moves per action, wave table,
+//	piftrace summary FILE            totals, moves per action, wave table
+//	                                 (one row per wave, with its run),
 //	                                 wave-latency percentiles (p50/p95/p99
 //	                                 rounds)
 //	piftrace timeline [-every k] FILE   phase Gantt (rows: processors,
-//	                                 columns: round boundaries) + wave spans
+//	                                 columns: round boundaries) + wave spans,
+//	                                 each with its run; a wave a run end or
+//	                                 fault cut says so
 //	piftrace spans [-o FILE] FILE    export causal wave spans as Chrome
 //	                                 trace_event JSON — load the output in
 //	                                 Perfetto (ui.perfetto.dev) or
@@ -152,13 +155,13 @@ func summary(out io.Writer, tr *obs.Trace) error {
 		fmt.Fprintln(out, "totals: trace has no summary event (truncated trace?)")
 	}
 	if spans := waveSpans(out, tr); len(spans) > 0 {
-		tbl := trace.NewTable("waves", "wave", "msg", "start step", "end step", "start round", "end round", "rounds")
+		tbl := trace.NewTable("waves", "run", "wave", "msg", "start step", "end step", "start round", "end round", "rounds")
 		for _, w := range spans {
 			if w.Open {
-				tbl.AddRow(w.Wave, w.Msg, w.StartStep, "open", w.StartRound, "-", "-")
+				tbl.AddRow(w.Run, w.Wave, w.Msg, w.StartStep, "open", w.StartRound, "-", "-")
 				continue
 			}
-			tbl.AddRow(w.Wave, w.Msg, w.StartStep, w.EndStep, w.StartRound, w.EndRound, w.Rounds())
+			tbl.AddRow(w.Run, w.Wave, w.Msg, w.StartStep, w.EndStep, w.StartRound, w.EndRound, w.Rounds())
 		}
 		tbl.Render(out)
 		waveLatency(out, spans)
@@ -265,13 +268,17 @@ func timeline(out io.Writer, tr *obs.Trace, every int) error {
 	if !sawSnapshot {
 		return fmt.Errorf("trace has no state snapshots; record with snapshots and phase events enabled")
 	}
-	for _, w := range waveSpans(out, tr) {
-		if w.Open {
-			fmt.Fprintf(out, "wave %d: rounds %d.. (open at end of trace), msg=%d\n", w.Wave, w.StartRound, w.Msg)
-			continue
+	spans := waveSpans(out, tr)
+	for i, w := range spans {
+		switch {
+		case w.Open && i < len(spans)-1:
+			fmt.Fprintf(out, "run %d wave %d: rounds %d.. (cut by a run end or fault), msg=%d\n", w.Run, w.Wave, w.StartRound, w.Msg)
+		case w.Open:
+			fmt.Fprintf(out, "run %d wave %d: rounds %d.. (open at end of trace), msg=%d\n", w.Run, w.Wave, w.StartRound, w.Msg)
+		default:
+			fmt.Fprintf(out, "run %d wave %d: rounds %d..%d (%d rounds), steps %d..%d, msg=%d\n",
+				w.Run, w.Wave, w.StartRound, w.EndRound, w.Rounds(), w.StartStep, w.EndStep, w.Msg)
 		}
-		fmt.Fprintf(out, "wave %d: rounds %d..%d (%d rounds), steps %d..%d, msg=%d\n",
-			w.Wave, w.StartRound, w.EndRound, w.Rounds(), w.StartStep, w.EndStep, w.Msg)
 	}
 	return nil
 }

@@ -242,6 +242,74 @@ func TestSummaryAndTimeline(t *testing.T) {
 	if got := out.String(); !strings.Contains(got, "totals:") || !strings.Contains(got, "no meta header") {
 		t.Fatalf("headless summary lacks its totals or the wave note:\n%s", got)
 	}
+
+	// Three runs under one tracer: every wave names its run, and a wave a
+	// run end cut is not reported as open at the end of the trace.
+	segments := filepath.Join(t.TempDir(), "segments.jsonl")
+	recordSegments(t, segments)
+	out.Reset()
+	if err := run([]string{"timeline", segments}, &out); err != nil {
+		t.Fatalf("timeline of three runs: %v", err)
+	}
+	got = out.String()
+	for _, want := range []string{
+		"run 1 wave 3: rounds 57.. (cut by a run end or fault)",
+		"run 2 wave 4: rounds 15..42 (28 rounds), steps 15..42",
+	} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("timeline of three runs lacks %q:\n%s", want, got)
+		}
+	}
+	if n := strings.Count(got, "open at end of trace"); n > 1 {
+		t.Fatalf("%d waves reported open at the end of the trace:\n%s", n, got)
+	}
+	out.Reset()
+	if err := run([]string{"summary", segments}, &out); err != nil {
+		t.Fatalf("summary of three runs: %v", err)
+	}
+	header, wave4 := false, false
+	for _, line := range strings.Split(out.String(), "\n") {
+		f := strings.Fields(line)
+		header = header || len(f) > 2 && f[0] == "run" && f[1] == "wave" && f[2] == "msg"
+		wave4 = wave4 || len(f) > 1 && f[0] == "2" && f[1] == "4"
+	}
+	if !header || !wave4 {
+		t.Fatalf("summary's wave table lacks the run column or wave 4's run 2:\n%s", out.String())
+	}
+}
+
+// recordSegments records one ring-12 configuration driven by the
+// synchronous daemon through three 70-step runs under one tracer, so waves
+// are cut at the run boundaries and step and round numbers restart.
+func recordSegments(t *testing.T, path string) {
+	t.Helper()
+	g, err := graph.Ring(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := core.MustNew(g, 0)
+	cfg := sim.NewConfiguration(g, pr)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New(f, obs.WithProtocol(pr))
+	d := sim.Synchronous{}
+	for seed := int64(1); seed <= 3; seed++ {
+		tr.BeginRun(g, d.Name(), seed, cfg)
+		if _, err := sim.Run(cfg, pr, d, sim.Options{
+			MaxSteps: 1000, Seed: seed, Observers: []sim.Observer{tr},
+			StopWhen: func(rs *sim.RunState) bool { return rs.Steps >= 70 },
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestUsageErrors covers the CLI error paths.

@@ -95,33 +95,35 @@ func TestMCDifferentialPerTransition(t *testing.T) {
 			}
 			h := &hasher{}
 			checkedSteps := 0
-			for id := int32(0); id < int32(e.nodes.len()); id++ {
-				nd := e.nodes.at(id)
-				for p, s := range nd.states {
+			states := make([]core.State, g.N())
+			for id := int32(0); id < int32(e.store.len()); id++ {
+				mon := e.store.decode(id, states)
+				enabled := e.store.enabled(id, nil)
+				for p, s := range states {
 					core.Set(cfg, p, s)
 				}
 				abstract := sim.EnabledChoices(cfg, pr)
-				if !sameChoices(abstract, nd.enabled) {
+				if !sameChoices(abstract, enabled) {
 					t.Fatalf("state %d: abstract enabled %v, engine enabled %v",
-						id, abstract, nd.enabled)
+						id, abstract, enabled)
 				}
 				for _, ch := range abstract {
 					// Abstract successor: per-choice apply on the scratch
 					// configuration (central daemon: one mover), then the
 					// wave-monitor transition on the quotient.
-					succ := append([]core.State(nil), nd.states...)
+					succ := append([]core.State(nil), states...)
 					succ[ch.Proc] = *(pr.Apply(cfg, ch.Proc, ch.Action).(*core.State))
-					mon, delivery := e.applyMonitor(nd.states, nd.mon, []sim.Choice{ch}, succ)
+					succMon, delivery := e.applyMonitor(states, mon, []sim.Choice{ch}, succ)
 					if delivery != "" {
 						t.Fatalf("state %d choice %v: unexpected delivery violation %q", id, ch, delivery)
 					}
-					wantKey := h.key(succ, mon)
+					wantKey := h.key(succ, succMon)
 
-					engSucc, _, err := eng.Step(nd.states, nd.enabled, []sim.Choice{ch})
+					engSucc, _, err := eng.Step(states, enabled, []sim.Choice{ch})
 					if err != nil {
 						t.Fatalf("state %d: engine rejects abstract choice %v: %v", id, ch, err)
 					}
-					engMon, _ := e.applyMonitor(nd.states, nd.mon, []sim.Choice{ch}, engSucc)
+					engMon, _ := e.applyMonitor(states, mon, []sim.Choice{ch}, engSucc)
 					if gotKey := h.key(engSucc, engMon); gotKey != wantKey {
 						t.Fatalf("state %d choice %v: abstract and engine successors diverge", id, ch)
 					}

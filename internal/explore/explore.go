@@ -49,8 +49,8 @@ const (
 	PowerSynchronous = "synchronous"
 )
 
-// maxN bounds exploration size: bitmasks over processors fit a uint64 with
-// room to spare, and the per-processor key byte layout stays exact.
+// maxN bounds exploration size: processor sets fit the explorer's uint16
+// columns, and the per-processor key byte layout stays exact.
 const maxN = 12
 
 // Options configures an Explorer.
@@ -108,24 +108,6 @@ type Result struct {
 	Fingerprint   string  `json:"fingerprint"`
 }
 
-// node is one interned quotient state plus its discovery-tree edge: pred
-// and sel record the first concrete step that reached it, so following the
-// pred chain always yields a genuine executable schedule even under
-// symmetry dedup (the stored states ARE the concrete successor produced by
-// applying sel to the predecessor's stored states).
-type node struct {
-	states      []core.State
-	mon         monState
-	key         string
-	enabled     []sim.Choice
-	enabledMask uint64
-	explored    uint64 // transitions already expanded from this node
-	sleptMask   uint64 // transitions currently accounted as POR-pruned
-	pred        int32
-	depth       int32
-	sel         []sim.Choice
-}
-
 // frontierEntry is one node awaiting expansion with the sleep set it was
 // reached with (always 0 when POR is off).
 type frontierEntry struct {
@@ -133,43 +115,24 @@ type frontierEntry struct {
 	sleep uint64
 }
 
-// task is one forced engine step scheduled for the parallel expand phase.
-// A central task carries its one choice by value in ch and leaves sel nil,
-// so only the tasks whose target gets interned allocate a selection slice.
+// task is one forced engine step scheduled for the parallel expand phase:
+// the processors of its daemon selection, a subset of the node's enabled
+// set. A checked node enables at most one choice per processor, so the
+// processor set names the choices exactly.
 type task struct {
 	node       int32
-	ch         sim.Choice
-	sel        []sim.Choice // distributed and synchronous selections
+	sel        uint16
 	childSleep uint64
-}
-
-// selection returns the task's daemon selection; a central task's one
-// choice is written into the caller's one-element buffer.
-func (t *task) selection(buf *[1]sim.Choice) []sim.Choice {
-	if t.sel != nil {
-		return t.sel
-	}
-	buf[0] = t.ch
-	return buf[:]
-}
-
-// ownSelection returns the selection as a slice the caller may keep.
-func (t *task) ownSelection() []sim.Choice {
-	if t.sel != nil {
-		return t.sel
-	}
-	return []sim.Choice{t.ch}
 }
 
 // taskResult is the expand phase's per-task output slot; merge consumes the
 // slots strictly in task order, which makes intern order — and therefore
 // node IDs, frontier order, and every count — independent of how workers
-// interleaved.
+// interleaved. The successor's record and canonical key sit in the layer's
+// recs and keys buffers at the task's index.
 type taskResult struct {
-	succ     []core.State
-	mon      monState
 	enabled  []sim.Choice
-	key      string
+	hash     uint64
 	delivery string
 	err      error
 }
@@ -182,42 +145,14 @@ type violationRec struct {
 	sel  []sim.Choice // final step, delivery violations only
 }
 
-// nodeChunkBits sizes the node store's growth unit: 1<<nodeChunkBits nodes.
-const nodeChunkBits = 10
-
-// nodeStore is the explorer's node arena, indexed by node ID. It grows one
-// fixed-size chunk at a time, so growing never copies a node, a node's
-// address is stable, and at most one chunk is slack.
-type nodeStore struct {
-	chunks []*[1 << nodeChunkBits]node
-	n      int
-}
-
-// len returns the number of stored nodes.
-func (s *nodeStore) len() int { return s.n }
-
-// at returns node id, 0 ≤ id < len.
-func (s *nodeStore) at(id int32) *node {
-	return &s.chunks[id>>nodeChunkBits][id&(1<<nodeChunkBits-1)]
-}
-
-// push appends nd and returns its ID.
-func (s *nodeStore) push(nd node) int32 {
-	if s.n == len(s.chunks)<<nodeChunkBits {
-		s.chunks = append(s.chunks, new([1 << nodeChunkBits]node))
-	}
-	id := int32(s.n)
-	*s.at(id) = nd
-	s.n++
-	return id
-}
-
-// truncate drops every node from ID n on.
-func (s *nodeStore) truncate(n int) {
-	for id := n; id < s.n; id++ {
-		*s.at(int32(id)) = node{}
-	}
-	s.n = n
+// worker is one worker's private engine, hasher and decode buffers.
+type worker struct {
+	eng     Engine
+	h       hasher
+	cfg     *sim.Configuration // check scratch, built by checkNodes
+	states  []core.State
+	enabled []sim.Choice
+	sel     []sim.Choice
 }
 
 // Explorer runs one exhaustive exploration. Single-use: construct with New,
@@ -229,14 +164,23 @@ type Explorer struct {
 
 	pr      *core.Protocol // unplanted, for invariant checks
 	checks  []check.Check
-	scratch []*sim.Configuration // one per check worker, built by Run
 	autos   []automorphism
 	indep   []uint64
-	engines []Engine
-	hashers []hasher
+	workers []worker
 
-	index       map[string]int32
-	nodes       nodeStore
+	// The interned nodes: the store plus the per-node columns of the
+	// discovery tree and the sleep-set bookkeeping, all indexed by node ID.
+	// pred and sel record the first concrete step that reached a node, so
+	// following the pred chain always yields a genuine executable schedule
+	// even under symmetry dedup: a node's record encodes the concrete
+	// successor of applying sel to pred's decoded vector.
+	store     store
+	pred      []int32  // -1 for a seed
+	depth     []int32  // BFS layer
+	sel       []uint16 // processors of the selection, among pred's enabled set
+	explored  []uint16 // transitions already expanded from the node
+	sleptMask []uint16 // transitions currently accounted as POR-pruned
+
 	frontier    []frontierEntry
 	violation   *violationRec
 	transitions int64
@@ -248,8 +192,11 @@ type Explorer struct {
 	// Per-layer buffers, reused across layers and dropped when Run returns.
 	tasks   []task
 	results []taskResult
+	recs    []byte        // task i's successor record at [i·stride, (i+1)·stride)
+	keys    []byte        // its canonical key, when the store keeps a key column
 	at      map[int32]int // node ID → index in the next frontier
 	newTask []int32       // task index of each node the layer interned
+	enBuf   []sim.Choice  // prepare's decode buffer
 }
 
 // New validates the options and builds one engine and hasher per worker.
@@ -290,20 +237,18 @@ func New(g *graph.Graph, root int, opts Options) (*Explorer, error) {
 		pr:     pr,
 		checks: check.StandardChecks(),
 		indep:  independenceMasks(g, root),
-		index:  make(map[string]int32),
 	}
 	if opts.Symmetry {
 		e.autos = admissibleAutomorphisms(g, root)
 	}
-	e.engines = make([]Engine, opts.Workers)
-	e.hashers = make([]hasher, opts.Workers)
-	for w := 0; w < opts.Workers; w++ {
+	e.store = newStore(g.N(), len(e.autos) > 0)
+	e.workers = make([]worker, opts.Workers)
+	for w := range e.workers {
 		eng, err := newEngine(opts.Engine, g, root, opts.Plant, opts.CoreOptions)
 		if err != nil {
 			return nil, err
 		}
-		e.engines[w] = eng
-		e.hashers[w].autos = e.autos
+		e.workers[w] = worker{eng: eng, h: hasher{autos: e.autos}, states: make([]core.State, g.N())}
 	}
 	return e, nil
 }
@@ -349,28 +294,34 @@ func (e *Explorer) Run(inits [][]core.State) (*Result, error) {
 }
 
 // dropLayerBuffers releases the per-layer buffers once Run is done, so a
-// finished explorer holds only its nodes, index and frontier.
+// finished explorer holds only its store, its per-node columns and its
+// frontier.
 func (e *Explorer) dropLayerBuffers() {
-	e.tasks, e.results, e.at, e.newTask = nil, nil, nil, nil
+	e.tasks, e.results, e.recs, e.keys, e.at, e.newTask, e.enBuf = nil, nil, nil, nil, nil, nil, nil
 }
 
 // seedLayer interns the normalized initial vectors as layer 0, then checks
 // them.
 func (e *Explorer) seedLayer(inits [][]core.State) error {
 	var stop error
+	wk := &e.workers[0]
 	for _, init := range inits {
 		v := normalizeSeed(init)
-		key := e.hashers[0].key(v, monState{})
-		if _, ok := e.index[key]; ok {
-			continue
-		}
-		enabled, err := e.engines[0].Probe(v)
+		rec, key, hash, err := wk.h.encode(v, monState{})
 		if err != nil {
 			stop = err
 			break
 		}
-		id, err := e.intern(v, monState{}, key, enabled, -1, 0, nil)
+		id, slot := e.store.find(hash, key)
+		if id >= 0 {
+			continue
+		}
+		enabled, err := wk.eng.Probe(v)
 		if err != nil {
+			stop = err
+			break
+		}
+		if id, err = e.intern(slot, hash, rec, key, enabled, -1, 0, 0); err != nil {
 			stop = err
 			break
 		}
@@ -387,26 +338,21 @@ func (e *Explorer) seedLayer(inits [][]core.State) error {
 	return stop
 }
 
-// intern appends a new node and records its discovery edge. It runs no
-// check: seedLayer and merge intern a whole layer in order and then hand
-// the new nodes to checkNodes, which evaluates them on the worker pool.
-func (e *Explorer) intern(states []core.State, mon monState, key string, enabled []sim.Choice, pred int32, depth int32, sel []sim.Choice) (int32, error) {
-	if e.nodes.len() >= e.opts.MaxStates {
+// intern adds a new node at the index slot store.find returned for its key
+// and records its discovery edge. It runs no check: seedLayer and merge
+// intern a whole layer in order and then hand the new nodes to checkNodes,
+// which evaluates them on the worker pool.
+func (e *Explorer) intern(slot int, hash uint64, rec, key []byte, enabled []sim.Choice, pred, depth int32, sel uint16) (int32, error) {
+	if e.store.len() >= e.opts.MaxStates {
 		return -1, fmt.Errorf("explore: state budget %d exceeded (raise MaxStates or lower the depth bound)", e.opts.MaxStates)
 	}
-	var mask uint64
-	for _, ch := range enabled {
-		mask |= 1 << uint(ch.Proc)
-	}
-	id := e.nodes.push(node{
-		states: states, mon: mon, key: key,
-		enabled: enabled, enabledMask: mask,
-		pred: pred, depth: depth, sel: sel,
-	})
-	e.index[key] = id
-	if int(depth) > e.maxDepth {
-		e.maxDepth = int(depth)
-	}
+	id := e.store.add(slot, hash, rec, key, enabled)
+	e.pred = append(e.pred, pred)
+	e.depth = append(e.depth, depth)
+	e.sel = append(e.sel, sel)
+	e.explored = append(e.explored, 0)
+	e.sleptMask = append(e.sleptMask, 0)
+	e.maxDepth = max(e.maxDepth, int(depth))
 	return id, nil
 }
 
@@ -420,13 +366,15 @@ const checkBatch = 64
 // below the lowest failure has been checked: the verdict is the one a
 // serial check in ID order reaches.
 func (e *Explorer) checkNodes(first int) *violationRec {
-	n := e.nodes.len()
+	n := e.store.len()
 	if first >= n {
 		return nil
 	}
 	workers := min(e.opts.Workers, (n-first+checkBatch-1)/checkBatch)
-	for len(e.scratch) < workers {
-		e.scratch = append(e.scratch, sim.NewConfiguration(e.g, e.pr))
+	for w := range workers {
+		if e.workers[w].cfg == nil {
+			e.workers[w].cfg = sim.NewConfiguration(e.g, e.pr)
+		}
 	}
 	found := make([]*violationRec, workers)
 	var claim atomic.Int64
@@ -438,7 +386,7 @@ func (e *Explorer) checkNodes(first int) *violationRec {
 				return
 			}
 			for id := lo; id < min(lo+checkBatch, n); id++ {
-				if v := e.checkNode(e.scratch[w], int32(id)); v != nil {
+				if v := e.checkNode(&e.workers[w], int32(id)); v != nil {
 					found[w] = v
 					return
 				}
@@ -472,28 +420,28 @@ func parallel(workers int, body func(w int)) {
 	wg.Wait()
 }
 
-// rollback drops every node from ID keep on together with its index entry,
-// and recomputes the depth high-water mark over the nodes kept.
+// rollback drops every node from ID keep on: it truncates the store and
+// every per-node column, and recomputes the depth high-water mark over the
+// nodes kept.
 func (e *Explorer) rollback(keep int32) {
-	for id := keep; id < int32(e.nodes.len()); id++ {
-		delete(e.index, e.nodes.at(id).key)
-	}
-	e.nodes.truncate(int(keep))
+	e.store.truncate(int(keep))
+	e.pred, e.depth, e.sel = e.pred[:keep], e.depth[:keep], e.sel[:keep]
+	e.explored, e.sleptMask = e.explored[:keep], e.sleptMask[:keep]
 	e.maxDepth = 0
-	for id := int32(0); id < keep; id++ {
-		e.maxDepth = max(e.maxDepth, int(e.nodes.at(id).depth))
+	for _, d := range e.depth {
+		e.maxDepth = max(e.maxDepth, int(d))
 	}
 }
 
 // checkNode evaluates the per-state verdict checks on one interned node,
-// loading its states into the worker's scratch configuration.
-func (e *Explorer) checkNode(scratch *sim.Configuration, id int32) *violationRec {
-	nd := e.nodes.at(id)
-	if len(nd.enabled) == 0 {
+// decoding it into the worker's scratch configuration.
+func (e *Explorer) checkNode(wk *worker, id int32) *violationRec {
+	wk.enabled = e.store.enabled(id, wk.enabled[:0])
+	if len(wk.enabled) == 0 {
 		return &violationRec{kind: "deadlock", msg: "no processor enabled", node: id}
 	}
 	var seen uint64
-	for _, ch := range nd.enabled {
+	for _, ch := range wk.enabled {
 		bit := uint64(1) << uint(ch.Proc)
 		if seen&bit != 0 {
 			return &violationRec{
@@ -504,9 +452,10 @@ func (e *Explorer) checkNode(scratch *sim.Configuration, id int32) *violationRec
 		}
 		seen |= bit
 	}
-	loadStates(scratch, nd.states)
+	e.store.decode(id, wk.states)
+	loadStates(wk.cfg, wk.states)
 	for _, chk := range e.checks {
-		if err := chk.Fn(scratch, e.pr); err != nil {
+		if err := chk.Fn(wk.cfg, e.pr); err != nil {
 			return &violationRec{kind: "invariant:" + chk.Name, msg: err.Error(), node: id}
 		}
 	}
@@ -531,31 +480,34 @@ func loadStates(cfg *sim.Configuration, states []core.State) {
 func (e *Explorer) prepare() []task {
 	tasks := e.tasks[:0]
 	for _, fe := range e.frontier {
-		nd := e.nodes.at(fe.id)
+		id := fe.id
 		if e.opts.Power != PowerCentral {
-			if nd.explored != 0 {
+			if e.explored[id] != 0 {
 				continue
 			}
-			nd.explored = ^uint64(0)
-			tasks = e.appendSubsetTasks(tasks, fe.id, nd.enabled)
+			e.explored[id] = ^uint16(0)
+			e.enBuf = e.store.enabled(id, e.enBuf[:0])
+			tasks = e.appendSubsetTasks(tasks, id, e.enBuf)
 			continue
 		}
 		sleep := fe.sleep
 		if !e.opts.POR {
 			sleep = 0
 		}
-		todo := nd.enabledMask &^ sleep &^ nd.explored
-		reclaimed := nd.sleptMask & todo
+		enabled, explored, slept := e.store.procs(id), uint64(e.explored[id]), uint64(e.sleptMask[id])
+		todo := enabled &^ sleep &^ explored
+		reclaimed := slept & todo
 		e.slept -= int64(bits.OnesCount64(reclaimed))
-		nd.sleptMask &^= todo
-		newSlept := nd.enabledMask &^ nd.explored & sleep &^ nd.sleptMask
+		slept &^= todo
+		newSlept := enabled &^ explored & sleep &^ slept
 		e.slept += int64(bits.OnesCount64(newSlept))
-		nd.sleptMask |= newSlept
+		e.sleptMask[id] = uint16(slept | newSlept)
 		if todo == 0 {
 			continue
 		}
-		base := sleep | nd.explored
-		for _, ch := range nd.enabled {
+		base := sleep | explored
+		e.enBuf = e.store.enabled(id, e.enBuf[:0])
+		for _, ch := range e.enBuf {
 			bit := uint64(1) << uint(ch.Proc)
 			if todo&bit == 0 {
 				continue
@@ -564,10 +516,10 @@ func (e *Explorer) prepare() []task {
 			if e.opts.POR {
 				childSleep = base & e.indep[ch.Proc]
 			}
-			tasks = append(tasks, task{node: fe.id, ch: ch, childSleep: childSleep})
+			tasks = append(tasks, task{node: id, sel: uint16(bit), childSleep: childSleep})
 			base |= bit
 		}
-		nd.explored |= todo
+		e.explored[id] = uint16(explored | todo)
 	}
 	e.tasks = tasks
 	return tasks
@@ -579,19 +531,37 @@ func (e *Explorer) prepare() []task {
 // full set for the synchronous daemon.
 func (e *Explorer) appendSubsetTasks(tasks []task, id int32, enabled []sim.Choice) []task {
 	if e.opts.Power == PowerSynchronous {
-		return append(tasks, task{node: id, sel: append([]sim.Choice(nil), enabled...)})
+		return append(tasks, task{node: id, sel: uint16(e.store.procs(id))})
 	}
 	k := len(enabled)
 	for mask := 1; mask < 1<<uint(k); mask++ {
-		sel := make([]sim.Choice, 0, bits.OnesCount(uint(mask)))
+		var sel uint16
 		for i := 0; i < k; i++ {
 			if mask&(1<<uint(i)) != 0 {
-				sel = append(sel, enabled[i])
+				sel |= 1 << uint(enabled[i].Proc)
 			}
 		}
 		tasks = append(tasks, task{node: id, sel: sel})
 	}
 	return tasks
+}
+
+// selectProcs appends to buf the choices of enabled whose processor is in
+// procs, in enabled-set order: the daemon selection a task or a node's sel
+// column names.
+func selectProcs(buf, enabled []sim.Choice, procs uint16) []sim.Choice {
+	for _, ch := range enabled {
+		if procs&(1<<uint(ch.Proc)) != 0 {
+			buf = append(buf, ch)
+		}
+	}
+	return buf
+}
+
+// selection returns, as a slice the caller may keep, the selection procs
+// names among node id's enabled set.
+func (e *Explorer) selection(id int32, procs uint16) []sim.Choice {
+	return selectProcs(nil, e.store.enabled(id, nil), procs)
 }
 
 // expand runs the layer's tasks on the worker pool. Workers claim tasks
@@ -602,28 +572,50 @@ func (e *Explorer) appendSubsetTasks(tasks []task, id int32, enabled []sim.Choic
 func (e *Explorer) expand(tasks []task) []taskResult {
 	e.results = slices.Grow(e.results[:0], len(tasks))
 	results := e.results[:len(tasks)]
+	size := len(tasks) * e.store.stride
+	e.recs = slices.Grow(e.recs[:0], size)[:size]
+	if e.store.canon {
+		e.keys = slices.Grow(e.keys[:0], size)[:size]
+	}
 	var next atomic.Int64
 	parallel(min(e.opts.Workers, len(tasks)), func(w int) {
-		eng, h := e.engines[w], &e.hashers[w]
-		var one [1]sim.Choice
+		wk := &e.workers[w]
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(tasks) {
 				return
 			}
-			t := &tasks[i]
-			pre := e.nodes.at(t.node)
-			sel := t.selection(&one)
-			succ, enabled, err := eng.Step(pre.states, pre.enabled, sel)
-			if err != nil {
-				results[i] = taskResult{err: err}
-				continue
-			}
-			mon, delivery := e.applyMonitor(pre.states, pre.mon, sel, succ)
-			results[i] = taskResult{succ: succ, mon: mon, enabled: enabled, key: h.key(succ, mon), delivery: delivery}
+			results[i] = e.expandTask(wk, &tasks[i], i)
 		}
 	})
 	return results
+}
+
+// expandTask decodes the task's node into the worker's buffers, steps the
+// engine, advances the monitor, and encodes and hashes the successor into
+// the layer's buffers at index i.
+func (e *Explorer) expandTask(wk *worker, t *task, i int) taskResult {
+	preMon := e.store.decode(t.node, wk.states)
+	wk.enabled = e.store.enabled(t.node, wk.enabled[:0])
+	wk.sel = selectProcs(wk.sel[:0], wk.enabled, t.sel)
+	succ, enabled, err := wk.eng.Step(wk.states, wk.enabled, wk.sel)
+	if err != nil {
+		return taskResult{err: err}
+	}
+	mon, delivery := e.applyMonitor(wk.states, preMon, wk.sel, succ)
+	if delivery != "" {
+		return taskResult{delivery: delivery}
+	}
+	rec, key, hash, err := wk.h.encode(succ, mon)
+	if err != nil {
+		return taskResult{err: err}
+	}
+	stride := e.store.stride
+	copy(e.recs[i*stride:], rec)
+	if e.store.canon {
+		copy(e.keys[i*stride:], key)
+	}
+	return taskResult{enabled: enabled, hash: hash}
 }
 
 // merge consumes the expand results strictly in task order (serial): counts
@@ -646,8 +638,9 @@ func (e *Explorer) merge(tasks []task, results []taskResult) ([]frontierEntry, e
 		e.at = make(map[int32]int, len(tasks))
 	}
 	clear(e.at)
-	first, transitions := e.nodes.len(), e.transitions
+	first, transitions := e.store.len(), e.transitions
 	e.newTask = e.newTask[:0]
+	stride := e.store.stride
 	var stop error
 	var delivery *violationRec
 	for i := range tasks {
@@ -657,14 +650,19 @@ func (e *Explorer) merge(tasks []task, results []taskResult) ([]frontierEntry, e
 			break
 		}
 		if r.delivery != "" {
-			delivery = &violationRec{kind: "pif-delivery", msg: r.delivery, node: t.node, sel: t.ownSelection()}
+			delivery = &violationRec{kind: "pif-delivery", msg: r.delivery, node: t.node, sel: e.selection(t.node, t.sel)}
 			break
 		}
 		e.transitions++
-		id, ok := e.index[r.key]
-		if !ok {
+		rec := e.recs[i*stride : (i+1)*stride]
+		key := rec
+		if e.store.canon {
+			key = e.keys[i*stride : (i+1)*stride]
+		}
+		id, slot := e.store.find(r.hash, key)
+		if id < 0 {
 			var err error
-			id, err = e.intern(r.succ, r.mon, r.key, r.enabled, t.node, e.nodes.at(t.node).depth+1, t.ownSelection())
+			id, err = e.intern(slot, r.hash, rec, key, r.enabled, t.node, e.depth[t.node]+1, t.sel)
 			if err != nil {
 				stop = err
 				break
@@ -706,7 +704,7 @@ func (e *Explorer) result() *Result {
 		Depth:         e.opts.Depth,
 		MaxDepth:      e.maxDepth,
 		InitialStates: e.initial,
-		States:        e.nodes.len(),
+		States:        e.store.len(),
 		Transitions:   e.transitions,
 		Slept:         e.slept,
 		SymmetryAutos: len(e.autos),
@@ -718,8 +716,8 @@ func (e *Explorer) result() *Result {
 		r.PORSavingsPct = 100 * float64(e.slept) / float64(total)
 	}
 	var fp uint64
-	for id := int32(0); id < int32(e.nodes.len()); id++ {
-		fp ^= sim.FNV1a(sim.FNVOffset, []byte(e.nodes.at(id).key))
+	for id := int32(0); id < int32(e.store.len()); id++ {
+		fp ^= sim.FNV1a(sim.FNVOffset, e.store.key(id))
 	}
 	r.Fingerprint = fmt.Sprintf("%016x", fp)
 	switch {
@@ -739,9 +737,9 @@ func (e *Explorer) result() *Result {
 // oracle the POR soundness tests compare: sleep sets may prune transitions
 // but never reachable states.
 func (e *Explorer) Visited() []string {
-	keys := make([]string, e.nodes.len())
+	keys := make([]string, e.store.len())
 	for i := range keys {
-		keys[i] = e.nodes.at(int32(i)).key
+		keys[i] = string(e.store.key(int32(i)))
 	}
 	sort.Strings(keys)
 	return keys
@@ -750,9 +748,9 @@ func (e *Explorer) Visited() []string {
 // Scenario exports the recorded violation as a replayable hunt.Scenario:
 // the discovery-tree path from an initial state to the violating node (plus
 // the violating selection itself for delivery violations). Because every
-// node's stored states are the concrete successor of its predecessor's
-// stored states, the exported schedule replays bit for bit even when
-// symmetry dedup was active.
+// node's record encodes the concrete successor of its predecessor's
+// vector, the exported schedule replays bit for bit even when symmetry
+// dedup was active.
 func (e *Explorer) Scenario(name string) (*hunt.Scenario, error) {
 	if !e.ran {
 		return nil, errors.New("explore: Run first")
@@ -762,9 +760,9 @@ func (e *Explorer) Scenario(name string) (*hunt.Scenario, error) {
 	}
 	var rev [][]sim.Choice
 	id := e.violation.node
-	for e.nodes.at(id).pred >= 0 {
-		rev = append(rev, e.nodes.at(id).sel)
-		id = e.nodes.at(id).pred
+	for e.pred[id] >= 0 {
+		rev = append(rev, e.selection(e.pred[id], e.sel[id]))
+		id = e.pred[id]
 	}
 	schedule := make([][]sim.Choice, 0, len(rev)+1)
 	for i := len(rev) - 1; i >= 0; i-- {
@@ -773,11 +771,7 @@ func (e *Explorer) Scenario(name string) (*hunt.Scenario, error) {
 	if e.violation.sel != nil {
 		schedule = append(schedule, e.violation.sel)
 	}
-	cfg := sim.NewConfiguration(e.g, e.pr)
-	for p, s := range e.nodes.at(id).states {
-		core.Set(cfg, p, s)
-	}
-	return hunt.NewScheduleScenario(name, e.g, e.root, cfg, schedule, e.opts.Plant), nil
+	return hunt.NewScheduleScenario(name, e.g, e.root, e.configOf(id), schedule, e.opts.Plant), nil
 }
 
 // FrontierSeeds exports the unexpanded horizon states (non-empty only for
@@ -787,12 +781,19 @@ func (e *Explorer) Scenario(name string) (*hunt.Scenario, error) {
 func (e *Explorer) FrontierSeeds(prefix, daemon string, maxSteps int) []*hunt.Scenario {
 	out := make([]*hunt.Scenario, 0, len(e.frontier))
 	for i, fe := range e.frontier {
-		cfg := sim.NewConfiguration(e.g, e.pr)
-		for p, s := range e.nodes.at(fe.id).states {
-			core.Set(cfg, p, s)
-		}
 		name := fmt.Sprintf("%s-%04d", prefix, i)
-		out = append(out, hunt.NewSeedScenario(name, e.g, e.root, cfg, daemon, maxSteps, e.opts.Plant))
+		out = append(out, hunt.NewSeedScenario(name, e.g, e.root, e.configOf(fe.id), daemon, maxSteps, e.opts.Plant))
 	}
 	return out
+}
+
+// configOf decodes node id into a fresh configuration.
+func (e *Explorer) configOf(id int32) *sim.Configuration {
+	states := make([]core.State, e.g.N())
+	e.store.decode(id, states)
+	cfg := sim.NewConfiguration(e.g, e.pr)
+	for p, s := range states {
+		core.Set(cfg, p, s)
+	}
+	return cfg
 }

@@ -3,6 +3,7 @@ package explore
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -142,48 +143,112 @@ func TestViolatingRunDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestExploredEnabledSetsMatchProbe is the oracle for the sim engine's
-// seeded restarts. Every explored transition restarts the runner from the
-// predecessor's stored enabled set instead of evaluating its guards, so a
-// stale set would carry along a path and silently prune branches. For every
-// interned node, the stored enabled set must equal a fresh Probe of its
-// states. Two instances run: the benchmark's certify safety question
-// (grid:2x3 from faults:2, central daemon, POR, symmetry, two workers), and
-// the planted level-overflow run of TestViolatingRunDeterministicAcrossWorkers,
-// whose out-of-domain levels reach guards no clean run does.
+// seeded restarts and for the store. Every explored transition restarts the
+// runner from the predecessor's stored enabled set instead of evaluating its
+// guards, so a stale set would carry along a path and silently prune
+// branches. For every interned node, the stored enabled set must equal a
+// fresh Probe of its decoded vector, re-encoding that vector must give back
+// the node's record, and the stored canonical key must equal the hasher's
+// key of it. Four instances run: the benchmark's certify safety question
+// (grid:2x3 from faults:2, central daemon, POR, symmetry, two workers,
+// where the group is trivial), the planted level-overflow run of
+// TestViolatingRunDeterministicAcrossWorkers, whose out-of-domain levels
+// reach guards no clean run does, and two with a non-trivial group, where
+// the record of a node that is not its orbit's minimum differs from its
+// canonical key: star:4 from faults:3 and ring:3 from faults:2 under the
+// distributed daemon.
 func TestExploredEnabledSetsMatchProbe(t *testing.T) {
-	g, err := graph.Grid(2, 3)
+	grid, err := graph.Grid(2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name   string
-		opts   Options
-		init   string
-		states int
+		name         string
+		g            *graph.Graph
+		opts         Options
+		init         string
+		states       int
+		nonCanonical int
 	}{
-		{"certify", Options{POR: true, Symmetry: true, Workers: 2}, "faults:2", 109560},
-		{"level-overflow", Options{Plant: "level-overflow", POR: true, Symmetry: true, Workers: 2}, "faults:1", 80},
+		{"certify", grid, Options{POR: true, Symmetry: true, Workers: 2}, "faults:2", 109560, 0},
+		{"level-overflow", grid, Options{Plant: "level-overflow", POR: true, Symmetry: true, Workers: 2}, "faults:1", 80, 0},
+		{"star-symmetry", mustGraph(t, graph.Star, 4), Options{POR: true, Symmetry: true, Workers: 2}, "faults:3", 533, 396},
+		{"ring-distributed", mustGraph(t, graph.Ring, 3), Options{Power: PowerDistributed, Symmetry: true, Workers: 2}, "faults:2", 144, 47},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, res := run(t, g, tc.opts, tc.init)
-			eng, err := newEngine("sim", g, 0, tc.opts.Plant, nil)
+			e, res := run(t, tc.g, tc.opts, tc.init)
+			eng, err := newEngine("sim", tc.g, 0, tc.opts.Plant, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for id := int32(0); id < int32(e.nodes.len()); id++ {
-				nd := e.nodes.at(id)
-				probed, err := eng.Probe(nd.states)
+			h := hasher{autos: e.autos}
+			states := make([]core.State, tc.g.N())
+			nonCanonical := 0
+			for id := int32(0); id < int32(e.store.len()); id++ {
+				mon := e.store.decode(id, states)
+				enabled := e.store.enabled(id, nil)
+				probed, err := eng.Probe(states)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(probed, nd.enabled) {
-					t.Fatalf("state %d: stored enabled set %v, a fresh probe gives %v", id, nd.enabled, probed)
+				if !reflect.DeepEqual(probed, enabled) {
+					t.Fatalf("state %d: stored enabled set %v, a fresh probe gives %v", id, enabled, probed)
+				}
+				rec, _, _, err := h.encode(states, mon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(rec, e.store.record(id)) {
+					t.Fatalf("state %d: re-encoding the decoded vector gives %v, the record is %v", id, rec, e.store.record(id))
+				}
+				if key := h.key(states, mon); string(e.store.key(id)) != key {
+					t.Fatalf("state %d: stored key %v, the hasher's key of the decoded vector is %v", id, e.store.key(id), []byte(key))
+				}
+				if !bytes.Equal(e.store.record(id), e.store.key(id)) {
+					nonCanonical++
 				}
 			}
-			if res.States != tc.states {
-				t.Fatalf("%d states, want %d", res.States, tc.states)
+			if res.States != tc.states || nonCanonical != tc.nonCanonical {
+				t.Fatalf("%d states, %d of them non-canonical; want %d, %d", res.States, nonCanonical, tc.states, tc.nonCanonical)
 			}
 		})
+	}
+}
+
+// TestExplorerRetainedBytes is the store's memory gate: after Run on the
+// certify safety instance (grid:2x3 from faults:2, POR, symmetry, two
+// workers), the explorer retains at most 200 bytes of heap per interned
+// state — its record, enabled set, index slots and per-node columns.
+func TestExplorerRetainedBytes(t *testing.T) {
+	g, err := graph.Grid(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inits := mustInits(t, "faults:2", g)
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	e, err := New(g, 0, Options{POR: true, Symmetry: true, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(inits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := heap()
+	runtime.KeepAlive(e)
+	perState := float64(after-before) / float64(res.States)
+	t.Logf("%d states, %.1f MB retained, %.1f B per state", res.States, float64(after-before)/(1<<20), perState)
+	if res.States != 109560 {
+		t.Fatalf("%d states, want 109560", res.States)
+	}
+	if perState > 200 {
+		t.Fatalf("the explorer retains %.1f B per interned state, want ≤ 200", perState)
 	}
 }
 
@@ -318,7 +383,8 @@ func TestMaxStatesAborts(t *testing.T) {
 	}
 }
 
-// TestOptionAndUsageErrors covers the constructor and single-use guards.
+// TestOptionAndUsageErrors covers the constructor and single-use guards
+// and the start vectors Run refuses.
 func TestOptionAndUsageErrors(t *testing.T) {
 	g := mustGraph(t, graph.Line, 3)
 	if _, err := New(g, 0, Options{Power: "chaotic"}); err == nil {
@@ -354,6 +420,13 @@ func TestOptionAndUsageErrors(t *testing.T) {
 	e2, _ := New(g, 0, Options{})
 	if _, err := e2.Run([][]core.State{make([]core.State, 99)}); err == nil {
 		t.Fatal("mis-sized init vector accepted")
+	}
+	// A level the record cannot hold: truncated, it would be level 5.
+	overflow := mustInits(t, "clean", g)[0]
+	overflow[1].L = 65541
+	e4, _ := New(g, 0, Options{})
+	if res, err := e4.Run([][]core.State{overflow}); err == nil || !strings.Contains(err.Error(), "p1 has level L=65541") {
+		t.Fatalf("Run = %+v, %v; want an error naming p1's level", res, err)
 	}
 	e3, _ := New(g, 0, Options{})
 	if _, err := e3.Run(mustInits(t, "clean", g)); err != nil {

@@ -2,19 +2,20 @@ package explore
 
 import (
 	"bytes"
+	"fmt"
 
 	"snappif/internal/core"
 	"snappif/internal/graph"
+	"snappif/internal/sim"
 )
 
 // Key layout: 7 bytes per processor — phase, parent+2, level (2 bytes,
 // little-endian), count (2 bytes), flags (bit 0 Fok, bit 1 message bit,
 // bit 2 fed-mark) — followed by one global in-cycle byte. The encoding is
-// bijective on the explored quotient: the explorer stores Msg ∈ {0,1} and
-// Val = Agg = 0 (the payload extensions feed no guard, see monitor.go), the
-// parent fits a byte for the enforced n ≤ maxN, and levels/counts reachable
-// within one step of the finite domains fit 16 bits (a state that escapes
-// the domains is itself reported as a violation).
+// bijective on the explored quotient (decodeRecord inverts it): the
+// explorer stores Msg ∈ {0,1} and Val = Agg = 0 (the payload extensions
+// feed no guard, see monitor.go), and checkEncodable refuses a vector whose
+// parent, level or count the layout cannot hold instead of truncating it.
 const keyBytesPerProc = 7
 
 // appendKey appends the canonical encoding of (states, mon) under the
@@ -50,31 +51,80 @@ func appendKey(b []byte, states []core.State, mon monState, perm, inv []int) []b
 	return append(b, 0)
 }
 
-// hasher computes canonical keys with private scratch buffers; the explorer
-// keeps one per worker so key computation runs inside the parallel phase.
+// decodeRecord inverts the identity encoding: it writes the vector of rec
+// into states (one per processor) and returns the monitor. Msg comes back
+// as its bit and Val, Agg as zero, so the vector is the quotient image of
+// the one encoded.
+func decodeRecord(rec []byte, states []core.State) monState {
+	var mon monState
+	for p := range states {
+		b := rec[p*keyBytesPerProc : (p+1)*keyBytesPerProc]
+		states[p] = core.State{
+			Pif:   core.Phase(b[0]),
+			Par:   int(b[1]) - 2,
+			L:     int(b[2]) | int(b[3])<<8,
+			Count: int(b[4]) | int(b[5])<<8,
+			Fok:   b[6]&1 != 0,
+			Msg:   uint64(b[6] >> 1 & 1),
+		}
+		if b[6]&4 != 0 {
+			mon.fed |= 1 << uint(p)
+		}
+	}
+	mon.inCycle = rec[len(rec)-1] != 0
+	return mon
+}
+
+// checkEncodable returns an error naming the first processor and field the
+// record cannot hold: a level or count outside [0, 65535], or a parent
+// outside [-2, 253] (the byte parent+2).
+func checkEncodable(states []core.State) error {
+	for p := range states {
+		s := &states[p]
+		switch {
+		case s.L < 0 || s.L > 0xffff:
+			return fmt.Errorf("explore: p%d has level L=%d outside the stored range [0, 65535]", p, s.L)
+		case s.Count < 0 || s.Count > 0xffff:
+			return fmt.Errorf("explore: p%d has count %d outside the stored range [0, 65535]", p, s.Count)
+		case s.Par < -2 || s.Par > 0xff-2:
+			return fmt.Errorf("explore: p%d has parent %d outside the stored range [-2, 253]", p, s.Par)
+		}
+	}
+	return nil
+}
+
+// hasher encodes vectors with private scratch buffers; each worker keeps
+// one, so encoding, canonicalization and hashing run inside the parallel
+// phase.
 type hasher struct {
 	autos []automorphism
-	buf   []byte
+	rec   []byte
 	cand  []byte
 	best  []byte
 }
 
-// key returns the minimal key over the admissible automorphism group
-// (identity only when symmetry reduction is off).
-func (h *hasher) key(states []core.State, mon monState) string {
-	h.buf = appendKey(h.buf[:0], states, mon, nil, nil)
-	if len(h.autos) == 0 {
-		return string(h.buf)
+// encode checks states with checkEncodable and encodes (states, mon): rec
+// is the identity record, key the minimal key over the admissible
+// automorphism group (rec itself when the group is trivial) and hash its
+// FNV-1a hash. rec and key alias the hasher's scratch until the next call.
+func (h *hasher) encode(states []core.State, mon monState) (rec, key []byte, hash uint64, err error) {
+	if err := checkEncodable(states); err != nil {
+		return nil, nil, 0, err
 	}
-	h.best = append(h.best[:0], h.buf...)
-	for i := range h.autos {
-		a := &h.autos[i]
-		h.cand = appendKey(h.cand[:0], states, mon, a.perm, a.inv)
-		if bytes.Compare(h.cand, h.best) < 0 {
-			h.best = append(h.best[:0], h.cand...)
+	h.rec = appendKey(h.rec[:0], states, mon, nil, nil)
+	key = h.rec
+	if len(h.autos) > 0 {
+		h.best = append(h.best[:0], h.rec...)
+		for i := range h.autos {
+			a := &h.autos[i]
+			h.cand = appendKey(h.cand[:0], states, mon, a.perm, a.inv)
+			if bytes.Compare(h.cand, h.best) < 0 {
+				h.best, h.cand = h.cand, h.best
+			}
 		}
+		key = h.best
 	}
-	return string(h.best)
+	return h.rec, key, sim.FNV1a(sim.FNVOffset, key), nil
 }
 
 // automorphism is one admissible relabeling: perm maps old IDs to new,

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"snappif/internal/core"
@@ -117,52 +118,79 @@ func TestKeyConstantOnOrbits(t *testing.T) {
 }
 
 // TestKeyBijectiveOnQuotient: two different quotient states never collide
-// (spot check: every field difference shows up in the key).
+// (spot check: every field difference shows up in the key), decodeRecord
+// inverts the encoding on every one of them, and a field the record cannot
+// hold is an error naming the processor and field, never a silently
+// truncated key (a level of 65,541 would get the key of level 5).
 func TestKeyBijectiveOnQuotient(t *testing.T) {
-	g := mustGraph(t, graph.Line, 3)
-	_ = g
 	h := &hasher{}
 	base := []core.State{
 		{Pif: core.B, Par: core.ParNone, Count: 1},
 		{Pif: core.B, Par: 0, L: 1, Count: 1},
 		{Pif: core.B, Par: 1, L: 2, Count: 1},
 	}
-	seen := map[string]bool{h.key(base, monState{}): true}
-	mutants := [][]core.State{}
+	type vec struct {
+		states []core.State
+		mon    monState
+	}
+	all := []vec{{base, monState{}}}
 	for _, mutate := range []func(s *core.State){
 		func(s *core.State) { s.Pif = core.F },
+		func(s *core.State) { s.Par = 0 },
 		func(s *core.State) { s.L = 7 },
+		func(s *core.State) { s.L = 65535 },
 		func(s *core.State) { s.Count = 300 },
+		func(s *core.State) { s.Count = 0 },
 		func(s *core.State) { s.Fok = true },
 		func(s *core.State) { s.Msg = 1 },
 	} {
 		v := append([]core.State(nil), base...)
 		mutate(&v[2])
-		mutants = append(mutants, v)
+		all = append(all, vec{v, monState{}})
 	}
-	for i, v := range mutants {
-		k := h.key(v, monState{})
-		if seen[k] {
-			t.Fatalf("mutant %d collides", i)
+	all = append(all, vec{base, monState{fed: 1 << 1}}, vec{base, monState{inCycle: true}})
+	seen := map[string]int{}
+	for i, v := range all {
+		k := h.key(v.states, v.mon)
+		if j, ok := seen[k]; ok {
+			t.Fatalf("vectors %d and %d collide", j, i)
 		}
-		seen[k] = true
+		seen[k] = i
+		if len(k) != keyBytesPerProc*len(base)+1 {
+			t.Fatalf("key length %d, want %d", len(k), keyBytesPerProc*len(base)+1)
+		}
+		got := make([]core.State, len(base))
+		if mon := decodeRecord([]byte(k), got); !reflect.DeepEqual(got, v.states) || mon != v.mon {
+			t.Fatalf("vector %d decodes to %+v %+v, want %+v %+v", i, got, mon, v.states, v.mon)
+		}
 	}
-	if k := h.key(base, monState{fed: 1 << 1}); seen[k] {
-		t.Fatal("fed mark not encoded")
-	} else {
-		seen[k] = true
-	}
-	if k := h.key(base, monState{inCycle: true}); seen[k] {
-		t.Fatal("inCycle not encoded")
-	}
-	if got := len(keyOf(base)); got != keyBytesPerProc*len(base)+1 {
-		t.Fatalf("key length %d, want %d", got, keyBytesPerProc*len(base)+1)
+
+	for _, tc := range []struct {
+		mutate func(s *core.State)
+		want   string
+	}{
+		{func(s *core.State) { s.L = 65541 }, "p1 has level L=65541"},
+		{func(s *core.State) { s.L = -1 }, "p1 has level L=-1"},
+		{func(s *core.State) { s.Count = 1 << 16 }, "p1 has count 65536"},
+		{func(s *core.State) { s.Par = 254 }, "p1 has parent 254"},
+		{func(s *core.State) { s.Par = -3 }, "p1 has parent -3"},
+	} {
+		v := append([]core.State(nil), base...)
+		tc.mutate(&v[1])
+		if _, _, _, err := h.encode(v, monState{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("encode: err = %v, want %q", err, tc.want)
+		}
 	}
 }
 
-func keyOf(states []core.State) string {
-	h := &hasher{}
-	return h.key(states, monState{})
+// key returns the canonical key of (states, mon) as a string; the vector
+// must be encodable.
+func (h *hasher) key(states []core.State, mon monState) string {
+	_, key, _, err := h.encode(states, mon)
+	if err != nil {
+		panic(err)
+	}
+	return string(key)
 }
 
 // TestVisitedSetsEqualUnderRelabeledDiscoveryOrder: symmetry reduction off,

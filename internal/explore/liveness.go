@@ -83,40 +83,35 @@ type livenessNode struct {
 	pending uint64
 }
 
-// quotientState is one interned identity-group quotient state of the
-// liveness search, with everything the product BFS reads of it.
-type quotientState struct {
-	states  []core.State
-	enabled []sim.Choice
-	mask    uint64
-	target  bool
-	succ    []int32 // per enabled choice: the successor's ID once stepped, -1 before
-}
-
 // livenessSearch is one CertifyLiveness call: the engine, the interned
 // quotient states with their cached successors, and the product BFS.
 //
-// The cache is sound because the identity-group quotient key fixes every
-// input of what the search reads off a state. The key holds Pif, Par, L,
+// The search interns each state's quotient image in an identity-group store
+// (pending masks name concrete processors): the record holds Pif, Par, L,
 // Count and Fok of every processor exactly, Msg only as its nonzero bit,
-// and Val and Agg not at all. No guard of Algorithms 1 and 2 reads Msg, Val
-// or Agg, and neither do IsNormalConfiguration and IsSBN, so two vectors
-// with one key have the same enabled set and the same target verdict. Under
-// one choice both step to successors with one key: every statement writes
-// Pif, Par, L, Count and Fok from those same variables, a root B stamps a
-// fresh nonzero Msg, a non-root B copies its parent's Msg (and with it the
-// nonzero bit), and Val and Agg feed only Val and Agg. So a product state
-// may name its quotient state by ID, and one step from whichever vector was
-// interned first answers for every vector with that key.
+// and Val and Agg not at all, and a state is stepped from its decoded
+// record. The cache is sound because the record fixes every input of what
+// the search reads off a state. No guard of Algorithms 1 and 2 reads Msg,
+// Val or Agg, and neither do IsNormalConfiguration and IsSBN, so two
+// vectors with one record have the same enabled set and the same target
+// verdict. Under one choice both step to successors with one record: every
+// statement writes Pif, Par, L, Count and Fok from those same variables, a
+// root B stamps a fresh nonzero Msg, a non-root B copies its parent's Msg
+// (and with it the nonzero bit), and Val and Agg feed only Val and Agg. So
+// a product state may name its quotient state by ID, and one step from the
+// decoded record answers for every vector with that record.
 type livenessSearch struct {
 	g       *graph.Graph
 	opts    LivenessOptions
 	pr      *core.Protocol
 	eng     Engine
-	h       hasher // identity group: pending masks name concrete processors
+	h       hasher
 	scratch *sim.Configuration
-	index   map[string]int32
-	states  []quotientState
+	store   store
+	target  []bool  // per state: the target verdict
+	succ    []int32 // per stored choice: the successor's ID once stepped, -1 before
+	states  []core.State
+	enabled []sim.Choice
 	one     [1]sim.Choice
 	steps   int64 // engine steps: one per distinct (quotient state, choice)
 }
@@ -172,7 +167,8 @@ func newLivenessSearch(g *graph.Graph, root int, opts LivenessOptions) (*livenes
 	return &livenessSearch{
 		g: g, opts: opts, pr: pr, eng: eng,
 		scratch: sim.NewConfiguration(g, pr),
-		index:   make(map[string]int32),
+		store:   newStore(g.N(), false),
+		states:  make([]core.State, g.N()),
 	}, nil
 }
 
@@ -187,43 +183,44 @@ func (s *livenessSearch) isTarget(states []core.State) bool {
 
 // intern returns the ID of states' quotient state, interning it with the
 // given engine-reported enabled set when it is new.
-func (s *livenessSearch) intern(states []core.State, enabled []sim.Choice) int32 {
-	key := s.h.key(states, monState{})
-	if id, ok := s.index[key]; ok {
-		return id
+func (s *livenessSearch) intern(states []core.State, enabled []sim.Choice) (int32, error) {
+	rec, _, hash, err := s.h.encode(states, monState{})
+	if err != nil {
+		return -1, err
 	}
-	var mask uint64
-	for _, ch := range enabled {
-		mask |= 1 << uint(ch.Proc)
+	id, slot := s.store.find(hash, rec)
+	if id >= 0 {
+		return id, nil
 	}
-	succ := make([]int32, len(enabled))
-	for i := range succ {
-		succ[i] = -1
+	id = s.store.add(slot, hash, rec, rec, enabled)
+	s.target = append(s.target, s.isTarget(states))
+	for range enabled {
+		s.succ = append(s.succ, -1)
 	}
-	id := int32(len(s.states))
-	s.states = append(s.states, quotientState{
-		states: states, enabled: enabled, mask: mask,
-		target: s.isTarget(states), succ: succ,
-	})
-	s.index[key] = id
-	return id
+	return id, nil
 }
 
 // successor returns the ID of the state that quotient state id's i-th
-// enabled choice steps to, stepping the engine only the first time.
+// enabled choice steps to, stepping the engine from the decoded record only
+// the first time.
 func (s *livenessSearch) successor(id int32, i int) (int32, error) {
-	q := &s.states[id]
-	if next := q.succ[i]; next >= 0 {
+	c := s.store.firstChoice(id) + i
+	if next := s.succ[c]; next >= 0 {
 		return next, nil
 	}
-	s.one[0] = q.enabled[i]
-	succ, enabled, err := s.eng.Step(q.states, q.enabled, s.one[:])
+	s.store.decode(id, s.states)
+	s.enabled = s.store.enabled(id, s.enabled[:0])
+	s.one[0] = s.enabled[i]
+	succ, enabled, err := s.eng.Step(s.states, s.enabled, s.one[:])
 	if err != nil {
 		return -1, err
 	}
 	s.steps++
-	next := s.intern(succ, enabled)
-	s.states[id].succ[i] = next // intern may have grown s.states
+	next, err := s.intern(succ, enabled)
+	if err != nil {
+		return -1, err
+	}
+	s.succ[c] = next
 	return next, nil
 }
 
@@ -269,55 +266,55 @@ func (s *livenessSearch) run(inits [][]core.State) (*LivenessResult, error) {
 			return nil, fmt.Errorf("explore: initial vector has %d states, want %d", len(init), s.g.N())
 		}
 		v := normalizeSeed(init)
-		id, ok := s.index[s.h.key(v, monState{})]
-		if !ok {
-			enabled, err := s.eng.Probe(v)
-			if err != nil {
-				return nil, err
-			}
-			id = s.intern(v, enabled)
+		enabled, err := s.eng.Probe(v)
+		if err != nil {
+			return nil, err
 		}
-		q := &s.states[id]
+		id, err := s.intern(v, enabled)
+		if err != nil {
+			return nil, err
+		}
 		// TargetCycle's initial state IS the target (SBN); the cycle it
 		// certifies is the return to it, so the init check applies only to
 		// TargetNormal.
-		if opts.Target == TargetNormal && q.target {
+		if opts.Target == TargetNormal && s.target[id] {
 			reached = true // reached within 0 rounds
 			continue
 		}
-		if q.mask == 0 {
+		mask := s.store.procs(id)
+		if mask == 0 {
 			return violation(fmt.Sprintf("deadlock at an initial state before reaching the %s target", opts.Target))
 		}
-		if !enqueue(livenessNode{id: id, rounds: 1, pending: q.mask}) {
+		if !enqueue(livenessNode{id: id, rounds: 1, pending: mask}) {
 			return nil, fmt.Errorf("explore: product-state budget %d exceeded (raise MaxStates)", opts.MaxStates)
 		}
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		nd := queue[qi]
-		for i, n := 0, len(s.states[nd.id].enabled); i < n; i++ {
+		for i, n := 0, s.store.numEnabled(nd.id); i < n; i++ {
 			next, err := s.successor(nd.id, i)
 			if err != nil {
 				return nil, err
 			}
 			transitions++
-			q := &s.states[next]
-			if q.target {
+			if s.target[next] {
 				reached = true
 				worst = max(worst, int(nd.rounds))
 				continue
 			}
-			if q.mask == 0 {
+			mask := s.store.procs(next)
+			if mask == 0 {
 				return violation(fmt.Sprintf("deadlock during round %d before reaching the %s target", nd.rounds, opts.Target))
 			}
-			proc := s.states[nd.id].enabled[i].Proc
-			pending := (nd.pending &^ (1 << uint(proc))) & q.mask
+			proc := s.store.choice(nd.id, i).Proc
+			pending := (nd.pending &^ (1 << uint(proc))) & mask
 			rounds := nd.rounds
 			if pending == 0 {
 				if int(rounds) >= bound {
 					return violation(fmt.Sprintf("%d rounds completed without reaching the %s target (bound %d)", rounds, opts.Target, bound))
 				}
 				rounds++
-				pending = q.mask
+				pending = mask
 			}
 			if !enqueue(livenessNode{id: next, rounds: rounds, pending: pending}) {
 				return nil, fmt.Errorf("explore: product-state budget %d exceeded (raise MaxStates)", opts.MaxStates)

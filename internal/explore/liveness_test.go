@@ -67,14 +67,15 @@ func TestLivenessCertifiesRoundBounds(t *testing.T) {
 // TestLivenessCacheSound checks the argument that lets CertifyLiveness step
 // each (quotient state, choice) pair once: two vectors with one quotient
 // key behave alike. For every quotient state the Theorem-1 search reaches
-// from the faults:2 starts, the stored enabled set — which the search's
-// engine restarted from when it stepped the state — equals a fresh Probe; a
-// copy with other nonzero Msg stamps and arbitrary Val/Agg has the same
-// enabled set and target verdicts; and under every enabled choice both
-// step to successors with equal keys, enabled sets and target verdicts. On
-// ring:5 the search steps the engine once per distinct (state key, choice)
-// pair its product BFS reaches: 16,634 steps for 93,752 product
-// transitions.
+// from the faults:2 starts, decoded from the search's store, the stored
+// enabled set — which the search's engine restarted from when it stepped
+// the state — equals a fresh Probe and the stored target verdict the
+// decoded vector's; a copy with other nonzero Msg stamps and arbitrary
+// Val/Agg has the same enabled set and target verdicts; and under every
+// enabled choice both step to successors with equal keys, enabled sets and
+// target verdicts. On ring:5 the search steps the engine once per distinct
+// (state key, choice) pair its product BFS reaches: 16,634 steps for
+// 93,752 product transitions.
 func TestLivenessCacheSound(t *testing.T) {
 	for _, tc := range []struct {
 		mk    func() (*graph.Graph, error)
@@ -119,8 +120,10 @@ func TestLivenessCacheSound(t *testing.T) {
 			var h hasher
 			rng := rand.New(rand.NewSource(1))
 			stamped := 0
-			for id := range s.states {
-				v := s.states[id].states
+			for id := int32(0); id < int32(s.store.len()); id++ {
+				v := make([]core.State, g.N())
+				s.store.decode(id, v)
+				stored := s.store.enabled(id, nil)
 				w := append([]core.State(nil), v...)
 				for p := range w {
 					if w[p].Msg != 0 {
@@ -137,8 +140,11 @@ func TestLivenessCacheSound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(enV, s.states[id].enabled) {
-					t.Fatalf("state %d: stored enabled set %v, a fresh probe gives %v", id, s.states[id].enabled, enV)
+				if !reflect.DeepEqual(enV, stored) {
+					t.Fatalf("state %d: stored enabled set %v, a fresh probe gives %v", id, stored, enV)
+				}
+				if targets(v)[0] != s.target[id] {
+					t.Fatalf("state %d: stored target verdict %v, the decoded vector's is %v", id, s.target[id], targets(v)[0])
 				}
 				if !reflect.DeepEqual(enV, enW) || targets(v) != targets(w) {
 					t.Fatalf("state %d: the copy differs before any step", id)
@@ -247,7 +253,8 @@ func TestLivenessNormalInitIsZeroRounds(t *testing.T) {
 }
 
 // TestLivenessOptionValidation: bad targets, oversized networks, empty
-// inits, and unknown engines are errors, not verdicts.
+// inits, unknown engines and start vectors the store cannot hold are
+// errors, not verdicts.
 func TestLivenessOptionValidation(t *testing.T) {
 	g, err := graph.Line(5)
 	if err != nil {
@@ -275,5 +282,18 @@ func TestLivenessOptionValidation(t *testing.T) {
 	}
 	if _, err := CertifyLiveness(g, 0, inits, LivenessOptions{Target: TargetCycle, MaxStates: 3}); err == nil {
 		t.Error("state budget not enforced")
+	}
+	// A level the record cannot hold: truncated, it would be level 5.
+	line3, err := graph.Line(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overflow, err := Inits("clean", line3, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overflow[0][1].L = 65541
+	if res, err := CertifyLiveness(line3, 0, overflow, LivenessOptions{Target: TargetNormal}); err == nil || !strings.Contains(err.Error(), "p1 has level L=65541") {
+		t.Errorf("CertifyLiveness = %+v, %v; want an error naming p1's level", res, err)
 	}
 }

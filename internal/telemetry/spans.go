@@ -13,6 +13,10 @@ import (
 // feedback completion (B→F), and cleaning completion (→C), in logical time
 // (steps, rounds) and — live, when a clock is attached — wall time.
 type Span struct {
+	// Run is the 1-based index of the run the wave started in: each
+	// BeginRun, or each run event of a trace, starts the next run (0 before
+	// the first). Step and round numbers restart with every run.
+	Run int
 	// Wave is the 1-based wave number.
 	Wave int
 	// Msg is the wave's payload stamp (the root's Msg register at start).
@@ -145,9 +149,16 @@ type spanBuilder struct {
 	spans   []Span
 	max     int // retention cap; 0 keeps every span
 	dropped int64
+	runs    int  // runs begun so far
 	waves   int  // waves opened so far
 	cur     Span // the open wave, valid while open
 	open    bool
+}
+
+// beginRun cuts a wave still open and starts the next run.
+func (b *spanBuilder) beginRun() {
+	b.cut()
+	b.runs++
 }
 
 // start opens the next wave at the root's B-action. debris is the census
@@ -156,7 +167,7 @@ type spanBuilder struct {
 func (b *spanBuilder) start(step, round int, msg uint64, debris int, ns int64) {
 	b.cut()
 	b.waves++
-	b.cur = Span{Wave: b.waves, Msg: msg, StartStep: step, StartRound: round, StartNS: ns}
+	b.cur = Span{Run: b.runs, Wave: b.waves, Msg: msg, StartStep: step, StartRound: round, StartNS: ns}
 	if debris > 0 {
 		b.cur.Abnormal, b.cur.AbnProcs = true, debris
 	}
@@ -217,8 +228,8 @@ func (b *spanBuilder) snapshot() []Span {
 // SpansFromTrace reconstructs wave spans from a decoded obs JSONL trace with
 // the builder live telemetry uses: wave start/end events bound each span
 // (the start event carries the census debris), the root's B→F phase event
-// inside it marks feedback completion, and run and fault events cut a wave
-// still open. Offline spans are logical only: steps and rounds.
+// inside it marks feedback completion, run and fault events cut a wave
+// still open, and each run event starts the next run. Offline spans are logical only: steps and rounds.
 func SpansFromTrace(tr *obs.Trace) ([]Span, error) {
 	if tr.Meta == nil {
 		return nil, fmt.Errorf("telemetry: trace has no meta header (wave spans need the root)")
@@ -239,7 +250,9 @@ func SpansFromTrace(tr *obs.Trace) ([]Span, error) {
 			if ev.P == root && ev.From == "B" && ev.To == "F" {
 				b.feedback(ev.I, 0)
 			}
-		case "run", "fault":
+		case "run":
+			b.beginRun()
+		case "fault":
 			b.cut()
 		}
 	}

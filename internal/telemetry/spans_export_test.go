@@ -143,9 +143,9 @@ func stepsAtLeast(n int) func(*sim.RunState) bool {
 
 // TestSpansFromTraceMatchesLive round-trips the span pipeline: the spans
 // reconstructed offline from a JSONL trace must agree field for field with
-// the spans the live telemetry recorded for the same runs — on one clean
-// run, across run boundaries that cut open waves, and from every corrupted
-// start, each stopped mid-wave.
+// the spans the live telemetry recorded for the same runs, the run each
+// wave started in included — on one clean run, across run boundaries that
+// cut open waves, and from every corrupted start, each stopped mid-wave.
 func TestSpansFromTraceMatchesLive(t *testing.T) {
 	t.Run("single-run", func(t *testing.T) {
 		g, err := graph.RandomConnected(12, 0.25, newRand(4))
@@ -188,6 +188,14 @@ func TestSpansFromTraceMatchesLive(t *testing.T) {
 		}
 		if cut == 0 {
 			t.Fatalf("no wave was open at a run boundary: %+v", live)
+		}
+		for i, s := range live {
+			if s.Run < 1 || s.Run > 3 || i > 0 && s.Run < live[i-1].Run {
+				t.Fatalf("span %d has run %d, want runs 1..3 in order: %+v", i, s.Run, live)
+			}
+		}
+		if first, last := live[0].Run, live[len(live)-1].Run; first != 1 || last != 3 {
+			t.Fatalf("spans run from run %d to %d, want 1 to 3: %+v", first, last, live)
 		}
 	})
 

@@ -219,8 +219,9 @@ func (t *Telemetry) Now() int64 {
 
 // BeginRun (re)binds the telemetry to a run: stores the metadata, seeds
 // the incremental phase census from one full pass, keeps a wave still open
-// as an Open span, and checkpoints the initial (post-fault) configuration
-// as flight step 0. src may be nil when no state capture is possible.
+// as an Open span, numbers the waves that follow with the next run, and
+// checkpoints the initial (post-fault) configuration as flight step 0. src
+// may be nil when no state capture is possible.
 //
 // One Telemetry follows one run at a time: the wave and census state are
 // per run, so runs that feed it concurrently interleave them (the hooks
@@ -232,7 +233,7 @@ func (t *Telemetry) BeginRun(meta RunMeta, src StateSource) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.meta = meta
-	t.spans.cut()
+	t.spans.beginRun()
 	t.nextSample = t.cfg.SampleEvery
 	if src != nil {
 		b, f, c := src.Census()

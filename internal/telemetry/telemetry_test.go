@@ -220,7 +220,7 @@ func TestWaveSpanLifecycle(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans after BeginRun, want 2: %+v", len(spans), spans)
 	}
-	want := telemetry.Span{Wave: 2, Msg: 9, StartStep: 4, FeedbackStep: 5, StartRound: 3,
+	want := telemetry.Span{Run: 1, Wave: 2, Msg: 9, StartStep: 4, FeedbackStep: 5, StartRound: 3,
 		Abnormal: true, AbnProcs: 3, Open: true}
 	if spans[1] != want {
 		t.Fatalf("wave open at BeginRun:\ngot  %+v\nwant %+v", spans[1], want)

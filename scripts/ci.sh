@@ -111,9 +111,9 @@ go test -race ./internal/service/ ./cmd/pifserve/
 echo "== race: soak (reduced horizon) =="
 go test -race -short -run TestSoakManyWaves -count=1 .
 
-echo "== allocation budget (zero allocs/step after warm-up, disabled tracer included; guard work of an explored transition) =="
+echo "== allocation budget (zero allocs/step after warm-up, disabled tracer included; guard work of an explored transition; explorer bytes per state) =="
 go test ./internal/sim/ -run 'TestZeroAllocs|TestCycleByteBudget|TestChoicesBufferReuse|TestCopyFromZeroAllocs' -count=1 -v
-go test ./internal/explore/ -run 'TestSimEngineAllocs|TestSimEngineGuardWork' -count=1 -v
+go test ./internal/explore/ -run 'TestSimEngineAllocs|TestSimEngineGuardWork|TestExplorerRetainedBytes' -count=1 -v
 go test ./internal/obs/ -run TestDisabledTracerZeroAllocs -count=1 -v
 go test ./internal/flat/ -run 'TestFlatCopyFromZeroAllocs' -count=1 -v
 go test ./internal/event/ -run TestEventZeroAllocsPerStep -count=1 -v
