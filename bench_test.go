@@ -23,10 +23,10 @@ import (
 	"snappif/internal/core"
 	"snappif/internal/event"
 	"snappif/internal/exp"
+	"snappif/internal/explore"
 	"snappif/internal/fault"
 	"snappif/internal/flat"
 	"snappif/internal/graph"
-	"snappif/internal/mc"
 	"snappif/internal/msgnet"
 	"snappif/internal/msgnet/register"
 	"snappif/internal/sim"
@@ -433,23 +433,28 @@ func BenchmarkE11MessagePassing(b *testing.B) {
 }
 
 // BenchmarkModelChecker measures the exhaustive checker's throughput on the
-// smallest instance (the full 373k-configuration product on a 3-line).
+// smallest instance: the full 46,656-configuration domain of a 3-line,
+// every central schedule, EF-clean included.
 func BenchmarkModelChecker(b *testing.B) {
 	g, err := graph.Line(3)
 	if err != nil {
 		b.Fatal(err)
 	}
+	inits, err := explore.Inits("domain", g, 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		m, err := mc.NewSnapModel(g, 0)
+		e, err := explore.New(g, 0, explore.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := mc.New(m, mc.CentralPower).Run()
+		res, err := e.Run(inits)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.OK() {
-			b.Fatal("verification failed")
+		if res.Verdict != "certified" {
+			b.Fatalf("verification failed: %s", res.Violation)
 		}
 		b.ReportMetric(float64(res.States), "states")
 	}

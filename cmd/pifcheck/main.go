@@ -1,7 +1,7 @@
-// Command pifcheck runs the exhaustive model checker: it enumerates every
-// initial configuration of a PIF protocol on a small network and every
-// daemon schedule, and verifies snap-stabilization (safety of every
-// completed wave), deadlock freedom, and reachability of the clean
+// Command pifcheck runs the exhaustive check: it enumerates every initial
+// configuration of a PIF protocol on a small network and every daemon
+// schedule of the real sim engine, and verifies snap-stabilization (safety
+// of every completed wave), deadlock freedom, and reachability of the clean
 // configuration. Checking the self-stabilizing baseline instead synthesizes
 // a concrete counterexample — the paper's separation, derived by machine.
 //
@@ -15,16 +15,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
+	"math"
 	"os"
 	"strings"
 	"time"
 
 	"snappif/internal/core"
-	"snappif/internal/fault"
+	"snappif/internal/explore"
 	"snappif/internal/graph"
-	"snappif/internal/mc"
-	"snappif/internal/sim"
 )
 
 func main() {
@@ -39,7 +37,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		proto   = fs.String("proto", "snap", "protocol: snap|selfstab")
 		topoN   = fs.String("topo", "line", "topology: line|ring|star")
-		n       = fs.Int("n", 3, "network size (keep tiny in full mode: the state space is the full domain product)")
+		n       = fs.Int("n", 3, "network size (keep tiny in full mode: the starts are the full domain product)")
 		root    = fs.Int("root", 0, "root processor")
 		daemonN = fs.String("daemon", "central", "daemon power: central|distributed")
 		mode    = fs.String("mode", "full", "full: enumerate every initial configuration; faults: explore all schedules from every fault injector's output (snap only, scales to larger n)")
@@ -54,53 +52,51 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var power mc.DaemonPower
+	opts := explore.Options{Protocol: strings.ToLower(*proto), MaxStates: math.MaxInt32}
+	if *limit > 0 {
+		opts.MaxStates = *limit
+	}
 	switch strings.ToLower(*daemonN) {
 	case "central":
-		power = mc.CentralPower
+		opts.Power = explore.PowerCentral
 	case "distributed":
-		power = mc.DistributedPower
+		opts.Power = explore.PowerDistributed
 	default:
 		return fmt.Errorf("unknown daemon power %q", *daemonN)
 	}
-	var model mc.Model
-	switch strings.ToLower(*proto) {
-	case "snap":
-		model, err = mc.NewSnapModel(g, *root)
-	case "selfstab":
-		model, err = mc.NewSelfStabModel(g, *root)
-	default:
-		return fmt.Errorf("unknown protocol %q", *proto)
-	}
+	e, err := explore.New(g, *root, opts)
 	if err != nil {
 		return err
 	}
 
-	checker := mc.New(model, power)
-	if *limit > 0 {
-		checker.SetLimit(*limit)
-	}
-	//snapvet:ok harness wall-clock for the human progress report; never feeds checker state
-	start := time.Now()
-	var res mc.Result
+	var inits [][]core.State
 	switch strings.ToLower(*mode) {
 	case "full":
+		if opts.Protocol == explore.ProtocolSelfStab {
+			inits, err = explore.BaselineDomain(g, *root)
+		} else {
+			inits, err = explore.Inits("domain", g, *root, nil)
+		}
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "exhaustively checking %s on %s under the %s daemon…\n", *proto, g, *daemonN)
-		res, err = checker.Run()
 	case "faults":
-		if strings.ToLower(*proto) != "snap" {
+		if opts.Protocol != explore.ProtocolSnap {
 			return fmt.Errorf("-mode faults is only wired for the snap protocol")
 		}
-		configs, cerr := faultConfigs(g, *root, *seeds)
-		if cerr != nil {
-			return cerr
+		if inits, err = explore.Inits(fmt.Sprintf("faults:%d", *seeds), g, *root, nil); err != nil {
+			return err
 		}
 		fmt.Fprintf(out, "systematically checking %s on %s: all %s schedules from %d injected configurations…\n",
-			*proto, g, *daemonN, len(configs))
-		res, err = checker.RunFrom(configs)
+			*proto, g, *daemonN, len(inits))
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
+
+	//snapvet:ok harness wall-clock for the human progress report; never feeds checker state
+	start := time.Now()
+	res, err := e.Run(inits)
 	if err != nil {
 		return err
 	}
@@ -108,48 +104,27 @@ func run(args []string, out io.Writer) error {
 		//snapvet:ok harness wall-clock for the human progress report; never feeds checker state
 		res.InitialStates, res.States, res.Transitions, time.Since(start).Seconds())
 
-	if res.OK() {
+	if res.Verdict == "certified" {
 		fmt.Fprintln(out, "VERIFIED: every completed wave is delivered and acknowledged ([PIF1],[PIF2]),")
 		fmt.Fprintln(out, "          no reachable deadlock, the clean configuration is always reachable.")
 		return nil
 	}
-	if res.SafetyViolation != nil {
-		fmt.Fprintln(out, "SAFETY VIOLATION (counterexample):")
-		for _, line := range res.SafetyViolation {
-			fmt.Fprintln(out, "  "+line)
-		}
-	}
-	if res.Deadlock != nil {
+	switch {
+	case strings.HasPrefix(res.Violation, "deadlock:"):
 		fmt.Fprintln(out, "DEADLOCK reachable:")
-		for _, line := range res.Deadlock {
-			fmt.Fprintln(out, "  "+line)
-		}
-	}
-	if res.LivenessViolation != nil {
+	case strings.HasPrefix(res.Violation, "ef-clean:"):
 		fmt.Fprintln(out, "LIVENESS VIOLATION (clean configuration unreachable from):")
-		for _, line := range res.LivenessViolation {
-			fmt.Fprintln(out, "  "+line)
-		}
+	default:
+		fmt.Fprintln(out, "SAFETY VIOLATION (counterexample):")
+	}
+	trace, err := e.Trace()
+	if err != nil {
+		return err
+	}
+	for _, line := range append(trace, res.Violation) {
+		fmt.Fprintln(out, "  "+line)
 	}
 	return fmt.Errorf("%s failed exhaustive checking", *proto)
-}
-
-// faultConfigs builds the systematic-mode seed set: every fault injector's
-// output on `seeds` RNG seeds, plus the clean configuration.
-func faultConfigs(g *graph.Graph, root, seeds int) ([]*sim.Configuration, error) {
-	pr, err := core.New(g, root)
-	if err != nil {
-		return nil, err
-	}
-	var configs []*sim.Configuration
-	for _, inj := range append(fault.All(), fault.Clean()) {
-		for s := 0; s < seeds; s++ {
-			cfg := sim.NewConfiguration(g, pr)
-			inj.Apply(cfg, pr, rand.New(rand.NewSource(int64(s))))
-			configs = append(configs, cfg)
-		}
-	}
-	return configs, nil
 }
 
 func buildTopo(name string, n int) (*graph.Graph, error) {

@@ -10,8 +10,8 @@ func TestCheckSnapLine3(t *testing.T) {
 	if err := run([]string{"-proto", "snap", "-topo", "line", "-n", "3"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "VERIFIED") {
-		t.Fatalf("snap protocol not verified:\n%s", out.String())
+	if !strings.Contains(out.String(), "VERIFIED") || !strings.Contains(out.String(), "46656 initial configurations, 47558 states, 82768 transitions") {
+		t.Fatalf("snap protocol not verified over the full line-3 domain:\n%s", out.String())
 	}
 }
 
@@ -21,8 +21,10 @@ func TestCheckSelfStabLine4FindsViolation(t *testing.T) {
 	if err == nil {
 		t.Fatalf("baseline passed checking:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "SAFETY VIOLATION") {
-		t.Fatalf("violation not reported:\n%s", out.String())
+	for _, want := range []string{"SAFETY VIOLATION", "\n    0: p0{", "PIF1 violated"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("violation path not reported (no %q):\n%s", want, out.String())
+		}
 	}
 }
 

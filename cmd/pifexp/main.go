@@ -58,6 +58,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,6 +101,19 @@ func run(args []string, out io.Writer) (err error) {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	var ids []string
+	for _, e := range exp.All() {
+		ids = append(ids, e.ID)
+	}
+	want := make(map[string]bool)
+	for _, id := range strings.Split(*only, ",") {
+		if id = strings.ToUpper(strings.TrimSpace(id)); id != "" {
+			if !slices.Contains(ids, id) {
+				return fmt.Errorf("-only: unknown experiment ID %q (valid IDs: %s)", id, strings.Join(ids, ", "))
+			}
+			want[id] = true
+		}
 	}
 
 	if *cpuProf != "" {
@@ -189,13 +203,6 @@ func run(args []string, out io.Writer) (err error) {
 			}
 		}()
 		fmt.Fprintf(os.Stderr, "pifexp: serving /debug/vars, /healthz, and /debug/pprof on %s\n", *httpAddr)
-	}
-
-	want := make(map[string]bool)
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[strings.ToUpper(id)] = true
-		}
 	}
 
 	timings := &trace.Timings{}

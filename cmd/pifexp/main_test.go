@@ -77,3 +77,22 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsUnknownExperimentID: an -only list naming an experiment
+// that does not exist fails and names the valid IDs, instead of running
+// nothing and succeeding.
+func TestRunRejectsUnknownExperimentID(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-quick", "-only", "E1,e99"}, &out)
+	if err == nil {
+		t.Fatalf("-only E1,e99 accepted:\n%s", out.String())
+	}
+	for _, want := range []string{`"E99"`, "E1, E2", "MC", "H1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %s", err, want)
+		}
+	}
+	if out.Len() != 0 {
+		t.Fatalf("ran experiments before rejecting the list:\n%s", out.String())
+	}
+}

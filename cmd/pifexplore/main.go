@@ -110,7 +110,10 @@ func runOne(args []string, out io.Writer) error {
 		}
 	}
 	if *seedsDir != "" {
-		seeds := e.FrontierSeeds("frontier-"+g.Name(), "central-random", 0)
+		seeds, err := e.FrontierSeeds("frontier-"+g.Name(), "central-random", 0)
+		if err != nil {
+			return err
+		}
 		for _, sc := range seeds {
 			if err := writeJSON(filepath.Join(*seedsDir, sc.Name+".json"), sc); err != nil {
 				return err

@@ -62,3 +62,30 @@ func TestGoldenSynchronousCycle(t *testing.T) {
 		t.Fatalf("synchronous cycle diverged from the golden trace.\ngot:\n%swant:\n%s", got, goldenLine4)
 	}
 }
+
+// TestPrintedGuardsIdenticalFromCleanStart double-checks the repair-inertness
+// claim of DESIGN.md §2 (repairs 3 and 4): from the normal starting
+// configuration the printed and repaired guards enable the same actions
+// and produce the same execution.
+func TestPrintedGuardsIdenticalFromCleanStart(t *testing.T) {
+	g, err := graph.Line(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repaired := core.MustNew(g, 0)
+	printed := core.MustNew(g, 0, core.WithPrintedGuards())
+	cfgA := sim.NewConfiguration(g, repaired)
+	cfgB := sim.NewConfiguration(g, printed)
+	for step := 0; step < 64; step++ {
+		p := step % g.N()
+		ea := repaired.Enabled(cfgA, p)
+		eb := printed.Enabled(cfgB, p)
+		if len(ea) != len(eb) {
+			t.Fatalf("step %d: enabled sets diverged", step)
+		}
+		if len(ea) == 1 {
+			cfgA.States[p] = repaired.Apply(cfgA, p, ea[0])
+			cfgB.States[p] = printed.Apply(cfgB, p, eb[0])
+		}
+	}
+}

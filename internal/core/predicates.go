@@ -339,8 +339,9 @@ func (pr *Protocol) Cleaning(c *sim.Configuration, p int) bool {
 // not yet in the Fok wave whose Count lags behind Sum.
 //
 // Root repair (found by the exhaustive model checker, see DESIGN.md §2 and
-// internal/mc): the root must also be able to execute Count-action when
-// Sum_r = N with Fok_r still lowered, even if Count_r = Sum_r. Otherwise a
+// internal/explore's TestPrintedGuardsDeadlock): the root must also be able
+// to execute Count-action when Sum_r = N with Fok_r still lowered, even if
+// Count_r = Sum_r. Otherwise a
 // corrupted-but-locally-normal initial configuration with Count_r already
 // equal to N deadlocks: the only statement that raises Fok_r is
 // Count-action's "Fok_r := (Sum_r = N)", and its printed guard

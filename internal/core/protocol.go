@@ -58,7 +58,7 @@ type Protocol struct {
 	// §2, repairs 3 and 4) to the guards exactly as printed in the paper's
 	// transcription. For studying the repairs only: with printed guards
 	// certain corrupted configurations deadlock, which the exhaustive
-	// checker demonstrates (see internal/mc's regression tests).
+	// checker demonstrates (internal/explore's TestPrintedGuardsDeadlock).
 	printedGuards bool
 
 	g       *graph.Graph

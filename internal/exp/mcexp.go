@@ -2,118 +2,60 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
+	"strings"
 
 	"snappif/internal/core"
-	"snappif/internal/fault"
+	"snappif/internal/explore"
 	"snappif/internal/graph"
-	"snappif/internal/mc"
-	"snappif/internal/sim"
 	"snappif/internal/trace"
 )
 
-// ModelChecking is experiment MC: exhaustive verification. In full mode it
-// enumerates the complete domain product of the snap protocol on a 3-line
-// under both daemon powers, runs the systematic fault-seeded check on a
-// 5-ring, and lets the checker synthesize the self-stabilizing baseline's
-// counterexample on a 4-line. Quick mode trades the full products for the
-// systematic checks only.
+// ModelChecking is experiment MC: exhaustive verification through the
+// explorer (internal/explore). In full mode it enumerates the complete
+// domain product of the snap protocol on a 3-line under both daemon powers;
+// both modes run the systematic fault-seeded checks on a 5-ring and a 4-ring
+// and let the explorer synthesize the self-stabilizing baseline's
+// counterexample on a 4-line. Quick mode drops the full snap products.
 func ModelChecking(opt Options) (Outcome, error) {
 	opt = opt.withDefaults()
 	tbl := trace.NewTable("MC — exhaustive model checking (safety [PIF1/PIF2], no deadlock, EF-SBN)",
 		"instance", "protocol", "mode", "initial", "states", "transitions", "result")
 	out := Outcome{Table: tbl}
 
-	type job struct {
-		name  string
-		run   func() (mc.Result, error)
-		snap  bool // snap protocol must verify; baseline must fail safety
-		skipQ bool // skip in quick mode
+	jobs := []struct {
+		name, topo, protocol, power, init string
+		skipQ                             bool // skip in quick mode
+	}{
+		{"line-3 full central", "line:3", explore.ProtocolSnap, explore.PowerCentral, "domain", true},
+		{"line-3 full distributed", "line:3", explore.ProtocolSnap, explore.PowerDistributed, "domain", true},
+		{"ring-5 faults central", "ring:5", explore.ProtocolSnap, explore.PowerCentral, "faults:3", false},
+		{"ring-4 faults distributed", "ring:4", explore.ProtocolSnap, explore.PowerDistributed, "faults:2", false},
+		{"line-4 full central", "line:4", explore.ProtocolSelfStab, explore.PowerCentral, "domain", false},
 	}
-
-	fullSnap := func(build func() (*graph.Graph, error), power mc.DaemonPower) func() (mc.Result, error) {
-		return func() (mc.Result, error) {
-			g, err := build()
-			if err != nil {
-				return mc.Result{}, err
-			}
-			m, err := mc.NewSnapModel(g, 0)
-			if err != nil {
-				return mc.Result{}, err
-			}
-			return mc.New(m, power).Run()
-		}
-	}
-	systematic := func(build func() (*graph.Graph, error), power mc.DaemonPower, seeds int) func() (mc.Result, error) {
-		return func() (mc.Result, error) {
-			g, err := build()
-			if err != nil {
-				return mc.Result{}, err
-			}
-			m, err := mc.NewSnapModel(g, 0)
-			if err != nil {
-				return mc.Result{}, err
-			}
-			pr, err := core.New(g, 0)
-			if err != nil {
-				return mc.Result{}, err
-			}
-			var configs []*sim.Configuration
-			for _, inj := range append(fault.All(), fault.Clean()) {
-				for s := 0; s < seeds; s++ {
-					cfg := sim.NewConfiguration(g, pr)
-					inj.Apply(cfg, pr, rand.New(rand.NewSource(int64(s))))
-					configs = append(configs, cfg)
-				}
-			}
-			c := mc.New(m, power)
-			c.SetLimit(5_000_000)
-			return c.RunFrom(configs)
-		}
-	}
-	baseline := func() (mc.Result, error) {
-		g, err := graph.Line(4)
-		if err != nil {
-			return mc.Result{}, err
-		}
-		m, err := mc.NewSelfStabModel(g, 0)
-		if err != nil {
-			return mc.Result{}, err
-		}
-		return mc.New(m, mc.CentralPower).Run()
-	}
-
-	jobs := []job{
-		{name: "line-3 full central", run: fullSnap(func() (*graph.Graph, error) { return graph.Line(3) }, mc.CentralPower), snap: true, skipQ: true},
-		{name: "line-3 full distributed", run: fullSnap(func() (*graph.Graph, error) { return graph.Line(3) }, mc.DistributedPower), snap: true, skipQ: true},
-		{name: "ring-5 faults central", run: systematic(func() (*graph.Graph, error) { return graph.Ring(5) }, mc.CentralPower, 3), snap: true},
-		{name: "ring-4 faults distributed", run: systematic(func() (*graph.Graph, error) { return graph.Ring(4) }, mc.DistributedPower, 2), snap: true},
-		{name: "line-4 full central", run: baseline, snap: false},
-	}
-
 	for _, j := range jobs {
 		if opt.Quick && j.skipQ {
 			continue
 		}
-		res, err := j.run()
+		res, err := checkExhaustively(j.topo, j.protocol, j.power, j.init)
 		if err != nil {
 			return out, fmt.Errorf("exp: MC %s: %w", j.name, err)
 		}
+		snap := j.protocol == explore.ProtocolSnap
 		proto, mode := "snap-pif", "full"
-		if !j.snap {
+		if !snap {
 			proto = "selfstab-pif"
 		}
-		if res.InitialStates < 1000 {
+		if j.init != "domain" {
 			mode = "systematic"
 		}
 		var verdictCell string
 		switch {
-		case j.snap && res.OK():
+		case snap && res.Verdict == "certified":
 			verdictCell = "VERIFIED"
-		case j.snap:
+		case snap:
 			verdictCell = "FAILED"
 			out.SnapViolations++
-		case res.SafetyViolation != nil:
+		case strings.HasPrefix(res.Violation, "pif-delivery:"):
 			verdictCell = "counterexample synthesized"
 			out.BaselineViolations++
 		default:
@@ -122,4 +64,29 @@ func ModelChecking(opt Options) (Outcome, error) {
 		tbl.AddRow(j.name, proto, mode, res.InitialStates, res.States, res.Transitions, verdictCell)
 	}
 	return out, nil
+}
+
+// checkExhaustively explores every schedule of protocol on topo under power
+// from init (a snap Inits mode; "domain" is the baseline's own domain for
+// the baseline) with every transition enumerated, so the run also checks
+// EF-clean.
+func checkExhaustively(topo, protocol, power, init string) (*explore.Result, error) {
+	g, err := graph.Parse(topo)
+	if err != nil {
+		return nil, err
+	}
+	var inits [][]core.State
+	if protocol == explore.ProtocolSelfStab {
+		inits, err = explore.BaselineDomain(g, 0)
+	} else {
+		inits, err = explore.Inits(init, g, 0, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	e, err := explore.New(g, 0, explore.Options{Protocol: protocol, Power: power, MaxStates: 5_000_000})
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(inits)
 }

@@ -3,12 +3,15 @@ package explore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
+	"snappif/internal/baseline/selfstab"
 	"snappif/internal/core"
 	"snappif/internal/event"
 	"snappif/internal/flat"
 	"snappif/internal/graph"
 	"snappif/internal/hunt"
+	"snappif/internal/multi"
 	"snappif/internal/sim"
 )
 
@@ -19,6 +22,11 @@ import (
 // applies an action itself — so a certification is a statement about the
 // engine under test (boxed sim.Runner or event.Runner), not about a model
 // of it.
+//
+// The self-stabilizing baseline and a multi composition run through the sim
+// engine too, behind a codec that maps the explorer's core.State vector and
+// core action IDs onto the protocol's own states and choices (see
+// baselineCodec and compositionCodec).
 //
 // Every Probe and Step starts a pristine run on the engine's scratch
 // configuration: ages start at zero, so the weak-fairness forcing never adds
@@ -46,14 +54,15 @@ type Engine interface {
 	// engine's enabled choices without stepping.
 	Probe(states []core.State) ([]sim.Choice, error)
 
-	// Step executes exactly sel from states and returns the successor state
-	// vector together with the engine's post-step enabled choices. enabled
-	// must be the engine's own report for states — a Probe of states, or
-	// the Step that produced them — and is never modified or retained; an
-	// engine may restart from it instead of evaluating every guard. Every
-	// choice in sel must be in enabled; a selection the engine does not
-	// recognize is an error, never a silent substitution.
-	Step(states []core.State, enabled, sel []sim.Choice) (succ []core.State, succEnabled []sim.Choice, err error)
+	// Step executes exactly sel from states, writes the successor state
+	// vector into succ (the caller's buffer, as long as states) and returns
+	// the engine's post-step enabled choices. enabled must be the engine's
+	// own report for states — a Probe of states, or the Step that produced
+	// them — and is never modified or retained; an engine may restart from
+	// it instead of evaluating every guard. Every choice in sel must be in
+	// enabled; a selection the engine does not recognize is an error, never
+	// a silent substitution.
+	Step(states []core.State, enabled, sel []sim.Choice, succ []core.State) (succEnabled []sim.Choice, err error)
 }
 
 // forcedDaemon replays one externally chosen selection. Unlike hunt's
@@ -98,13 +107,16 @@ func engineOptions() sim.Options {
 	return sim.Options{MaxSteps: 2, FairnessAge: 1 << 30}
 }
 
-// simEngine drives the boxed generic engine (sim.Runner over *core.State).
-// Its one runner is restarted with Reset for every Probe and with ResetWith
-// for every Step.
+// simEngine drives the boxed generic engine: sim.Runner over *core.State,
+// or over the baseline or a composition through codec. Its one runner is
+// restarted with Reset for every Probe and with ResetWith for every Step.
 type simEngine struct {
 	cfg    *sim.Configuration
 	forced *forcedDaemon
 	runner *sim.Runner
+	codec  codec        // nil for core, whose boxes load in place
+	en     []sim.Choice // the caller's enabled set in the protocol's choices
+	sel    []sim.Choice // the caller's selection in the protocol's choices
 }
 
 // newSimEngine builds a scratch boxed engine. plant, when non-empty, wraps
@@ -138,32 +150,169 @@ func (e *simEngine) Name() string { return "sim" }
 
 // Probe implements Engine.
 func (e *simEngine) Probe(states []core.State) ([]sim.Choice, error) {
-	loadStates(e.cfg, states)
+	e.load(states)
 	e.runner.Reset()
-	return e.runner.Enabled(), nil
+	return e.enabled(), nil
 }
 
 // Step implements Engine.
-func (e *simEngine) Step(states []core.State, enabled, sel []sim.Choice) ([]core.State, []sim.Choice, error) {
-	loadStates(e.cfg, states)
+func (e *simEngine) Step(states []core.State, enabled, sel []sim.Choice, succ []core.State) ([]sim.Choice, error) {
+	e.load(states)
+	if e.codec != nil {
+		e.en = e.codec.toProtocol(e.en[:0], enabled)
+		e.sel = e.codec.toProtocol(e.sel[:0], sel)
+		enabled, sel = e.en, e.sel
+	}
 	e.runner.ResetWith(enabled)
 	e.forced.sel = sel
 	e.forced.miss = false
 	done, err := e.runner.Step()
 	if err != nil {
-		return nil, nil, fmt.Errorf("explore: sim step: %w", err)
+		return nil, fmt.Errorf("explore: sim step: %w", err)
 	}
 	if e.forced.miss {
-		return nil, nil, fmt.Errorf("explore: sim engine does not enable %v", sel)
+		return nil, fmt.Errorf("explore: sim engine does not enable %v", sel)
 	}
 	if done {
-		return nil, nil, fmt.Errorf("explore: sim step from %v reported terminal", sel)
+		return nil, fmt.Errorf("explore: sim step from %v reported terminal", sel)
 	}
-	succ := make([]core.State, len(states))
+	if e.codec != nil {
+		e.codec.read(e.cfg, succ)
+	} else {
+		for p := range succ {
+			succ[p] = *(e.cfg.States[p].(*core.State))
+		}
+	}
+	return e.enabled(), nil
+}
+
+// load writes states into the scratch configuration.
+func (e *simEngine) load(states []core.State) {
+	if e.codec != nil {
+		e.codec.load(e.cfg, states)
+		return
+	}
+	loadStates(e.cfg, states)
+}
+
+// enabled returns a copy of the runner's enabled set in the explorer's
+// choices.
+func (e *simEngine) enabled() []sim.Choice {
+	if e.codec != nil {
+		return e.codec.fromProtocol(nil, e.runner.Enabled())
+	}
+	return e.runner.Enabled()
+}
+
+// codec maps the explorer's vector and choices onto a protocol whose states
+// are not *core.State boxes. The explorer's choices name a vector index and
+// one of core's action IDs; a codec's vector holds every field the
+// protocol's guards and statements read.
+type codec interface {
+	// load writes states into cfg.
+	load(cfg *sim.Configuration, states []core.State)
+	// read writes cfg's states into the vector succ.
+	read(cfg *sim.Configuration, succ []core.State)
+	// toProtocol appends the explorer's choices chs to buf as the
+	// protocol's, in the order the protocol's runner reports them.
+	toProtocol(buf, chs []sim.Choice) []sim.Choice
+	// fromProtocol appends the protocol's choices chs to buf as the
+	// explorer's, in ascending vector order.
+	fromProtocol(buf, chs []sim.Choice) []sim.Choice
+}
+
+// baselineToCore renumbers the baseline's action IDs to core's.
+var baselineToCore = [...]int{
+	selfstab.ActionB:           core.ActionB,
+	selfstab.ActionF:           core.ActionF,
+	selfstab.ActionC:           core.ActionC,
+	selfstab.ActionBCorrection: core.ActionBCorrection,
+	selfstab.ActionFCorrection: core.ActionFCorrection,
+}
+
+// baselineCodec carries the self-stabilizing baseline's Pif, Par, L and Msg
+// in core.State, with Count and Fok zero, and renumbers its actions to
+// core's, so the monitor reads its B- and F-actions as core's. The two
+// Phase types number C, B and F alike.
+type baselineCodec struct{}
+
+func (baselineCodec) load(cfg *sim.Configuration, states []core.State) {
+	for p, s := range states {
+		cfg.States[p] = selfstab.State{Pif: selfstab.Phase(s.Pif), Par: s.Par, L: s.L, Msg: s.Msg}
+	}
+}
+
+func (baselineCodec) read(cfg *sim.Configuration, succ []core.State) {
 	for p := range succ {
-		succ[p] = *(e.cfg.States[p].(*core.State))
+		s := cfg.States[p].(selfstab.State)
+		succ[p] = core.State{Pif: core.Phase(s.Pif), Par: s.Par, L: s.L, Msg: s.Msg}
 	}
-	return succ, e.runner.Enabled(), nil
+}
+
+func (baselineCodec) toProtocol(buf, chs []sim.Choice) []sim.Choice {
+	for _, ch := range chs {
+		buf = append(buf, sim.Choice{Proc: ch.Proc, Action: slices.Index(baselineToCore[:], ch.Action)})
+	}
+	return buf
+}
+
+func (baselineCodec) fromProtocol(buf, chs []sim.Choice) []sim.Choice {
+	for _, ch := range chs {
+		buf = append(buf, sim.Choice{Proc: ch.Proc, Action: baselineToCore[ch.Action]})
+	}
+	return buf
+}
+
+// compositionCodec lays a k-instance multi composition over n processors
+// out as a k·n vector: instance i's state of processor p sits at index
+// i·n+p, and its core action a at p is the choice (i·n+p, a). A vector
+// entry then enables at most one choice, as a core processor does, when
+// each instance's guards are exclusive.
+type compositionCodec struct {
+	n, k int
+}
+
+// compositionActions is the stride of multi's action IDs: instance i's
+// core action a is i·compositionActions + a.
+const compositionActions = core.ActionFCorrection + 1
+
+func (c compositionCodec) load(cfg *sim.Configuration, states []core.State) {
+	for p := 0; p < c.n; p++ {
+		per := cfg.States[p].(multi.State).Per
+		for i := range per {
+			per[i] = states[i*c.n+p]
+		}
+	}
+}
+
+func (c compositionCodec) read(cfg *sim.Configuration, succ []core.State) {
+	for p := 0; p < c.n; p++ {
+		for i, s := range cfg.States[p].(multi.State).Per {
+			succ[i*c.n+p] = s
+		}
+	}
+}
+
+func (c compositionCodec) toProtocol(buf, chs []sim.Choice) []sim.Choice {
+	for p := 0; p < c.n; p++ {
+		for _, ch := range chs {
+			if ch.Proc%c.n == p {
+				buf = append(buf, sim.Choice{Proc: p, Action: ch.Proc/c.n*compositionActions + ch.Action})
+			}
+		}
+	}
+	return buf
+}
+
+func (c compositionCodec) fromProtocol(buf, chs []sim.Choice) []sim.Choice {
+	for i := 0; i < c.k; i++ {
+		for _, ch := range chs {
+			if ch.Action/compositionActions == i {
+				buf = append(buf, sim.Choice{Proc: i*c.n + ch.Proc, Action: ch.Action % compositionActions})
+			}
+		}
+	}
+	return buf
 }
 
 // eventEngine drives the struct-of-arrays engine in external-daemon mode
@@ -222,29 +371,56 @@ func (e *eventEngine) Probe(states []core.State) ([]sim.Choice, error) {
 
 // Step implements Engine. The fresh runner evaluates every guard, so the
 // caller's enabled set goes unused.
-func (e *eventEngine) Step(states []core.State, _, sel []sim.Choice) ([]core.State, []sim.Choice, error) {
+func (e *eventEngine) Step(states []core.State, _, sel []sim.Choice, succ []core.State) ([]sim.Choice, error) {
 	e.load(states)
 	e.forced.sel = sel
 	e.forced.miss = false
 	r, err := event.NewRunner(e.cfg, e.kernel, e.forced, event.Options{Options: engineOptions()})
 	if err != nil {
-		return nil, nil, fmt.Errorf("explore: %s step: %w", e.name, err)
+		return nil, fmt.Errorf("explore: %s step: %w", e.name, err)
 	}
 	done, err := r.Step()
 	if err != nil {
-		return nil, nil, fmt.Errorf("explore: %s step: %w", e.name, err)
+		return nil, fmt.Errorf("explore: %s step: %w", e.name, err)
 	}
 	if e.forced.miss {
-		return nil, nil, fmt.Errorf("explore: %s engine does not enable %v", e.name, sel)
+		return nil, fmt.Errorf("explore: %s engine does not enable %v", e.name, sel)
 	}
 	if done {
-		return nil, nil, fmt.Errorf("explore: %s step from %v reported terminal", e.name, sel)
+		return nil, fmt.Errorf("explore: %s step from %v reported terminal", e.name, sel)
 	}
-	succ := make([]core.State, len(states))
 	for p := range succ {
 		succ[p] = e.cfg.StateAt(p)
 	}
-	return succ, r.Enabled(), nil
+	return r.Enabled(), nil
+}
+
+// newModelEngine builds the sim engine over the self-stabilizing baseline
+// rooted at root or, when initiators is non-empty, over the multi
+// composition of one core instance per initiator.
+func newModelEngine(g *graph.Graph, root int, initiators []int, copts []core.Option) (*simEngine, error) {
+	if len(initiators) > 0 {
+		mp, err := multi.New(g, initiators, copts...)
+		if err != nil {
+			return nil, err
+		}
+		return compositionEngine(g, mp, len(initiators)), nil
+	}
+	pr, err := selfstab.New(g, root)
+	if err != nil {
+		return nil, err
+	}
+	e := simEngineOver(g, pr)
+	e.codec = baselineCodec{}
+	return e, nil
+}
+
+// compositionEngine builds the sim engine over proto, a composition of k
+// instances (a multi.Protocol, or a test's wrapper of one).
+func compositionEngine(g *graph.Graph, proto sim.Protocol, k int) *simEngine {
+	e := simEngineOver(g, proto)
+	e.codec = compositionCodec{n: g.N(), k: k}
+	return e
 }
 
 // newEngine constructs the named engine kind.

@@ -9,9 +9,9 @@ import (
 )
 
 // TestSimEngineAllocs pins the cost of an explored transition on the sim
-// engine, whose one runner is restarted instead of rebuilt: Step allocates
-// exactly its two results (the successor vector and the enabled copy) and
-// Probe exactly its one (the enabled copy).
+// engine, whose one runner is restarted instead of rebuilt: Step writes the
+// successor into the caller's buffer and allocates exactly its one result
+// (the enabled copy), as does Probe.
 func TestSimEngineAllocs(t *testing.T) {
 	g := mustGraph(t, graph.Ring, 5)
 	eng, err := newSimEngine(g, 0, "", nil)
@@ -25,6 +25,7 @@ func TestSimEngineAllocs(t *testing.T) {
 		t.Fatalf("Probe = %v, %v; want a non-empty enabled set", enabled, err)
 	}
 	sel := enabled[:1]
+	succ := make([]core.State, len(v))
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, err := eng.Probe(v); err != nil {
 			t.Fatal(err)
@@ -33,11 +34,11 @@ func TestSimEngineAllocs(t *testing.T) {
 		t.Errorf("Probe allocates %.2f objects, want 1", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, after, err := eng.Step(v, enabled, sel); err != nil || len(after) == 0 {
+		if after, err := eng.Step(v, enabled, sel, succ); err != nil || len(after) == 0 {
 			t.Fatalf("Step = %v, %v; want a non-empty enabled set", after, err)
 		}
-	}); allocs != 2 {
-		t.Errorf("Step allocates %.2f objects, want 2", allocs)
+	}); allocs != 1 {
+		t.Errorf("Step allocates %.2f objects, want 1", allocs)
 	}
 }
 
@@ -78,6 +79,7 @@ func TestSimEngineGuardWork(t *testing.T) {
 			cp := &countingProtocol{Protocol: core.MustNew(g, 0)}
 			eng := simEngineOver(g, cp)
 			steps := 0
+			succ := make([]core.State, g.N())
 			for _, v := range mustInits(t, "faults:2", g) {
 				cp.evals = 0
 				enabled, err := eng.Probe(v)
@@ -89,7 +91,7 @@ func TestSimEngineGuardWork(t *testing.T) {
 				}
 				for _, ch := range enabled {
 					cp.evals = 0
-					if _, _, err := eng.Step(v, enabled, []sim.Choice{ch}); err != nil {
+					if _, err := eng.Step(v, enabled, []sim.Choice{ch}, succ); err != nil {
 						t.Fatal(err)
 					}
 					if want := len(g.Neighbors(ch.Proc)) + 1; cp.evals != want {

@@ -1,16 +1,16 @@
-// Package explore performs bounded exhaustive schedule exploration of the
-// real PIF engines. Where internal/mc enumerates an abstract transition
-// relation it computes itself from the protocol's guards, explore enumerates
+// Package explore is the repository's exhaustive checker: it enumerates
 // every daemon schedule of the actual engine under test — the boxed
 // sim.Runner or the large-N event.Runner, forced one selection at a time
 // through its public stepping interface — so a clean certification table is
 // a statement about the shipped implementation, including its guard caches
-// and incremental refresh, not about a model of it.
+// and incremental refresh, not about a model of it. Besides the
+// snap-stabilizing protocol it checks the self-stabilizing baseline (whose
+// counterexample it synthesizes) and k-initiator multi compositions, both
+// through sim.Runner.
 //
 // The explorer is a deterministic layered BFS over a quotient state space
 // (payload extensions zeroed, message registers reduced to the "carries the
-// current broadcast" bit, exactly as internal/mc does), with three
-// reductions:
+// current broadcast" bit), with three reductions:
 //
 //   - state-hash dedup through a canonical per-configuration key;
 //   - optional sleep-set partial-order reduction for the central daemon,
@@ -18,9 +18,11 @@
 //   - optional symmetry reduction under the admissible automorphism group
 //     (root-fixing, neighbor-order-preserving — see hash.go).
 //
-// Any [PIF1]/[PIF2] delivery violation or Section-4 invariant violation is
-// reported with its full schedule, exportable as a hunt.Scenario that
-// `pifhunt replay` re-executes bit for bit.
+// Any [PIF1]/[PIF2] delivery violation, deadlock or Section-4 invariant
+// violation is reported with its full schedule, exportable for the snap
+// protocol as a hunt.Scenario that `pifhunt replay` re-executes bit for
+// bit. A run that closes with every transition enumerated also checks that
+// an all-clean configuration stays reachable from every reached state.
 package explore
 
 import (
@@ -30,6 +32,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -49,8 +52,15 @@ const (
 	PowerSynchronous = "synchronous"
 )
 
-// maxN bounds exploration size: processor sets fit the explorer's uint16
-// columns, and the per-processor key byte layout stays exact.
+// Protocols under test.
+const (
+	ProtocolSnap     = "snap"
+	ProtocolSelfStab = "selfstab"
+)
+
+// maxN bounds exploration size: the vector's entries (k·N for a
+// composition) fit the explorer's uint16 columns, and the per-entry key
+// byte layout stays exact.
 const maxN = 12
 
 // Options configures an Explorer.
@@ -82,6 +92,15 @@ type Options struct {
 	MaxStates int
 	// CoreOptions are forwarded to core.New (Lmax/N' overrides etc.).
 	CoreOptions []core.Option
+	// Protocol selects the protocol under test: ProtocolSnap (default, the
+	// paper's algorithm) or ProtocolSelfStab (the self-stabilizing
+	// baseline, sim engine only).
+	Protocol string
+	// Initiators, when non-empty, checks the multi composition of one snap
+	// instance per listed initiator instead (sim engine, central daemon, no
+	// POR); the root passed to New must be the first. The vector then
+	// holds instance i's state of processor p at index i·N+p.
+	Initiators []int
 }
 
 // Result is the machine-readable outcome of one exploration, serialized
@@ -151,6 +170,7 @@ type worker struct {
 	h       hasher
 	cfg     *sim.Configuration // check scratch, built by checkNodes
 	states  []core.State
+	succ    []core.State
 	enabled []sim.Choice
 	sel     []sim.Choice
 }
@@ -158,9 +178,11 @@ type worker struct {
 // Explorer runs one exhaustive exploration. Single-use: construct with New,
 // call Run once, then read Scenario/FrontierSeeds/Visited.
 type Explorer struct {
-	g    *graph.Graph
-	root int
-	opts Options
+	g     *graph.Graph
+	root  int
+	roots []int // each instance's initiator: {root} for a single protocol
+	width int   // vector entries: N, or k·N for a composition
+	opts  Options
 
 	pr      *core.Protocol // unplanted, for invariant checks
 	checks  []check.Check
@@ -189,6 +211,15 @@ type Explorer struct {
 	initial     int
 	ran         bool
 
+	// Every counted transition's target in merge order, kept only by a run
+	// that enumerates every transition (POR off, or a non-central daemon)
+	// for the closing EF-clean check. Such a run expands each node once, in
+	// ID order, with all its transitions in one layer, so node id's
+	// successors are succ[succStart[id]:succStart[id+1]].
+	keepEdges bool
+	succ      []int32
+	succStart []uint32
+
 	// Per-layer buffers, reused across layers and dropped when Run returns.
 	tasks   []task
 	results []taskResult
@@ -201,8 +232,13 @@ type Explorer struct {
 
 // New validates the options and builds one engine and hasher per worker.
 func New(g *graph.Graph, root int, opts Options) (*Explorer, error) {
-	if g.N() > maxN {
-		return nil, fmt.Errorf("explore: %d processors exceeds the exploration bound %d", g.N(), maxN)
+	roots := []int{root}
+	if len(opts.Initiators) > 0 {
+		roots = opts.Initiators
+	}
+	if width := len(roots) * g.N(); width > maxN {
+		return nil, fmt.Errorf("explore: %d vector entries (%d instances × %d processors) exceed the exploration bound %d",
+			width, len(roots), g.N(), maxN)
 	}
 	switch opts.Power {
 	case "", PowerCentral:
@@ -223,6 +259,12 @@ func New(g *graph.Graph, root int, opts Options) (*Explorer, error) {
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = 1_000_000
 	}
+	if opts.Protocol == "" {
+		opts.Protocol = ProtocolSnap
+	}
+	if err := checkModel(opts, root); err != nil {
+		return nil, err
+	}
 	pr, err := core.New(g, root, opts.CoreOptions...)
 	if err != nil {
 		return nil, err
@@ -231,26 +273,74 @@ func New(g *graph.Graph, root int, opts Options) (*Explorer, error) {
 		return nil, fmt.Errorf("explore: Lmax=%d / N'=%d exceed the 16-bit key layout", pr.Lmax, pr.NPrime)
 	}
 	e := &Explorer{
-		g:      g,
-		root:   root,
-		opts:   opts,
-		pr:     pr,
-		checks: check.StandardChecks(),
-		indep:  independenceMasks(g, root),
+		g:         g,
+		root:      root,
+		roots:     roots,
+		width:     len(roots) * g.N(),
+		opts:      opts,
+		pr:        pr,
+		indep:     independenceMasks(g, root),
+		keepEdges: !opts.POR || opts.Power != PowerCentral,
+	}
+	if e.snap() {
+		// The Section-4 invariants are the snap protocol's.
+		e.checks = check.StandardChecks()
 	}
 	if opts.Symmetry {
 		e.autos = admissibleAutomorphisms(g, root)
 	}
-	e.store = newStore(g.N(), len(e.autos) > 0)
+	e.store = newStore(e.width, len(e.autos) > 0)
 	e.workers = make([]worker, opts.Workers)
 	for w := range e.workers {
-		eng, err := newEngine(opts.Engine, g, root, opts.Plant, opts.CoreOptions)
+		var eng Engine
+		if e.snap() {
+			eng, err = newEngine(opts.Engine, g, root, opts.Plant, opts.CoreOptions)
+		} else {
+			eng, err = newModelEngine(g, root, opts.Initiators, opts.CoreOptions)
+		}
 		if err != nil {
 			return nil, err
 		}
-		e.workers[w] = worker{eng: eng, h: hasher{autos: e.autos}, states: make([]core.State, g.N())}
+		e.workers[w] = worker{eng: eng, h: hasher{autos: e.autos},
+			states: make([]core.State, e.width), succ: make([]core.State, e.width)}
 	}
 	return e, nil
+}
+
+// checkModel validates the protocol choice: the baseline and compositions
+// run on the sim engine only, without plants or symmetry, and a
+// composition also needs the central daemon without POR and its first
+// initiator as root.
+func checkModel(opts Options, root int) error {
+	composition := len(opts.Initiators) > 0
+	switch {
+	case opts.Protocol != ProtocolSnap && opts.Protocol != ProtocolSelfStab:
+		return fmt.Errorf("explore: unknown protocol %q (want %s or %s)", opts.Protocol, ProtocolSnap, ProtocolSelfStab)
+	case opts.Protocol == ProtocolSnap && !composition:
+		return nil
+	case composition && opts.Protocol != ProtocolSnap:
+		return fmt.Errorf("explore: a composition runs %s instances, not %s", ProtocolSnap, opts.Protocol)
+	case composition && opts.Initiators[0] != root:
+		return fmt.Errorf("explore: root %d is not the first initiator of %v", root, opts.Initiators)
+	case composition && (opts.POR || opts.Power != PowerCentral):
+		return errors.New("explore: a composition is explored under the central daemon without POR")
+	case opts.Engine != "sim" || opts.Plant != "" || opts.Symmetry:
+		return fmt.Errorf("explore: %s runs on the sim engine only, without plants or symmetry", modelName(opts))
+	}
+	return nil
+}
+
+// modelName names the protocol under test in errors.
+func modelName(opts Options) string {
+	if len(opts.Initiators) > 0 {
+		return fmt.Sprintf("the composition of initiators %v", opts.Initiators)
+	}
+	return "protocol " + opts.Protocol
+}
+
+// snap reports whether the explorer checks the snap protocol alone.
+func (e *Explorer) snap() bool {
+	return e.opts.Protocol == ProtocolSnap && len(e.opts.Initiators) == 0
 }
 
 // Run explores every daemon schedule from every initial state vector (each
@@ -267,8 +357,8 @@ func (e *Explorer) Run(inits [][]core.State) (*Result, error) {
 		return nil, errors.New("explore: no initial states")
 	}
 	for _, init := range inits {
-		if len(init) != e.g.N() {
-			return nil, fmt.Errorf("explore: initial vector has %d states, want %d", len(init), e.g.N())
+		if len(init) != e.width {
+			return nil, fmt.Errorf("explore: initial vector has %d states, want %d", len(init), e.width)
 		}
 	}
 	defer e.dropLayerBuffers()
@@ -290,14 +380,20 @@ func (e *Explorer) Run(inits [][]core.State) (*Result, error) {
 		e.frontier = next
 		depth++
 	}
+	succ, succStart := e.succ, e.succStart
+	e.dropLayerBuffers()
+	if e.violation == nil && len(e.frontier) == 0 && e.keepEdges {
+		e.violation = e.checkEFClean(succ, succStart)
+	}
 	return e.result(), nil
 }
 
-// dropLayerBuffers releases the per-layer buffers once Run is done, so a
-// finished explorer holds only its store, its per-node columns and its
-// frontier.
+// dropLayerBuffers releases the per-layer buffers and the kept edges once
+// Run is done, so a finished explorer holds only its store, its per-node
+// columns and its frontier.
 func (e *Explorer) dropLayerBuffers() {
 	e.tasks, e.results, e.recs, e.keys, e.at, e.newTask, e.enBuf = nil, nil, nil, nil, nil, nil, nil
+	e.succ, e.succStart = nil, nil
 }
 
 // seedLayer interns the normalized initial vectors as layer 0, then checks
@@ -452,6 +548,9 @@ func (e *Explorer) checkNode(wk *worker, id int32) *violationRec {
 		}
 		seen |= bit
 	}
+	if len(e.checks) == 0 {
+		return nil
+	}
 	e.store.decode(id, wk.states)
 	loadStates(wk.cfg, wk.states)
 	for _, chk := range e.checks {
@@ -526,9 +625,8 @@ func (e *Explorer) prepare() []task {
 }
 
 // appendSubsetTasks emits the non-central selections of one node: every
-// non-empty subset of the enabled set in ascending mask order (mirroring
-// internal/mc's subset enumeration) for the distributed daemon, the single
-// full set for the synchronous daemon.
+// non-empty subset of the enabled set in ascending mask order for the
+// distributed daemon, the single full set for the synchronous daemon.
 func (e *Explorer) appendSubsetTasks(tasks []task, id int32, enabled []sim.Choice) []task {
 	if e.opts.Power == PowerSynchronous {
 		return append(tasks, task{node: id, sel: uint16(e.store.procs(id))})
@@ -598,15 +696,15 @@ func (e *Explorer) expandTask(wk *worker, t *task, i int) taskResult {
 	preMon := e.store.decode(t.node, wk.states)
 	wk.enabled = e.store.enabled(t.node, wk.enabled[:0])
 	wk.sel = selectProcs(wk.sel[:0], wk.enabled, t.sel)
-	succ, enabled, err := wk.eng.Step(wk.states, wk.enabled, wk.sel)
+	enabled, err := wk.eng.Step(wk.states, wk.enabled, wk.sel, wk.succ)
 	if err != nil {
 		return taskResult{err: err}
 	}
-	mon, delivery := e.applyMonitor(wk.states, preMon, wk.sel, succ)
+	mon, delivery := e.applyMonitor(wk.states, preMon, wk.sel, wk.succ)
 	if delivery != "" {
 		return taskResult{delivery: delivery}
 	}
-	rec, key, hash, err := wk.h.encode(succ, mon)
+	rec, key, hash, err := wk.h.encode(wk.succ, mon)
 	if err != nil {
 		return taskResult{err: err}
 	}
@@ -619,10 +717,10 @@ func (e *Explorer) expandTask(wk *worker, t *task, i int) taskResult {
 }
 
 // merge consumes the expand results strictly in task order (serial): counts
-// transitions, interns new states, and accumulates the next frontier,
-// narrowing sleep sets by intersection when several same-layer paths reach
-// one state. A delivery violation ends the run without counting the
-// transition or interning its target, mirroring internal/mc.
+// transitions (keeping them as edges when keepEdges), interns new states,
+// and accumulates the next frontier, narrowing sleep sets by intersection
+// when several same-layer paths reach one state. A delivery violation ends
+// the run without counting the transition or interning its target.
 //
 // The layer's new nodes are then checked on the worker pool (checkNodes).
 // A failing check at node v means a serial run would have stopped right
@@ -668,6 +766,12 @@ func (e *Explorer) merge(tasks []task, results []taskResult) ([]frontierEntry, e
 				break
 			}
 			e.newTask = append(e.newTask, int32(i))
+		}
+		if e.keepEdges {
+			for len(e.succStart) <= int(t.node) {
+				e.succStart = append(e.succStart, uint32(len(e.succ)))
+			}
+			e.succ = append(e.succ, id)
 		}
 		if j, seen := e.at[id]; seen {
 			next[j].sleep &= t.childSleep
@@ -752,6 +856,9 @@ func (e *Explorer) Visited() []string {
 // vector, the exported schedule replays bit for bit even when symmetry
 // dedup was active.
 func (e *Explorer) Scenario(name string) (*hunt.Scenario, error) {
+	if err := e.replayable(); err != nil {
+		return nil, err
+	}
 	if !e.ran {
 		return nil, errors.New("explore: Run first")
 	}
@@ -778,13 +885,141 @@ func (e *Explorer) Scenario(name string) (*hunt.Scenario, error) {
 // depth-bounded incomplete runs) as schedule-free hunt scenarios, handing
 // the deepest systematically reached configurations to pifhunt's randomized
 // search as start states.
-func (e *Explorer) FrontierSeeds(prefix, daemon string, maxSteps int) []*hunt.Scenario {
+func (e *Explorer) FrontierSeeds(prefix, daemon string, maxSteps int) ([]*hunt.Scenario, error) {
+	if err := e.replayable(); err != nil {
+		return nil, err
+	}
 	out := make([]*hunt.Scenario, 0, len(e.frontier))
 	for i, fe := range e.frontier {
 		name := fmt.Sprintf("%s-%04d", prefix, i)
 		out = append(out, hunt.NewSeedScenario(name, e.g, e.root, e.configOf(fe.id), daemon, maxSteps, e.opts.Plant))
 	}
-	return out
+	return out, nil
+}
+
+// replayable refuses the exports hunt cannot replay: its scenarios run the
+// snap protocol alone.
+func (e *Explorer) replayable() error {
+	if !e.snap() {
+		return fmt.Errorf("explore: hunt scenarios replay the snap protocol only, not %s", modelName(e.opts))
+	}
+	return nil
+}
+
+// maxTraceStates bounds the states Trace renders.
+const maxTraceStates = 24
+
+// Trace renders the discovery path from an initial state to the recorded
+// violation's state, one state per line and at most the last
+// maxTraceStates of them. A delivery violation's final step leaves the
+// last state shown.
+func (e *Explorer) Trace() ([]string, error) {
+	if e.violation == nil {
+		return nil, errors.New("explore: no violation recorded")
+	}
+	var path []int32
+	for id := e.violation.node; id >= 0; id = e.pred[id] {
+		path = append(path, id)
+	}
+	slices.Reverse(path)
+	var out []string
+	if skip := len(path) - maxTraceStates; skip > 0 {
+		out = append(out, fmt.Sprintf("… (%d earlier states)", skip))
+		path = path[skip:]
+	}
+	states := make([]core.State, e.width)
+	for _, id := range path {
+		out = append(out, fmt.Sprintf("%3d: %s", e.depth[id], e.render(id, states)))
+	}
+	return out, nil
+}
+
+// render renders node id readably: each vector entry as p{...} (p@r{...}
+// in a composition, r the instance's initiator), a * for a fed mark, and
+// every open window.
+func (e *Explorer) render(id int32, states []core.State) string {
+	mon := e.store.decode(id, states)
+	n := e.g.N()
+	var b strings.Builder
+	for s, st := range states {
+		if s > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "p%d", s%n)
+		if len(e.opts.Initiators) > 0 {
+			fmt.Fprintf(&b, "@r%d", e.roots[s/n])
+		}
+		fmt.Fprintf(&b, "{%v par=%d L=%d", st.Pif, st.Par, st.L)
+		if e.opts.Protocol == ProtocolSnap {
+			fmt.Fprintf(&b, " cnt=%d fok=%v", st.Count, st.Fok)
+		}
+		fmt.Fprintf(&b, " m=%d}", st.Msg)
+		if mon.fed&(1<<uint(s)) != 0 {
+			b.WriteByte('*')
+		}
+	}
+	for i := range e.roots {
+		if mon.windows&(1<<uint(i)) != 0 {
+			fmt.Fprintf(&b, " [cycle %d open]", i)
+		}
+	}
+	return b.String()
+}
+
+// checkEFClean checks, over the kept successors of a closed run, that from
+// every reached state some path reaches an all-clean state (every vector
+// entry in phase C). It inverts the successor lists into predecessor lists
+// by counting sort, searches backwards from the all-clean states, and
+// returns the violation of the lowest state the search never reaches (nil
+// when it reaches all).
+func (e *Explorer) checkEFClean(succ []int32, succStart []uint32) *violationRec {
+	n := e.store.len()
+	for len(succStart) <= n {
+		succStart = append(succStart, uint32(len(succ)))
+	}
+	// start[v] counts v's predecessors, then becomes the end and finally
+	// the start of v's range in preds; start[n] stays the edge count.
+	start := make([]uint32, n+1)
+	for _, to := range succ {
+		start[to]++
+	}
+	var sum uint32
+	for v := range start {
+		sum += start[v]
+		start[v] = sum
+	}
+	preds := make([]int32, len(succ))
+	for v := int32(0); v < int32(n); v++ {
+		for _, to := range succ[succStart[v]:succStart[v+1]] {
+			start[to]--
+			preds[start[to]] = v
+		}
+	}
+	succ, succStart = nil, nil
+
+	reached := make([]bool, n)
+	var queue []int32
+	states := make([]core.State, e.width)
+	for id := int32(0); id < int32(n); id++ {
+		e.store.decode(id, states)
+		if !slices.ContainsFunc(states, func(s core.State) bool { return s.Pif != core.C }) {
+			reached[id] = true
+			queue = append(queue, id)
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		for _, u := range preds[start[v]:start[v+1]] {
+			if !reached[u] {
+				reached[u] = true
+				queue = append(queue, u)
+			}
+		}
+	}
+	if id := slices.Index(reached, false); id >= 0 {
+		return &violationRec{kind: "ef-clean", msg: "no all-clean configuration is reachable", node: int32(id)}
+	}
+	return nil
 }
 
 // configOf decodes node id into a fresh configuration.

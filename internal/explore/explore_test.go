@@ -323,7 +323,10 @@ func TestDepthBoundAndFrontierSeeds(t *testing.T) {
 	if res.MaxDepth != 1 {
 		t.Fatalf("max depth %d, want 1", res.MaxDepth)
 	}
-	seeds := e.FrontierSeeds("horizon", "central-random", 30)
+	seeds, err := e.FrontierSeeds("horizon", "central-random", 30)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(seeds) == 0 {
 		t.Fatal("no frontier seeds from a bounded run")
 	}

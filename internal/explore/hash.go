@@ -9,9 +9,10 @@ import (
 	"snappif/internal/sim"
 )
 
-// Key layout: 7 bytes per processor — phase, parent+2, level (2 bytes,
+// Key layout: 7 bytes per vector entry — phase, parent+2, level (2 bytes,
 // little-endian), count (2 bytes), flags (bit 0 Fok, bit 1 message bit,
-// bit 2 fed-mark) — followed by one global in-cycle byte. The encoding is
+// bit 2 fed-mark) — followed by one byte of open windows, bit i for
+// instance i (so 0 or 1 for a single protocol). The encoding is
 // bijective on the explored quotient (decodeRecord inverts it): the
 // explorer stores Msg ∈ {0,1} and Val = Agg = 0 (the payload extensions
 // feed no guard, see monitor.go), and checkEncodable refuses a vector whose
@@ -45,10 +46,7 @@ func appendKey(b []byte, states []core.State, mon monState, perm, inv []int) []b
 		b = append(b, byte(s.Pif), byte(par+2),
 			byte(s.L), byte(s.L>>8), byte(s.Count), byte(s.Count>>8), flags)
 	}
-	if mon.inCycle {
-		return append(b, 1)
-	}
-	return append(b, 0)
+	return append(b, mon.windows)
 }
 
 // decodeRecord inverts the identity encoding: it writes the vector of rec
@@ -71,7 +69,7 @@ func decodeRecord(rec []byte, states []core.State) monState {
 			mon.fed |= 1 << uint(p)
 		}
 	}
-	mon.inCycle = rec[len(rec)-1] != 0
+	mon.windows = rec[len(rec)-1]
 	return mon
 }
 

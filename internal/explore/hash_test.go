@@ -95,13 +95,13 @@ func TestKeyConstantOnOrbits(t *testing.T) {
 		{Pif: core.C, Par: 0, L: 2, Count: 2},
 		{Pif: core.F, Par: 0, L: 1, Count: 1, Msg: 1},
 	}
-	mon := monState{fed: 1 << 3, inCycle: true}
+	mon := monState{fed: 1 << 3, windows: 1}
 	want := h.key(states, mon)
 	for _, a := range autos {
 		// Relabel: processor π(p) gets p's state (with parents mapped).
 		relabeled := make([]core.State, len(states))
 		var rmon monState
-		rmon.inCycle = mon.inCycle
+		rmon.windows = mon.windows
 		for p, s := range states {
 			if s.Par >= 0 {
 				s.Par = a.perm[s.Par]
@@ -148,7 +148,7 @@ func TestKeyBijectiveOnQuotient(t *testing.T) {
 		mutate(&v[2])
 		all = append(all, vec{v, monState{}})
 	}
-	all = append(all, vec{base, monState{fed: 1 << 1}}, vec{base, monState{inCycle: true}})
+	all = append(all, vec{base, monState{fed: 1 << 1}}, vec{base, monState{windows: 1}})
 	seen := map[string]int{}
 	for i, v := range all {
 		k := h.key(v.states, v.mon)

@@ -111,6 +111,7 @@ type livenessSearch struct {
 	target  []bool  // per state: the target verdict
 	succ    []int32 // per stored choice: the successor's ID once stepped, -1 before
 	states  []core.State
+	next    []core.State // Step's successor buffer
 	enabled []sim.Choice
 	one     [1]sim.Choice
 	steps   int64 // engine steps: one per distinct (quotient state, choice)
@@ -169,6 +170,7 @@ func newLivenessSearch(g *graph.Graph, root int, opts LivenessOptions) (*livenes
 		scratch: sim.NewConfiguration(g, pr),
 		store:   newStore(g.N(), false),
 		states:  make([]core.State, g.N()),
+		next:    make([]core.State, g.N()),
 	}, nil
 }
 
@@ -211,12 +213,12 @@ func (s *livenessSearch) successor(id int32, i int) (int32, error) {
 	s.store.decode(id, s.states)
 	s.enabled = s.store.enabled(id, s.enabled[:0])
 	s.one[0] = s.enabled[i]
-	succ, enabled, err := s.eng.Step(s.states, s.enabled, s.one[:])
+	enabled, err := s.eng.Step(s.states, s.enabled, s.one[:], s.next)
 	if err != nil {
 		return -1, err
 	}
 	s.steps++
-	next, err := s.intern(succ, enabled)
+	next, err := s.intern(s.next, enabled)
 	if err != nil {
 		return -1, err
 	}

@@ -150,11 +150,12 @@ func TestLivenessCacheSound(t *testing.T) {
 					t.Fatalf("state %d: the copy differs before any step", id)
 				}
 				for _, ch := range enV {
-					sv, afterV, err := eng.Step(v, enV, []sim.Choice{ch})
+					sv, sw := make([]core.State, len(v)), make([]core.State, len(w))
+					afterV, err := eng.Step(v, enV, []sim.Choice{ch}, sv)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sw, afterW, err := eng.Step(w, enW, []sim.Choice{ch})
+					afterW, err := eng.Step(w, enW, []sim.Choice{ch}, sw)
 					if err != nil {
 						t.Fatal(err)
 					}

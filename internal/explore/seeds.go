@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"snappif/internal/baseline/selfstab"
 	"snappif/internal/core"
 	"snappif/internal/fault"
 	"snappif/internal/graph"
@@ -47,7 +48,11 @@ func Inits(mode string, g *graph.Graph, root int, copts []core.Option) ([][]core
 		}
 		return faultVectors(g, pr, k), nil
 	case mode == "domain":
-		return domainVectors(g, pr)
+		counts := make([]int, pr.NPrime)
+		for i := range counts {
+			counts[i] = i + 1
+		}
+		return domainVectors(g, root, pr.Lmax, counts, []bool{false, true})
 	}
 	return nil, fmt.Errorf("explore: unknown init mode %q (want clean, faults[:K], or domain)", mode)
 }
@@ -58,8 +63,19 @@ func cleanVector(g *graph.Graph, pr *core.Protocol) []core.State {
 	return vectorOf(cfg)
 }
 
+// BaselineDomain enumerates the self-stabilizing baseline's full domain
+// product, Pif × Par × L per processor with Msg = 0, as vectors for an
+// explorer with Protocol ProtocolSelfStab (Count and Fok stay zero).
+func BaselineDomain(g *graph.Graph, root int) ([][]core.State, error) {
+	pr, err := selfstab.New(g, root)
+	if err != nil {
+		return nil, err
+	}
+	return domainVectors(g, root, pr.Lmax, []int{0}, []bool{false})
+}
+
 // faultVectors applies every adversarial injector plus the clean control on
-// seeds 0..k-1 each, mirroring internal/mc's systematic-from-faults seeding.
+// seeds 0..k-1 each.
 func faultVectors(g *graph.Graph, pr *core.Protocol, k int) [][]core.State {
 	injectors := append(fault.All(), fault.Clean())
 	out := make([][]core.State, 0, len(injectors)*k)
@@ -75,14 +91,13 @@ func faultVectors(g *graph.Graph, pr *core.Protocol, k int) [][]core.State {
 
 // domainVectors enumerates the full domain product by odometer: for every
 // processor, Pif × Par × L × Count × Fok over the declared domains
-// (root: Par = ⊥, L = 0), with Msg = Val = Agg = 0 — the quotient image of
-// internal/mc's SnapModel domain.
-func domainVectors(g *graph.Graph, pr *core.Protocol) ([][]core.State, error) {
+// (root: Par = ⊥, L = 0; elsewhere L ∈ [1, lmax]), with Msg = Val = Agg = 0.
+func domainVectors(g *graph.Graph, root, lmax int, counts []int, foks []bool) ([][]core.State, error) {
 	n := g.N()
 	domains := make([][]core.State, n)
 	total := 1
 	for p := 0; p < n; p++ {
-		domains[p] = stateDomain(g, pr, p)
+		domains[p] = stateDomain(g, root, lmax, p, counts, foks)
 		if total > maxDomainVectors/len(domains[p]) {
 			return nil, fmt.Errorf("explore: domain product exceeds %d vectors; use faults:K on this instance", maxDomainVectors)
 		}
@@ -112,13 +127,13 @@ func domainVectors(g *graph.Graph, pr *core.Protocol) ([][]core.State, error) {
 }
 
 // stateDomain enumerates processor p's local domain in deterministic order.
-func stateDomain(g *graph.Graph, pr *core.Protocol, p int) []core.State {
+func stateDomain(g *graph.Graph, root, lmax, p int, counts []int, foks []bool) []core.State {
 	parents := []int{core.ParNone}
 	levels := []int{0}
-	if p != pr.Root {
+	if p != root {
 		parents = g.Neighbors(p)
 		levels = levels[:0]
-		for l := 1; l <= pr.Lmax; l++ {
+		for l := 1; l <= lmax; l++ {
 			levels = append(levels, l)
 		}
 	}
@@ -126,8 +141,8 @@ func stateDomain(g *graph.Graph, pr *core.Protocol, p int) []core.State {
 	for _, pif := range []core.Phase{core.B, core.F, core.C} {
 		for _, par := range parents {
 			for _, l := range levels {
-				for cnt := 1; cnt <= pr.NPrime; cnt++ {
-					for _, fok := range []bool{false, true} {
+				for _, cnt := range counts {
+					for _, fok := range foks {
 						out = append(out, core.State{Pif: pif, Par: par, L: l, Count: cnt, Fok: fok})
 					}
 				}

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample accumulates integer observations (rounds, moves, heights) and
@@ -67,24 +66,6 @@ func (s *Sample) Stddev() float64 {
 		acc += d * d
 	}
 	return math.Sqrt(acc / float64(len(s.xs)))
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using the
-// nearest-rank method (0 when empty).
-func (s *Sample) Percentile(p float64) int {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sorted := append([]int(nil), s.xs...)
-	sort.Ints(sorted)
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
 
 // String summarizes the sample as "mean±sd [min,max] n=k".

@@ -63,9 +63,6 @@ func TestSampleStats(t *testing.T) {
 	if s.N() != 0 || s.Min() != 0 || s.Max() != 0 || s.Mean() != 0 || s.Stddev() != 0 {
 		t.Fatal("empty sample not all-zero")
 	}
-	if s.Percentile(50) != 0 {
-		t.Fatal("empty percentile not zero")
-	}
 	for _, x := range []int{4, 8, 6, 2} {
 		s.Add(x)
 	}
@@ -78,17 +75,14 @@ func TestSampleStats(t *testing.T) {
 	if got := s.Stddev(); math.Abs(got-math.Sqrt(5)) > 1e-9 {
 		t.Fatalf("stddev = %v, want √5", got)
 	}
-	if s.Percentile(0) != 2 || s.Percentile(50) != 4 || s.Percentile(100) != 8 {
-		t.Fatalf("percentiles: %d %d %d", s.Percentile(0), s.Percentile(50), s.Percentile(100))
-	}
 	if !strings.Contains(s.String(), "n=4") {
 		t.Fatalf("String() = %q", s.String())
 	}
 }
 
-// Property: Min ≤ Percentile(p) ≤ Max and Min ≤ Mean ≤ Max for any sample.
+// Property: Min ≤ Mean ≤ Max for any sample.
 func TestSampleStatsProperty(t *testing.T) {
-	f := func(xs []int16, pRaw uint8) bool {
+	f := func(xs []int16) bool {
 		if len(xs) == 0 {
 			return true
 		}
@@ -96,10 +90,7 @@ func TestSampleStatsProperty(t *testing.T) {
 		for _, x := range xs {
 			s.Add(int(x))
 		}
-		p := float64(pRaw) / 255 * 100
-		q := s.Percentile(p)
-		return s.Min() <= q && q <= s.Max() &&
-			float64(s.Min()) <= s.Mean() && s.Mean() <= float64(s.Max())
+		return float64(s.Min()) <= s.Mean() && s.Mean() <= float64(s.Max())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@
 #   sh scripts/ci.sh               # format check, vet, build, tests, race, allocs
 #   CI_FUZZ=1 sh scripts/ci.sh     # additionally smoke-fuzz the engine oracles
 #   CI_EXPLORE=1 sh scripts/ci.sh  # additionally smoke the exhaustive explorer
+#                                  # and pifcheck
 #   CI_SERVICE=1 sh scripts/ci.sh  # additionally gate the pifserve bench grid
 #                                  # (pinned small cell + byte-determinism)
 #   CI_OVERHEAD=1 sh scripts/ci.sh # additionally gate telemetry overhead (timing-
@@ -150,6 +151,16 @@ if [ "${CI_EXPLORE:-0}" = "1" ]; then
     go run ./cmd/pifexplore run -topo star:4 -init faults:3 -depth 6 -expect-states 357
     go run ./cmd/pifexplore certify -json artifacts/explore-smoke.json
     cmp explore.json artifacts/explore-smoke.json
+    echo "== pifcheck smoke (line-3 full domain verifies; the baseline's line-4 counterexample) =="
+    go run ./cmd/pifcheck -topo line -n 3 > artifacts/pifcheck-snap.txt
+    grep -q "47558 states" artifacts/pifcheck-snap.txt
+    grep -q "^VERIFIED" artifacts/pifcheck-snap.txt
+    if go run ./cmd/pifcheck -proto selfstab -topo line -n 4 > artifacts/pifcheck-selfstab.txt; then
+        echo "pifcheck: the baseline passed on line-4" >&2
+        exit 1
+    fi
+    grep -q "^    0: p0{" artifacts/pifcheck-selfstab.txt
+    grep -q "PIF1 violated" artifacts/pifcheck-selfstab.txt
 fi
 
 if [ "${CI_SERVICE:-0}" = "1" ]; then
