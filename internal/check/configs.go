@@ -8,6 +8,8 @@ import (
 // This file classifies configurations per Definitions 8–16.
 
 // IsNormalConfiguration reports Definition 8: every processor is normal.
+//
+//snapvet:hotpath
 func IsNormalConfiguration(c *sim.Configuration, pr *core.Protocol) bool {
 	for p := 0; p < c.N(); p++ {
 		if !pr.Normal(c, p) {
@@ -24,12 +26,16 @@ func IsBroadcastConfiguration(c *sim.Configuration, pr *core.Protocol) bool {
 }
 
 // IsStartBroadcast reports Definition 10 (SB): Pif_r = C.
+//
+//snapvet:hotpath
 func IsStartBroadcast(c *sim.Configuration, pr *core.Protocol) bool {
 	return stateOf(c, pr.Root).Pif == core.C
 }
 
 // IsSBN reports Definition 11 (Start Broadcast Normal): SB and normal; in
 // such a configuration every processor has Pif = C.
+//
+//snapvet:hotpath
 func IsSBN(c *sim.Configuration, pr *core.Protocol) bool {
 	return IsStartBroadcast(c, pr) && IsNormalConfiguration(c, pr)
 }
@@ -73,16 +79,15 @@ func IsEFN(c *sim.Configuration, pr *core.Protocol) bool {
 // the LegalTree that participates (Pif ∈ {B,F}) with its parent inside the
 // LegalTree satisfies GoodCount.
 func IsGoodConfiguration(c *sim.Configuration, pr *core.Protocol) bool {
-	inTree := make(map[int]bool)
-	for _, p := range LegalTree(c, pr) {
-		inTree[p] = true
-	}
-	for p := 0; p < c.N(); p++ {
-		if p == pr.Root || inTree[p] {
+	var flags [stackProcs]uint8
+	t := newTreeView(c, pr, flags[:])
+	n := c.N()
+	for p := 0; p < n; p++ {
+		if t.member(p) {
 			continue
 		}
 		s := stateOf(c, p)
-		if (s.Pif == core.B || s.Pif == core.F) && inTree[s.Par] && !pr.GoodCount(c, p) {
+		if (s.Pif == core.B || s.Pif == core.F) && s.Par >= 0 && s.Par < n && t.member(s.Par) && !pr.GoodCount(c, p) {
 			return false
 		}
 	}

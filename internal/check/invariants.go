@@ -19,25 +19,35 @@ import (
 // from a root satisfying its own Good predicates (a corrupted root is about
 // to execute B-correction and its tree is vacuous), so the check is
 // conditioned on Normal(r).
+//
+//snapvet:hotpath
 func Property1(c *sim.Configuration, pr *core.Protocol) error {
 	sr := stateOf(c, pr.Root)
-	if sr.Pif != core.B || sr.Fok || !pr.Normal(c, pr.Root) {
+	if sr.Pif != core.B || sr.Fok {
 		return nil
 	}
-	for _, p := range LegalTree(c, pr) {
+	var flags [stackProcs]uint8
+	t := newTreeView(c, pr, flags[:])
+	if !t.normal(pr.Root) {
+		return nil
+	}
+	for p := 0; p < c.N(); p++ {
+		if !t.member(p) {
+			continue
+		}
 		s := stateOf(c, p)
 		if s.Pif != core.B {
-			return fmt.Errorf("check: property 1: p%d in LegalTree has Pif=%v, want B", p, s.Pif)
+			return fmt.Errorf("check: property 1: p%d in LegalTree has Pif=%v, want B", p, s.Pif) //snapvet:ok violation message, built once per failed check
 		}
 		if p != pr.Root && s.L != stateOf(c, s.Par).L+1 {
-			return fmt.Errorf("check: property 1: p%d has L=%d, parent p%d has L=%d",
-				p, s.L, s.Par, stateOf(c, s.Par).L)
+			return fmt.Errorf("check: property 1: p%d has L=%d, parent p%d has L=%d", //snapvet:ok violation message, built once per failed check
+				p, s.L, s.Par, stateOf(c, s.Par).L) //snapvet:ok violation message, built once per failed check
 		}
 		if s.Fok {
-			return fmt.Errorf("check: property 1: p%d in LegalTree has Fok raised", p)
+			return fmt.Errorf("check: property 1: p%d in LegalTree has Fok raised", p) //snapvet:ok violation message, built once per failed check
 		}
 		if sum := pr.Sum(c, p); s.Count > sum {
-			return fmt.Errorf("check: property 1: p%d has Count=%d > Sum=%d", p, s.Count, sum)
+			return fmt.Errorf("check: property 1: p%d has Count=%d > Sum=%d", p, s.Count, sum) //snapvet:ok violation message, built once per failed check
 		}
 	}
 	return nil
@@ -53,32 +63,37 @@ func Property1(c *sim.Configuration, pr *core.Protocol) error {
 //
 // In configurations that are not normal the property is vacuous and nil is
 // returned.
+//
+//snapvet:hotpath
 func Property2(c *sim.Configuration, pr *core.Protocol) error {
-	if !IsNormalConfiguration(c, pr) {
-		return nil
-	}
-	inTree := make(map[int]bool)
-	for _, p := range LegalTree(c, pr) {
-		inTree[p] = true
+	var flags [stackProcs]uint8
+	t := newTreeView(c, pr, flags[:])
+	for p := 0; p < c.N(); p++ {
+		if !t.normal(p) {
+			return nil
+		}
 	}
 	sr := stateOf(c, pr.Root)
 	for p := 0; p < c.N(); p++ {
 		s := stateOf(c, p)
-		if s.Pif != core.C && !inTree[p] {
-			return fmt.Errorf("check: property 2.1: participating p%d (Pif=%v) outside LegalTree", p, s.Pif)
+		in := t.member(p)
+		if s.Pif != core.C && !in {
+			return fmt.Errorf("check: property 2.1: participating p%d (Pif=%v) outside LegalTree", p, s.Pif) //snapvet:ok violation message, built once per failed check
 		}
 		if sr.Pif == core.C && s.Pif != core.C {
-			return fmt.Errorf("check: property 2.2: root clean but p%d has Pif=%v", p, s.Pif)
+			return fmt.Errorf("check: property 2.2: root clean but p%d has Pif=%v", p, s.Pif) //snapvet:ok violation message, built once per failed check
 		}
-		if sr.Pif == core.F && inTree[p] && s.Pif != core.F {
-			return fmt.Errorf("check: property 2.3: root in feedback but tree member p%d has Pif=%v", p, s.Pif)
+		if sr.Pif == core.F && in && s.Pif != core.F {
+			return fmt.Errorf("check: property 2.3: root in feedback but tree member p%d has Pif=%v", p, s.Pif) //snapvet:ok violation message, built once per failed check
 		}
 	}
 	if sr.Pif == core.B && !sr.Fok {
-		sizes := SubtreeSizes(c, pr)
-		for _, p := range LegalTree(c, pr) {
-			if cnt := stateOf(c, p).Count; cnt > sizes[p] {
-				return fmt.Errorf("check: property 2.4: p%d has Count=%d > #Subtree=%d", p, cnt, sizes[p])
+		var sizeBuf [stackProcs]int
+		var scratch [2*stackProcs + 1]int32
+		sizes := t.subtreeSizes(sizeBuf[:], scratch[:])
+		for p := range sizes {
+			if cnt := stateOf(c, p).Count; sizes[p] != 0 && cnt > sizes[p] {
+				return fmt.Errorf("check: property 2.4: p%d has Count=%d > #Subtree=%d", p, cnt, sizes[p]) //snapvet:ok violation message, built once per failed check
 			}
 		}
 	}
@@ -107,29 +122,31 @@ func ChordlessParentPaths(c *sim.Configuration, pr *core.Protocol) error {
 // Domains checks that every variable stays in its declared domain:
 // Pif ∈ {B,F,C}, Par_p ∈ Neig_p (⊥ at the root), L_r = 0 and
 // L_p ∈ [1,Lmax] otherwise, Count ∈ [1,N'].
+//
+//snapvet:hotpath
 func Domains(c *sim.Configuration, pr *core.Protocol) error {
 	for p := 0; p < c.N(); p++ {
 		s := stateOf(c, p)
 		if s.Pif != core.B && s.Pif != core.F && s.Pif != core.C {
-			return fmt.Errorf("check: p%d has Pif=%d outside {B,F,C}", p, s.Pif)
+			return fmt.Errorf("check: p%d has Pif=%d outside {B,F,C}", p, s.Pif) //snapvet:ok violation message, built once per failed check
 		}
 		if s.Count < 1 || s.Count > pr.NPrime {
-			return fmt.Errorf("check: p%d has Count=%d outside [1,%d]", p, s.Count, pr.NPrime)
+			return fmt.Errorf("check: p%d has Count=%d outside [1,%d]", p, s.Count, pr.NPrime) //snapvet:ok violation message, built once per failed check
 		}
 		if p == pr.Root {
 			if s.Par != core.ParNone {
-				return fmt.Errorf("check: root Par=%d, want ⊥", s.Par)
+				return fmt.Errorf("check: root Par=%d, want ⊥", s.Par) //snapvet:ok violation message, built once per failed check
 			}
 			if s.L != 0 {
-				return fmt.Errorf("check: root L=%d, want 0", s.L)
+				return fmt.Errorf("check: root L=%d, want 0", s.L) //snapvet:ok violation message, built once per failed check
 			}
 			continue
 		}
 		if s.L < 1 || s.L > pr.Lmax {
-			return fmt.Errorf("check: p%d has L=%d outside [1,%d]", p, s.L, pr.Lmax)
+			return fmt.Errorf("check: p%d has L=%d outside [1,%d]", p, s.L, pr.Lmax) //snapvet:ok violation message, built once per failed check
 		}
 		if !c.G.HasEdge(p, s.Par) {
-			return fmt.Errorf("check: p%d has Par=%d which is not a neighbor", p, s.Par)
+			return fmt.Errorf("check: p%d has Par=%d which is not a neighbor", p, s.Par) //snapvet:ok violation message, built once per failed check
 		}
 	}
 	return nil

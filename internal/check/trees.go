@@ -67,11 +67,161 @@ func InLegalTree(c *sim.Configuration, pr *core.Protocol, p int) bool {
 	return path[len(path)-1] == pr.Root
 }
 
+// stackProcs is the largest configuration whose treeView scratch the
+// predicates keep on the stack; a larger one takes it from the heap.
+const stackProcs = 64
+
+// Per-processor flags of a treeView.
+const (
+	normalKnown uint8 = 1 << iota // Normal(p) has been evaluated
+	isNormal                      // Normal(p) holds
+	walked                        // reachesRoot is final
+	reachesRoot                   // the Par walk from p ends at the root
+	onWalk                        // p is on the walk in progress
+	pointed                       // a non-root member's Par is p (Sources)
+)
+
+// treeView answers LegalTree membership for every processor of one
+// configuration with one memoized Par walk. ParentPath(p) follows Par
+// pointers through normal processors until the root, an abnormal processor
+// or a revisit, and p is a member when it participates and that walk ends at
+// the root. Each walk stops early at a processor an earlier walk resolved,
+// whose own walk is the rest of this one, so every processor is walked
+// once and Normal is evaluated at most once per processor. A walk that
+// comes back to a processor on it (a Par cycle) counts as "does not reach
+// the root", as ParentPath's revisit does. GoodLevel rules out a cycle of
+// normal processors, so every real cycle stops at an abnormal processor
+// first; the revisit test only keeps the walk finite whatever Normal says.
+// InLegalTree and ParentPath stay the definition;
+// TestTreeViewMatchesDefinition compares the two on random corruptions.
+type treeView struct {
+	c     *sim.Configuration
+	pr    *core.Protocol
+	flags []uint8
+}
+
+// newTreeView builds the view over c with flags as scratch: a zeroed
+// buffer of at least c.N() bytes, or a shorter one to allocate instead.
+//
+//snapvet:hotpath
+func newTreeView(c *sim.Configuration, pr *core.Protocol, flags []uint8) treeView {
+	if n := c.N(); len(flags) < n {
+		flags = make([]uint8, n) //snapvet:ok configurations above stackProcs processors take their scratch from the heap
+	} else {
+		flags = flags[:n]
+	}
+	return treeView{c: c, pr: pr, flags: flags}
+}
+
+// normal reports Normal(p), evaluating it on first use.
+//
+//snapvet:hotpath
+func (t *treeView) normal(p int) bool {
+	f := t.flags[p]
+	if f&normalKnown == 0 {
+		f |= normalKnown
+		if t.pr.Normal(t.c, p) {
+			f |= isNormal
+		}
+		t.flags[p] = f
+	}
+	return f&isNormal != 0
+}
+
+// member reports whether p belongs to the LegalTree (InLegalTree).
+//
+//snapvet:hotpath
+func (t *treeView) member(p int) bool {
+	return p == t.pr.Root || (stateOf(t.c, p).Pif != core.C && t.reaches(p))
+}
+
+// reaches reports whether the extremity of the Par walk from p is the root.
+// The first pass follows Par from p, marking the walk, until the root, an
+// abnormal processor, a resolved processor or a processor already on the
+// walk (a cycle); the second pass resolves every processor of the walk to
+// that outcome.
+//
+//snapvet:hotpath
+func (t *treeView) reaches(p int) bool {
+	root := t.pr.Root
+	var ok bool
+	for cur := p; ; {
+		f := t.flags[cur]
+		switch {
+		case cur == root:
+			ok = true
+		case f&walked != 0:
+			ok = f&reachesRoot != 0
+		case f&onWalk != 0, !t.normal(cur):
+			ok = false
+		default:
+			t.flags[cur] |= onWalk
+			cur = stateOf(t.c, cur).Par
+			continue
+		}
+		break
+	}
+	resolved := walked
+	if ok {
+		resolved |= reachesRoot
+	}
+	for cur := p; cur != root && t.flags[cur]&onWalk != 0; cur = stateOf(t.c, cur).Par {
+		t.flags[cur] = t.flags[cur]&^onWalk | resolved
+	}
+	return ok
+}
+
+// subtreeSizes returns #Subtree(p) for every member and 0 elsewhere, level
+// by level in linear time. A non-root member is normal and participates, so
+// GoodLevel makes its level its parent's plus one and its parent a member
+// too: the members form a tree in which member p sits L_p − L_r levels
+// below the root. Members are bucketed by that depth, and each adds its
+// size to its parent's from the deepest level up. The result and the
+// bucket scratch live in sizes (n entries) and scratch (2n+1); shorter
+// buffers are replaced by fresh ones.
+//
+//snapvet:hotpath
+func (t *treeView) subtreeSizes(sizes []int, scratch []int32) []int {
+	n := len(t.flags)
+	if len(sizes) < n || len(scratch) < 2*n+1 {
+		sizes, scratch = make([]int, n), make([]int32, 2*n+1) //snapvet:ok configurations above stackProcs processors take their scratch from the heap
+	}
+	sizes, start, order := sizes[:n], scratch[:n+1], scratch[n+1:2*n+1]
+	lr := stateOf(t.c, t.pr.Root).L
+	clear(start)
+	for p := 0; p < n; p++ {
+		sizes[p] = 0
+		if t.member(p) {
+			sizes[p] = 1
+			start[stateOf(t.c, p).L-lr+1]++
+		}
+	}
+	for d := 1; d <= n; d++ {
+		start[d] += start[d-1]
+	}
+	for p := 0; p < n; p++ {
+		if sizes[p] != 0 {
+			d := stateOf(t.c, p).L - lr
+			order[start[d]] = int32(p)
+			start[d]++
+		}
+	}
+	// start[d] now ends depth d's bucket, so start[n-1] is the member count.
+	for i := int(start[n-1]) - 1; i >= 0; i-- {
+		if p := int(order[i]); p != t.pr.Root {
+			sizes[stateOf(t.c, p).Par] += sizes[p]
+		}
+	}
+	return sizes
+}
+
 // LegalTree returns the sorted member list of the LegalTree.
 func LegalTree(c *sim.Configuration, pr *core.Protocol) []int {
+	var flags [stackProcs]uint8
+	t := newTreeView(c, pr, flags[:])
 	var out []int
 	for p := 0; p < c.N(); p++ {
-		if p == pr.Root || InLegalTree(c, pr, p) {
+		if t.member(p) {
 			out = append(out, p)
 		}
 	}
@@ -94,21 +244,16 @@ func Abnormal(c *sim.Configuration, pr *core.Protocol) []int {
 // other member points to — the processors from which the feedback phase can
 // start.
 func Sources(c *sim.Configuration, pr *core.Protocol) []int {
-	members := LegalTree(c, pr)
-	inTree := make(map[int]bool, len(members))
-	for _, p := range members {
-		inTree[p] = true
-	}
-	pointed := make(map[int]bool, len(members))
-	for _, p := range members {
-		if p == pr.Root {
-			continue
+	var flags [stackProcs]uint8
+	t := newTreeView(c, pr, flags[:])
+	for p := 0; p < c.N(); p++ {
+		if p != pr.Root && t.member(p) {
+			t.flags[stateOf(c, p).Par] |= pointed
 		}
-		pointed[stateOf(c, p).Par] = true
 	}
 	var out []int
-	for _, p := range members {
-		if !pointed[p] {
+	for p := 0; p < c.N(); p++ {
+		if t.member(p) && t.flags[p]&pointed == 0 {
 			out = append(out, p)
 		}
 	}
@@ -172,41 +317,19 @@ func Trees(c *sim.Configuration, pr *core.Protocol) []Tree {
 // SubtreeSizes returns, for every LegalTree member, the size of its subtree
 // within the LegalTree (#Subtree(p) in Property 2); non-members map to 0.
 func SubtreeSizes(c *sim.Configuration, pr *core.Protocol) []int {
-	sizes := make([]int, c.N())
-	members := LegalTree(c, pr)
-	inTree := make(map[int]bool, len(members))
-	for _, p := range members {
-		inTree[p] = true
-		sizes[p] = 1
-	}
-	// Accumulate bottom-up: process members in decreasing level order (the
-	// root has level 0, children strictly deeper).
-	byLevel := append([]int(nil), members...)
-	for i := 0; i < len(byLevel); i++ {
-		for j := i + 1; j < len(byLevel); j++ {
-			if stateOf(c, byLevel[j]).L > stateOf(c, byLevel[i]).L {
-				byLevel[i], byLevel[j] = byLevel[j], byLevel[i]
-			}
-		}
-	}
-	for _, p := range byLevel {
-		if p == pr.Root {
-			continue
-		}
-		par := stateOf(c, p).Par
-		if inTree[par] {
-			sizes[par] += sizes[p]
-		}
-	}
-	return sizes
+	var flags [stackProcs]uint8
+	t := newTreeView(c, pr, flags[:])
+	return t.subtreeSizes(nil, nil)
 }
 
 // TreeHeight returns the maximum level among LegalTree members — the height
 // h of the constructed tree (Theorem 4).
 func TreeHeight(c *sim.Configuration, pr *core.Protocol) int {
+	var flags [stackProcs]uint8
+	t := newTreeView(c, pr, flags[:])
 	h := 0
-	for _, p := range LegalTree(c, pr) {
-		if l := stateOf(c, p).L; l > h {
+	for p := 0; p < c.N(); p++ {
+		if l := stateOf(c, p).L; l > h && t.member(p) {
 			h = l
 		}
 	}

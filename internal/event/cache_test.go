@@ -86,7 +86,7 @@ func assertCacheFresh(t *testing.T, r *event.Runner, k *flat.Protocol, fc *flat.
 // withholds the root's broadcast until the runner parks, then admits one
 // wave, so each latency run also crosses park → Wake → wave cycles. A run
 // whose stop predicate holds at the start still has a fresh cache, and its
-// Enabled equals that of a runner without the predicate.
+// enabled set (AppendEnabled) equals that of a runner without the predicate.
 func TestEventGuardCacheFresh(t *testing.T) {
 	const steps = 300
 	schedules := []struct {
@@ -128,7 +128,7 @@ func TestEventGuardCacheFresh(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got, want := r.Enabled(), fresh.Enabled(); !slices.Equal(got, want) {
+						if got, want := r.AppendEnabled(nil), fresh.AppendEnabled(nil); !slices.Equal(got, want) {
 							t.Fatalf("stopped at the start: enabled %v, a runner without the stop predicate %v", got, want)
 						}
 						if done, err := r.Step(); !done || err != nil || !r.Result().Stopped {

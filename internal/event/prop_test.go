@@ -128,7 +128,7 @@ func TestEventIntrinsicWeakFairness(t *testing.T) {
 						}
 						v := r.VirtualTime()
 						now := make(map[int]bool)
-						for _, ch := range r.Enabled() {
+						for _, ch := range r.AppendEnabled(nil) {
 							now[ch.Proc] = true
 						}
 						for p, t0 := range since {

@@ -767,15 +767,16 @@ func (r *Runner) choices() []sim.Choice {
 	return r.buf
 }
 
-// Enabled returns a copy of the currently enabled choices in ascending
-// processor order: before the first Step the initial configuration's, after
-// a Step the post-step configuration's, read from the guard cache rather
-// than recomputed. Mirrors sim.Runner.Enabled for the exhaustive explorer.
-func (r *Runner) Enabled() []sim.Choice {
-	src := r.choices()
-	out := make([]sim.Choice, len(src))
-	copy(out, src)
-	return out
+// AppendEnabled appends the currently enabled choices to buf in ascending
+// processor order and returns the extended buffer: before the first Step
+// the initial configuration's, after a Step the post-step configuration's,
+// read from the guard cache rather than recomputed. Mirrors
+// sim.Runner.AppendEnabled for the exhaustive explorer.
+//
+//snapvet:hotpath
+func (r *Runner) AppendEnabled(buf []sim.Choice) []sim.Choice {
+	buf = append(buf, r.choices()...)
+	return buf
 }
 
 // forceAged is sim.Runner.forceAged over virtual ages: every enabled

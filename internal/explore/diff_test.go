@@ -34,20 +34,20 @@ func newReferenceEngine(g *graph.Graph) *referenceEngine {
 func (r *referenceEngine) Name() string { return "reference" }
 
 // Probe implements Engine.
-func (r *referenceEngine) Probe(states []core.State) ([]sim.Choice, error) {
+func (r *referenceEngine) Probe(states []core.State, buf []sim.Choice) ([]sim.Choice, error) {
 	loadStates(r.cfg, states)
-	return sim.EnabledChoices(r.cfg, r.pr), nil
+	return append(buf, sim.EnabledChoices(r.cfg, r.pr)...), nil
 }
 
 // Step implements Engine.
-func (r *referenceEngine) Step(states []core.State, _, sel []sim.Choice, succ []core.State) ([]sim.Choice, error) {
+func (r *referenceEngine) Step(states []core.State, _, sel []sim.Choice, succ []core.State, buf []sim.Choice) ([]sim.Choice, error) {
 	loadStates(r.cfg, states)
 	copy(succ, states)
 	for _, ch := range sel {
 		succ[ch.Proc] = *r.pr.Apply(r.cfg, ch.Proc, ch.Action).(*core.State)
 	}
 	loadStates(r.cfg, succ)
-	return sim.EnabledChoices(r.cfg, r.pr), nil
+	return append(buf, sim.EnabledChoices(r.cfg, r.pr)...), nil
 }
 
 // runWith runs an explorer built from opts from inits with every worker's
@@ -164,7 +164,7 @@ func TestMCDifferentialPerTransition(t *testing.T) {
 					wantKey := h.key(succ, succMon)
 
 					engSucc := make([]core.State, len(states))
-					_, err := eng.Step(states, enabled, []sim.Choice{ch}, engSucc)
+					_, err := eng.Step(states, enabled, []sim.Choice{ch}, engSucc, nil)
 					if err != nil {
 						t.Fatalf("state %d: engine rejects abstract choice %v: %v", id, ch, err)
 					}

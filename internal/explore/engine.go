@@ -45,24 +45,26 @@ import (
 // to every latency-mode draw of the event runner. Either way the
 // successor's enabled set is read back from the stepped runner's own guard
 // cache — the incremental refresh path included — not recomputed from
-// scratch.
+// scratch, and appended to a buffer the caller owns, so a warm sim engine
+// allocates nothing per Probe or Step.
 type Engine interface {
 	// Name identifies the engine in results ("sim", "flat" or "event").
 	Name() string
 
-	// Probe loads states into the scratch configuration and returns the
-	// engine's enabled choices without stepping.
-	Probe(states []core.State) ([]sim.Choice, error)
+	// Probe loads states into the scratch configuration and appends the
+	// engine's enabled choices to buf without stepping; it returns the
+	// extended buffer.
+	Probe(states []core.State, buf []sim.Choice) ([]sim.Choice, error)
 
 	// Step executes exactly sel from states, writes the successor state
-	// vector into succ (the caller's buffer, as long as states) and returns
-	// the engine's post-step enabled choices. enabled must be the engine's
-	// own report for states — a Probe of states, or the Step that produced
-	// them — and is never modified or retained; an engine may restart from
-	// it instead of evaluating every guard. Every choice in sel must be in
-	// enabled; a selection the engine does not recognize is an error, never
-	// a silent substitution.
-	Step(states []core.State, enabled, sel []sim.Choice, succ []core.State) (succEnabled []sim.Choice, err error)
+	// vector into succ (the caller's buffer, as long as states) and appends
+	// the engine's post-step enabled choices to buf, returning the extended
+	// buffer. enabled must be the engine's own report for states — a Probe
+	// of states, or the Step that produced them — and is never modified or
+	// retained; an engine may restart from it instead of evaluating every
+	// guard. Every choice in sel must be in enabled; a selection the engine
+	// does not recognize is an error, never a silent substitution.
+	Step(states []core.State, enabled, sel []sim.Choice, succ []core.State, buf []sim.Choice) ([]sim.Choice, error)
 }
 
 // forcedDaemon replays one externally chosen selection. Unlike hunt's
@@ -81,6 +83,8 @@ func (d *forcedDaemon) Name() string { return "explore-forced" }
 
 // Select implements sim.Daemon: it returns exactly the requested choices
 // that the engine reports enabled, flagging any miss.
+//
+//snapvet:hotpath
 func (d *forcedDaemon) Select(_ int, _ *sim.Configuration, enabled []sim.Choice, _ *rand.Rand) []sim.Choice {
 	d.buf = d.buf[:0]
 	for _, want := range d.sel {
@@ -115,7 +119,7 @@ type simEngine struct {
 	forced *forcedDaemon
 	runner *sim.Runner
 	codec  codec        // nil for core, whose boxes load in place
-	en     []sim.Choice // the caller's enabled set in the protocol's choices
+	en     []sim.Choice // an enabled set in the protocol's choices
 	sel    []sim.Choice // the caller's selection in the protocol's choices
 }
 
@@ -149,14 +153,18 @@ func simEngineOver(g *graph.Graph, proto sim.Protocol) *simEngine {
 func (e *simEngine) Name() string { return "sim" }
 
 // Probe implements Engine.
-func (e *simEngine) Probe(states []core.State) ([]sim.Choice, error) {
+//
+//snapvet:hotpath
+func (e *simEngine) Probe(states []core.State, buf []sim.Choice) ([]sim.Choice, error) {
 	e.load(states)
 	e.runner.Reset()
-	return e.enabled(), nil
+	return e.appendEnabled(buf), nil
 }
 
 // Step implements Engine.
-func (e *simEngine) Step(states []core.State, enabled, sel []sim.Choice, succ []core.State) ([]sim.Choice, error) {
+//
+//snapvet:hotpath
+func (e *simEngine) Step(states []core.State, enabled, sel []sim.Choice, succ []core.State, buf []sim.Choice) ([]sim.Choice, error) {
 	e.load(states)
 	if e.codec != nil {
 		e.en = e.codec.toProtocol(e.en[:0], enabled)
@@ -168,13 +176,13 @@ func (e *simEngine) Step(states []core.State, enabled, sel []sim.Choice, succ []
 	e.forced.miss = false
 	done, err := e.runner.Step()
 	if err != nil {
-		return nil, fmt.Errorf("explore: sim step: %w", err)
+		return nil, fmt.Errorf("explore: sim step: %w", err) //snapvet:ok engine failure, ends the search
 	}
 	if e.forced.miss {
-		return nil, fmt.Errorf("explore: sim engine does not enable %v", sel)
+		return nil, fmt.Errorf("explore: sim engine does not enable %v", sel) //snapvet:ok engine failure, ends the search
 	}
 	if done {
-		return nil, fmt.Errorf("explore: sim step from %v reported terminal", sel)
+		return nil, fmt.Errorf("explore: sim step from %v reported terminal", sel) //snapvet:ok engine failure, ends the search
 	}
 	if e.codec != nil {
 		e.codec.read(e.cfg, succ)
@@ -183,10 +191,12 @@ func (e *simEngine) Step(states []core.State, enabled, sel []sim.Choice, succ []
 			succ[p] = *(e.cfg.States[p].(*core.State))
 		}
 	}
-	return e.enabled(), nil
+	return e.appendEnabled(buf), nil
 }
 
 // load writes states into the scratch configuration.
+//
+//snapvet:hotpath
 func (e *simEngine) load(states []core.State) {
 	if e.codec != nil {
 		e.codec.load(e.cfg, states)
@@ -195,13 +205,16 @@ func (e *simEngine) load(states []core.State) {
 	loadStates(e.cfg, states)
 }
 
-// enabled returns a copy of the runner's enabled set in the explorer's
+// appendEnabled appends the runner's enabled set to buf in the explorer's
 // choices.
-func (e *simEngine) enabled() []sim.Choice {
+//
+//snapvet:hotpath
+func (e *simEngine) appendEnabled(buf []sim.Choice) []sim.Choice {
 	if e.codec != nil {
-		return e.codec.fromProtocol(nil, e.runner.Enabled())
+		e.en = e.runner.AppendEnabled(e.en[:0])
+		return e.codec.fromProtocol(buf, e.en)
 	}
-	return e.runner.Enabled()
+	return e.runner.AppendEnabled(buf)
 }
 
 // codec maps the explorer's vector and choices onto a protocol whose states
@@ -360,18 +373,18 @@ func (e *eventEngine) load(states []core.State) {
 }
 
 // Probe implements Engine.
-func (e *eventEngine) Probe(states []core.State) ([]sim.Choice, error) {
+func (e *eventEngine) Probe(states []core.State, buf []sim.Choice) ([]sim.Choice, error) {
 	e.load(states)
 	r, err := event.NewRunner(e.cfg, e.kernel, e.forced, event.Options{Options: engineOptions()})
 	if err != nil {
 		return nil, fmt.Errorf("explore: %s probe: %w", e.name, err)
 	}
-	return r.Enabled(), nil
+	return r.AppendEnabled(buf), nil
 }
 
 // Step implements Engine. The fresh runner evaluates every guard, so the
 // caller's enabled set goes unused.
-func (e *eventEngine) Step(states []core.State, _, sel []sim.Choice, succ []core.State) ([]sim.Choice, error) {
+func (e *eventEngine) Step(states []core.State, _, sel []sim.Choice, succ []core.State, buf []sim.Choice) ([]sim.Choice, error) {
 	e.load(states)
 	e.forced.sel = sel
 	e.forced.miss = false
@@ -392,7 +405,7 @@ func (e *eventEngine) Step(states []core.State, _, sel []sim.Choice, succ []core
 	for p := range succ {
 		succ[p] = e.cfg.StateAt(p)
 	}
-	return r.Enabled(), nil
+	return r.AppendEnabled(buf), nil
 }
 
 // newModelEngine builds the sim engine over the self-stabilizing baseline

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"runtime"
 	"testing"
 
 	"snappif/internal/core"
@@ -10,8 +11,8 @@ import (
 
 // TestSimEngineAllocs pins the cost of an explored transition on the sim
 // engine, whose one runner is restarted instead of rebuilt: Step writes the
-// successor into the caller's buffer and allocates exactly its one result
-// (the enabled copy), as does Probe.
+// successor into the caller's buffer and appends its enabled set to
+// another, as Probe does, so once the buffers are warm neither allocates.
 func TestSimEngineAllocs(t *testing.T) {
 	g := mustGraph(t, graph.Ring, 5)
 	eng, err := newSimEngine(g, 0, "", nil)
@@ -20,25 +21,77 @@ func TestSimEngineAllocs(t *testing.T) {
 	}
 	inits := mustInits(t, "faults:2", g)
 	v := inits[len(inits)/2]
-	enabled, err := eng.Probe(v)
+	enabled, err := eng.Probe(v, nil)
 	if err != nil || len(enabled) == 0 {
 		t.Fatalf("Probe = %v, %v; want a non-empty enabled set", enabled, err)
 	}
 	sel := enabled[:1]
 	succ := make([]core.State, len(v))
+	buf := make([]sim.Choice, 0, g.N())
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := eng.Probe(v); err != nil {
+		if _, err := eng.Probe(v, buf[:0]); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 1 {
-		t.Errorf("Probe allocates %.2f objects, want 1", allocs)
+	}); allocs != 0 {
+		t.Errorf("Probe allocates %.2f objects, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if after, err := eng.Step(v, enabled, sel, succ); err != nil || len(after) == 0 {
+		if after, err := eng.Step(v, enabled, sel, succ, buf[:0]); err != nil || len(after) == 0 {
 			t.Fatalf("Step = %v, %v; want a non-empty enabled set", after, err)
 		}
-	}); allocs != 1 {
-		t.Errorf("Step allocates %.2f objects, want 1", allocs)
+	}); allocs != 0 {
+		t.Errorf("Step allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// mallocs returns the heap objects f allocates, counted by the runtime
+// across every goroutine f starts.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestCertifyAllocs bounds the heap objects of the two certify questions.
+// The safety Run (grid:2x3 from faults:2, central daemon, POR, symmetry,
+// two workers: 109,560 states) may allocate only what grows its columns
+// and per-layer buffers and starts its workers — not one object per state
+// or transition, as the Section-4 checks and the engine's enabled sets once
+// did (over 1,000,000 objects). The liveness certificate (ring:5 from
+// faults:2, target normal: 35,007 product states over 16,634 engine steps)
+// is bounded the same way, below one object per engine step.
+func TestCertifyAllocs(t *testing.T) {
+	grid, err := graph.Grid(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inits := mustInits(t, "faults:2", grid)
+	e, err := New(grid, 0, Options{POR: true, Symmetry: true, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
+	safety := mallocs(func() { res, err = e.Run(inits) })
+	if err != nil || res.States != 109560 || res.Verdict != "certified" {
+		t.Fatalf("safety Run = %+v, %v; want 109560 states, certified", res, err)
+	}
+	ring := mustGraph(t, graph.Ring, 5)
+	ringInits := mustInits(t, "faults:2", ring)
+	var live *LivenessResult
+	liveness := mallocs(func() {
+		live, err = CertifyLiveness(ring, 0, ringInits, LivenessOptions{Target: TargetNormal})
+	})
+	if err != nil || live.ProductStates != 35007 || live.Verdict != "certified" {
+		t.Fatalf("CertifyLiveness = %+v, %v; want 35007 product states, certified", live, err)
+	}
+	t.Logf("safety Run: %d objects; liveness: %d objects", safety, liveness)
+	if safety > 10000 {
+		t.Errorf("the safety Run allocates %d objects, want ≤ 10000", safety)
+	}
+	if liveness > 2000 {
+		t.Errorf("the liveness certificate allocates %d objects, want ≤ 2000", liveness)
 	}
 }
 
@@ -82,7 +135,7 @@ func TestSimEngineGuardWork(t *testing.T) {
 			succ := make([]core.State, g.N())
 			for _, v := range mustInits(t, "faults:2", g) {
 				cp.evals = 0
-				enabled, err := eng.Probe(v)
+				enabled, err := eng.Probe(v, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -91,7 +144,7 @@ func TestSimEngineGuardWork(t *testing.T) {
 				}
 				for _, ch := range enabled {
 					cp.evals = 0
-					if _, err := eng.Step(v, enabled, []sim.Choice{ch}, succ); err != nil {
+					if _, err := eng.Step(v, enabled, []sim.Choice{ch}, succ, nil); err != nil {
 						t.Fatal(err)
 					}
 					if want := len(g.Neighbors(ch.Proc)) + 1; cp.evals != want {

@@ -216,12 +216,12 @@ type stuckRootEngine struct {
 }
 
 // Step implements Engine.
-func (s stuckRootEngine) Step(states []core.State, enabled, sel []sim.Choice, succ []core.State) ([]sim.Choice, error) {
+func (s stuckRootEngine) Step(states []core.State, enabled, sel []sim.Choice, succ []core.State, buf []sim.Choice) ([]sim.Choice, error) {
 	if len(sel) == 1 && sel[0] == (sim.Choice{Proc: 0, Action: core.ActionC}) {
 		copy(succ, states)
-		return append([]sim.Choice(nil), enabled...), nil
+		return append(buf, enabled...), nil
 	}
-	return s.Engine.Step(states, enabled, sel, succ)
+	return s.Engine.Step(states, enabled, sel, succ, buf)
 }
 
 // TestEFCleanPlantViolates: a closed run that enumerated every transition

@@ -148,9 +148,10 @@ type task struct {
 // slots strictly in task order, which makes intern order — and therefore
 // node IDs, frontier order, and every count — independent of how workers
 // interleaved. The successor's record and canonical key sit in the layer's
-// recs and keys buffers at the task's index.
+// recs and keys buffers at the task's index, and its enabled set in the
+// arena of the worker that stepped it.
 type taskResult struct {
-	enabled  []sim.Choice
+	enabled  []sim.Choice // a window of a worker's arena
 	hash     uint64
 	delivery string
 	err      error
@@ -173,6 +174,15 @@ type worker struct {
 	succ    []core.State
 	enabled []sim.Choice
 	sel     []sim.Choice
+	// arena holds the enabled sets of the successors the worker stepped in
+	// the current layer, until merge copies them into the store. It is
+	// emptied every layer and dropped with the layer buffers.
+	arena []sim.Choice
+	// decoded is the node whose vector, monitor and enabled set states,
+	// mon and enabled hold in the expand phase, -1 for none: a node's
+	// tasks are consecutive, so a worker decodes it once per batch.
+	decoded int32
+	mon     monState
 }
 
 // Explorer runs one exhaustive exploration. Single-use: construct with New,
@@ -223,11 +233,11 @@ type Explorer struct {
 	// Per-layer buffers, reused across layers and dropped when Run returns.
 	tasks   []task
 	results []taskResult
-	recs    []byte        // task i's successor record at [i·stride, (i+1)·stride)
-	keys    []byte        // its canonical key, when the store keeps a key column
-	at      map[int32]int // node ID → index in the next frontier
-	newTask []int32       // task index of each node the layer interned
-	enBuf   []sim.Choice  // prepare's decode buffer
+	recs    []byte       // task i's successor record at [i·stride, (i+1)·stride)
+	keys    []byte       // its canonical key, when the store keeps a key column
+	at      []int32      // node ID → 1 + its index in the next frontier; all 0 between layers
+	newTask []int32      // task index of each node the layer interned
+	enBuf   []sim.Choice // prepare's decode buffer
 }
 
 // New validates the options and builds one engine and hasher per worker.
@@ -394,6 +404,9 @@ func (e *Explorer) Run(inits [][]core.State) (*Result, error) {
 func (e *Explorer) dropLayerBuffers() {
 	e.tasks, e.results, e.recs, e.keys, e.at, e.newTask, e.enBuf = nil, nil, nil, nil, nil, nil, nil
 	e.succ, e.succStart = nil, nil
+	for w := range e.workers {
+		e.workers[w].arena = nil
+	}
 }
 
 // seedLayer interns the normalized initial vectors as layer 0, then checks
@@ -412,11 +425,12 @@ func (e *Explorer) seedLayer(inits [][]core.State) error {
 		if id >= 0 {
 			continue
 		}
-		enabled, err := wk.eng.Probe(v)
+		enabled, err := wk.eng.Probe(v, wk.arena[:0])
 		if err != nil {
 			stop = err
 			break
 		}
+		wk.arena = enabled
 		if id, err = e.intern(slot, hash, rec, key, enabled, -1, 0, 0); err != nil {
 			stop = err
 			break
@@ -438,9 +452,11 @@ func (e *Explorer) seedLayer(inits [][]core.State) error {
 // and records its discovery edge. It runs no check: seedLayer and merge
 // intern a whole layer in order and then hand the new nodes to checkNodes,
 // which evaluates them on the worker pool.
+//
+//snapvet:hotpath
 func (e *Explorer) intern(slot int, hash uint64, rec, key []byte, enabled []sim.Choice, pred, depth int32, sel uint16) (int32, error) {
 	if e.store.len() >= e.opts.MaxStates {
-		return -1, fmt.Errorf("explore: state budget %d exceeded (raise MaxStates or lower the depth bound)", e.opts.MaxStates)
+		return -1, fmt.Errorf("explore: state budget %d exceeded (raise MaxStates or lower the depth bound)", e.opts.MaxStates) //snapvet:ok budget failure, ends the search
 	}
 	id := e.store.add(slot, hash, rec, key, enabled)
 	e.pred = append(e.pred, pred)
@@ -531,18 +547,20 @@ func (e *Explorer) rollback(keep int32) {
 
 // checkNode evaluates the per-state verdict checks on one interned node,
 // decoding it into the worker's scratch configuration.
+//
+//snapvet:hotpath
 func (e *Explorer) checkNode(wk *worker, id int32) *violationRec {
 	wk.enabled = e.store.enabled(id, wk.enabled[:0])
 	if len(wk.enabled) == 0 {
-		return &violationRec{kind: "deadlock", msg: "no processor enabled", node: id}
+		return &violationRec{kind: "deadlock", msg: "no processor enabled", node: id} //snapvet:ok violation record, ends the search
 	}
 	var seen uint64
 	for _, ch := range wk.enabled {
 		bit := uint64(1) << uint(ch.Proc)
 		if seen&bit != 0 {
-			return &violationRec{
+			return &violationRec{ //snapvet:ok violation record, ends the search
 				kind: "exclusivity",
-				msg:  fmt.Sprintf("p%d has multiple enabled guards", ch.Proc),
+				msg:  fmt.Sprintf("p%d has multiple enabled guards", ch.Proc), //snapvet:ok violation record, ends the search
 				node: id,
 			}
 		}
@@ -555,7 +573,7 @@ func (e *Explorer) checkNode(wk *worker, id int32) *violationRec {
 	loadStates(wk.cfg, wk.states)
 	for _, chk := range e.checks {
 		if err := chk.Fn(wk.cfg, e.pr); err != nil {
-			return &violationRec{kind: "invariant:" + chk.Name, msg: err.Error(), node: id}
+			return &violationRec{kind: "invariant:" + chk.Name, msg: err.Error(), node: id} //snapvet:ok violation record, ends the search
 		}
 	}
 	return nil
@@ -563,6 +581,8 @@ func (e *Explorer) checkNode(wk *worker, id int32) *violationRec {
 
 // loadStates writes states into the boxes of a private scratch
 // configuration in place (no box is shared, so nothing is reallocated).
+//
+//snapvet:hotpath
 func loadStates(cfg *sim.Configuration, states []core.State) {
 	for p := range states {
 		*(cfg.States[p].(*core.State)) = states[p]
@@ -647,6 +667,8 @@ func (e *Explorer) appendSubsetTasks(tasks []task, id int32, enabled []sim.Choic
 // selectProcs appends to buf the choices of enabled whose processor is in
 // procs, in enabled-set order: the daemon selection a task or a node's sel
 // column names.
+//
+//snapvet:hotpath
 func selectProcs(buf, enabled []sim.Choice, procs uint16) []sim.Choice {
 	for _, ch := range enabled {
 		if procs&(1<<uint(ch.Proc)) != 0 {
@@ -662,11 +684,17 @@ func (e *Explorer) selection(id int32, procs uint16) []sim.Choice {
 	return selectProcs(nil, e.store.enabled(id, nil), procs)
 }
 
-// expand runs the layer's tasks on the worker pool. Workers claim tasks
-// from a shared atomic counter (deterministic work-stealing: the claim
-// order is racy but every result lands in its task's own slot) and each
-// worker drives its private engine and hasher, so the phase shares no
-// mutable state beyond the counter.
+// expandBatch is how many consecutive tasks an expand worker claims at
+// once.
+const expandBatch = 32
+
+// expand runs the layer's tasks on the worker pool. Workers claim batches
+// of consecutive tasks from a shared atomic counter (deterministic
+// work-stealing: the claim order is racy but every result lands in its
+// task's own slot) and each worker drives its private engine and hasher,
+// so the phase shares no mutable state beyond the counter. A batch keeps a
+// node's consecutive tasks on one worker, which decodes the node once, and
+// keeps the workers' writes to the result slots and record buffers apart.
 func (e *Explorer) expand(tasks []task) []taskResult {
 	e.results = slices.Grow(e.results[:0], len(tasks))
 	results := e.results[:len(tasks)]
@@ -675,31 +703,47 @@ func (e *Explorer) expand(tasks []task) []taskResult {
 	if e.store.canon {
 		e.keys = slices.Grow(e.keys[:0], size)[:size]
 	}
+	for w := range e.workers {
+		e.workers[w].arena = e.workers[w].arena[:0]
+		e.workers[w].decoded = -1
+	}
 	var next atomic.Int64
-	parallel(min(e.opts.Workers, len(tasks)), func(w int) {
+	parallel(min(e.opts.Workers, (len(tasks)+expandBatch-1)/expandBatch), func(w int) {
 		wk := &e.workers[w]
 		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(tasks) {
+			lo := int(next.Add(expandBatch)) - expandBatch
+			if lo >= len(tasks) {
 				return
 			}
-			results[i] = e.expandTask(wk, &tasks[i], i)
+			for i := lo; i < min(lo+expandBatch, len(tasks)); i++ {
+				results[i] = e.expandTask(wk, &tasks[i], i)
+			}
 		}
 	})
 	return results
 }
 
-// expandTask decodes the task's node into the worker's buffers, steps the
-// engine, advances the monitor, and encodes and hashes the successor into
-// the layer's buffers at index i.
+// expandTask decodes the task's node into the worker's buffers unless they
+// hold it already, steps the engine, advances the monitor, and encodes and
+// hashes the successor into the layer's buffers at index i. The
+// successor's enabled set goes to the worker's arena.
+//
+//snapvet:hotpath
 func (e *Explorer) expandTask(wk *worker, t *task, i int) taskResult {
-	preMon := e.store.decode(t.node, wk.states)
-	wk.enabled = e.store.enabled(t.node, wk.enabled[:0])
+	if wk.decoded != t.node {
+		wk.mon = e.store.decode(t.node, wk.states)
+		wk.enabled = e.store.enabled(t.node, wk.enabled[:0])
+		wk.decoded = t.node
+	}
+	preMon := wk.mon
 	wk.sel = selectProcs(wk.sel[:0], wk.enabled, t.sel)
-	enabled, err := wk.eng.Step(wk.states, wk.enabled, wk.sel, wk.succ)
+	from := len(wk.arena)
+	arena, err := wk.eng.Step(wk.states, wk.enabled, wk.sel, wk.succ, wk.arena)
 	if err != nil {
 		return taskResult{err: err}
 	}
+	wk.arena = arena
+	enabled := arena[from:len(arena):len(arena)]
 	mon, delivery := e.applyMonitor(wk.states, preMon, wk.sel, wk.succ)
 	if delivery != "" {
 		return taskResult{delivery: delivery}
@@ -732,11 +776,10 @@ func (e *Explorer) expandTask(wk *worker, t *task, i int) taskResult {
 // task before v's is never reached, and one after it is discarded.
 func (e *Explorer) merge(tasks []task, results []taskResult) ([]frontierEntry, error) {
 	var next []frontierEntry
-	if e.at == nil {
-		e.at = make(map[int32]int, len(tasks))
-	}
-	clear(e.at)
 	first, transitions := e.store.len(), e.transitions
+	if grow := first + len(tasks) - len(e.at); grow > 0 {
+		e.at = append(e.at, make([]int32, grow)...)
+	}
 	e.newTask = e.newTask[:0]
 	stride := e.store.stride
 	var stop error
@@ -773,12 +816,15 @@ func (e *Explorer) merge(tasks []task, results []taskResult) ([]frontierEntry, e
 			}
 			e.succ = append(e.succ, id)
 		}
-		if j, seen := e.at[id]; seen {
-			next[j].sleep &= t.childSleep
+		if j := e.at[id]; j != 0 {
+			next[j-1].sleep &= t.childSleep
 		} else {
-			e.at[id] = len(next)
 			next = append(next, frontierEntry{id: id, sleep: t.childSleep})
+			e.at[id] = int32(len(next))
 		}
+	}
+	for _, fe := range next {
+		e.at[fe.id] = 0
 	}
 	if v := e.checkNodes(first); v != nil {
 		e.transitions = transitions + int64(e.newTask[int(v.node)-first]) + 1

@@ -143,20 +143,25 @@ func TestViolatingRunDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestExploredEnabledSetsMatchProbe is the oracle for the sim engine's
-// seeded restarts and for the store. Every explored transition restarts the
-// runner from the predecessor's stored enabled set instead of evaluating its
-// guards, so a stale set would carry along a path and silently prune
-// branches. For every interned node, the stored enabled set must equal a
-// fresh Probe of its decoded vector, re-encoding that vector must give back
-// the node's record, and the stored canonical key must equal the hasher's
-// key of it. Four instances run: the benchmark's certify safety question
-// (grid:2x3 from faults:2, central daemon, POR, symmetry, two workers,
-// where the group is trivial), the planted level-overflow run of
+// seeded restarts, for the workers' enabled-set arenas and for the store.
+// Every explored transition restarts the runner from the predecessor's
+// stored enabled set instead of evaluating its guards, so a stale set would
+// carry along a path and silently prune branches; and every engine's
+// successor sets reach the store through a worker's per-layer arena, so a
+// window read after its arena was reused would store another state's set.
+// For every interned node, the stored enabled set must equal a fresh Probe
+// of its decoded vector, re-encoding that vector must give back the node's
+// record, and the stored canonical key must equal the hasher's key of it.
+// Four instances run: the benchmark's certify safety question (grid:2x3
+// from faults:2, central daemon, POR, symmetry, two workers, where the
+// group is trivial), the planted level-overflow run of
 // TestViolatingRunDeterministicAcrossWorkers, whose out-of-domain levels
 // reach guards no clean run does, and two with a non-trivial group, where
 // the record of a node that is not its orbit's minimum differs from its
 // canonical key: star:4 from faults:3 and ring:3 from faults:2 under the
-// distributed daemon.
+// distributed daemon. Each runs on the sim engine and, but for the plant
+// the event engine does not support, on the event engine, whose fresh
+// probes must give the same sets.
 func TestExploredEnabledSetsMatchProbe(t *testing.T) {
 	grid, err := graph.Grid(2, 3)
 	if err != nil {
@@ -176,42 +181,57 @@ func TestExploredEnabledSetsMatchProbe(t *testing.T) {
 		{"ring-distributed", mustGraph(t, graph.Ring, 3), Options{Power: PowerDistributed, Symmetry: true, Workers: 2}, "faults:2", 144, 47},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, res := run(t, tc.g, tc.opts, tc.init)
-			eng, err := newEngine("sim", tc.g, 0, tc.opts.Plant, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := hasher{autos: e.autos}
-			states := make([]core.State, tc.g.N())
-			nonCanonical := 0
-			for id := int32(0); id < int32(e.store.len()); id++ {
-				mon := e.store.decode(id, states)
-				enabled := e.store.enabled(id, nil)
-				probed, err := eng.Probe(states)
-				if err != nil {
-					t.Fatal(err)
+			for _, engine := range []string{"sim", "event"} {
+				if engine != "sim" && tc.opts.Plant != "" {
+					continue
 				}
-				if !reflect.DeepEqual(probed, enabled) {
-					t.Fatalf("state %d: stored enabled set %v, a fresh probe gives %v", id, enabled, probed)
-				}
-				rec, _, _, err := h.encode(states, mon)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(rec, e.store.record(id)) {
-					t.Fatalf("state %d: re-encoding the decoded vector gives %v, the record is %v", id, rec, e.store.record(id))
-				}
-				if key := h.key(states, mon); string(e.store.key(id)) != key {
-					t.Fatalf("state %d: stored key %v, the hasher's key of the decoded vector is %v", id, e.store.key(id), []byte(key))
-				}
-				if !bytes.Equal(e.store.record(id), e.store.key(id)) {
-					nonCanonical++
-				}
-			}
-			if res.States != tc.states || nonCanonical != tc.nonCanonical {
-				t.Fatalf("%d states, %d of them non-canonical; want %d, %d", res.States, nonCanonical, tc.states, tc.nonCanonical)
+				opts := tc.opts
+				opts.Engine = engine
+				t.Run(engine, func(t *testing.T) {
+					exploredSetsMatchProbe(t, tc.g, opts, tc.init, tc.states, tc.nonCanonical)
+				})
 			}
 		})
+	}
+}
+
+// exploredSetsMatchProbe runs one instance of
+// TestExploredEnabledSetsMatchProbe on opts.Engine.
+func exploredSetsMatchProbe(t *testing.T, g *graph.Graph, opts Options, init string, wantStates, wantNonCanonical int) {
+	e, res := run(t, g, opts, init)
+	eng, err := newEngine(opts.Engine, g, 0, opts.Plant, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hasher{autos: e.autos}
+	states := make([]core.State, g.N())
+	nonCanonical := 0
+	for id := int32(0); id < int32(e.store.len()); id++ {
+		mon := e.store.decode(id, states)
+		enabled := e.store.enabled(id, nil)
+		probed, err := eng.Probe(states, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(probed, enabled) {
+			t.Fatalf("state %d: stored enabled set %v, a fresh probe gives %v", id, enabled, probed)
+		}
+		rec, _, _, err := h.encode(states, mon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec, e.store.record(id)) {
+			t.Fatalf("state %d: re-encoding the decoded vector gives %v, the record is %v", id, rec, e.store.record(id))
+		}
+		if key := h.key(states, mon); string(e.store.key(id)) != key {
+			t.Fatalf("state %d: stored key %v, the hasher's key of the decoded vector is %v", id, e.store.key(id), []byte(key))
+		}
+		if !bytes.Equal(e.store.record(id), e.store.key(id)) {
+			nonCanonical++
+		}
+	}
+	if res.States != wantStates || nonCanonical != wantNonCanonical {
+		t.Fatalf("%d states, %d of them non-canonical; want %d, %d", res.States, nonCanonical, wantStates, wantNonCanonical)
 	}
 }
 

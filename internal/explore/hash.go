@@ -6,7 +6,6 @@ import (
 
 	"snappif/internal/core"
 	"snappif/internal/graph"
-	"snappif/internal/sim"
 )
 
 // Key layout: 7 bytes per vector entry — phase, parent+2, level (2 bytes,
@@ -22,6 +21,8 @@ const keyBytesPerProc = 7
 // appendKey appends the canonical encoding of (states, mon) under the
 // processor relabeling perm (nil = identity): position q of the key encodes
 // the state of processor inv[q], with parent pointers mapped through perm.
+//
+//snapvet:hotpath
 func appendKey(b []byte, states []core.State, mon monState, perm, inv []int) []byte {
 	for q := range states {
 		p := q
@@ -46,13 +47,16 @@ func appendKey(b []byte, states []core.State, mon monState, perm, inv []int) []b
 		b = append(b, byte(s.Pif), byte(par+2),
 			byte(s.L), byte(s.L>>8), byte(s.Count), byte(s.Count>>8), flags)
 	}
-	return append(b, mon.windows)
+	b = append(b, mon.windows)
+	return b
 }
 
 // decodeRecord inverts the identity encoding: it writes the vector of rec
 // into states (one per processor) and returns the monitor. Msg comes back
 // as its bit and Val, Agg as zero, so the vector is the quotient image of
 // the one encoded.
+//
+//snapvet:hotpath
 func decodeRecord(rec []byte, states []core.State) monState {
 	var mon monState
 	for p := range states {
@@ -76,16 +80,18 @@ func decodeRecord(rec []byte, states []core.State) monState {
 // checkEncodable returns an error naming the first processor and field the
 // record cannot hold: a level or count outside [0, 65535], or a parent
 // outside [-2, 253] (the byte parent+2).
+//
+//snapvet:hotpath
 func checkEncodable(states []core.State) error {
 	for p := range states {
 		s := &states[p]
 		switch {
 		case s.L < 0 || s.L > 0xffff:
-			return fmt.Errorf("explore: p%d has level L=%d outside the stored range [0, 65535]", p, s.L)
+			return fmt.Errorf("explore: p%d has level L=%d outside the stored range [0, 65535]", p, s.L) //snapvet:ok encoding failure, ends the search
 		case s.Count < 0 || s.Count > 0xffff:
-			return fmt.Errorf("explore: p%d has count %d outside the stored range [0, 65535]", p, s.Count)
+			return fmt.Errorf("explore: p%d has count %d outside the stored range [0, 65535]", p, s.Count) //snapvet:ok encoding failure, ends the search
 		case s.Par < -2 || s.Par > 0xff-2:
-			return fmt.Errorf("explore: p%d has parent %d outside the stored range [-2, 253]", p, s.Par)
+			return fmt.Errorf("explore: p%d has parent %d outside the stored range [-2, 253]", p, s.Par) //snapvet:ok encoding failure, ends the search
 		}
 	}
 	return nil
@@ -104,7 +110,9 @@ type hasher struct {
 // encode checks states with checkEncodable and encodes (states, mon): rec
 // is the identity record, key the minimal key over the admissible
 // automorphism group (rec itself when the group is trivial) and hash its
-// FNV-1a hash. rec and key alias the hasher's scratch until the next call.
+// indexHash. rec and key alias the hasher's scratch until the next call.
+//
+//snapvet:hotpath
 func (h *hasher) encode(states []core.State, mon monState) (rec, key []byte, hash uint64, err error) {
 	if err := checkEncodable(states); err != nil {
 		return nil, nil, 0, err
@@ -122,7 +130,7 @@ func (h *hasher) encode(states []core.State, mon monState) (rec, key []byte, has
 		}
 		key = h.best
 	}
-	return h.rec, key, sim.FNV1a(sim.FNVOffset, key), nil
+	return h.rec, key, indexHash(key), nil
 }
 
 // automorphism is one admissible relabeling: perm maps old IDs to new,

@@ -76,11 +76,19 @@ type LivenessResult struct {
 
 // livenessNode is one product state: a quotient state, the set of
 // processors still owed a move in the round in progress, and the 1-based
-// index of that round. Comparable, so it keys the product BFS directly.
+// index of that round.
 type livenessNode struct {
 	id      int32
 	rounds  int32
 	pending uint64
+}
+
+// hash is the product index's hash of nd: its two words through the index
+// hash's mix.
+//
+//snapvet:hotpath
+func (nd livenessNode) hash() uint64 {
+	return finish(mixWord(mixWord(0, uint64(uint32(nd.id))|uint64(uint32(nd.rounds))<<32), nd.pending))
 }
 
 // livenessSearch is one CertifyLiveness call: the engine, the interned
@@ -113,8 +121,16 @@ type livenessSearch struct {
 	states  []core.State
 	next    []core.State // Step's successor buffer
 	enabled []sim.Choice
+	nextEn  []sim.Choice // Step's enabled-set buffer
 	one     [1]sim.Choice
 	steps   int64 // engine steps: one per distinct (quotient state, choice)
+
+	transitions int64 // product transitions
+
+	// The product BFS: its FIFO queue, in which a product state's ID is its
+	// index, and an openIndex over the queue as its seen set.
+	queue []livenessNode
+	seen  openIndex
 }
 
 // CertifyLiveness explores every central-daemon schedule from the given
@@ -175,6 +191,8 @@ func newLivenessSearch(g *graph.Graph, root int, opts LivenessOptions) (*livenes
 }
 
 // isTarget reports whether states is a target configuration.
+//
+//snapvet:hotpath
 func (s *livenessSearch) isTarget(states []core.State) bool {
 	loadStates(s.scratch, states)
 	if s.opts.Target == TargetCycle {
@@ -185,6 +203,8 @@ func (s *livenessSearch) isTarget(states []core.State) bool {
 
 // intern returns the ID of states' quotient state, interning it with the
 // given engine-reported enabled set when it is new.
+//
+//snapvet:hotpath
 func (s *livenessSearch) intern(states []core.State, enabled []sim.Choice) (int32, error) {
 	rec, _, hash, err := s.h.encode(states, monState{})
 	if err != nil {
@@ -205,6 +225,8 @@ func (s *livenessSearch) intern(states []core.State, enabled []sim.Choice) (int3
 // successor returns the ID of the state that quotient state id's i-th
 // enabled choice steps to, stepping the engine from the decoded record only
 // the first time.
+//
+//snapvet:hotpath
 func (s *livenessSearch) successor(id int32, i int) (int32, error) {
 	c := s.store.firstChoice(id) + i
 	if next := s.succ[c]; next >= 0 {
@@ -213,10 +235,11 @@ func (s *livenessSearch) successor(id int32, i int) (int32, error) {
 	s.store.decode(id, s.states)
 	s.enabled = s.store.enabled(id, s.enabled[:0])
 	s.one[0] = s.enabled[i]
-	enabled, err := s.eng.Step(s.states, s.enabled, s.one[:], s.next)
+	enabled, err := s.eng.Step(s.states, s.enabled, s.one[:], s.next, s.nextEn[:0])
 	if err != nil {
 		return -1, err
 	}
+	s.nextEn = enabled
 	s.steps++
 	next, err := s.intern(s.next, enabled)
 	if err != nil {
@@ -226,52 +249,54 @@ func (s *livenessSearch) successor(id int32, i int) (int32, error) {
 	return next, nil
 }
 
+// enqueue appends nd to the queue unless it is already there. It reports
+// false when nd is new and the product-state budget is spent.
+//
+//snapvet:hotpath
+func (s *livenessSearch) enqueue(nd livenessNode) bool {
+	x := &s.seen
+	if x.full(len(s.queue)) {
+		x.reset(x.grown())
+		for i, q := range s.queue {
+			x.place(q.hash(), int32(i))
+		}
+	}
+	slot := x.home(nd.hash())
+	for ; x.slots[slot] != 0; slot = x.next(slot) {
+		if s.queue[x.slots[slot]-1] == nd {
+			return true
+		}
+	}
+	if len(s.queue) >= s.opts.MaxStates {
+		return false
+	}
+	x.slots[slot] = int32(len(s.queue)) + 1
+	s.queue = append(s.queue, nd)
+	return true
+}
+
 // run certifies the target from inits with a FIFO BFS over product states.
 func (s *livenessSearch) run(inits [][]core.State) (*LivenessResult, error) {
 	if len(inits) == 0 {
 		return nil, fmt.Errorf("explore: no initial states")
 	}
-	opts, bound := s.opts, s.opts.Bound
+	opts := s.opts
 	res := &LivenessResult{
 		Topology: s.g.Name(), N: s.g.N(), Root: s.pr.Root,
 		Engine: opts.Engine, Power: PowerCentral,
-		Target: opts.Target, Bound: bound,
+		Target: opts.Target, Bound: opts.Bound,
 	}
-	var (
-		queue       []livenessNode
-		seen        = make(map[livenessNode]struct{})
-		transitions int64
-		worst       int
-		reached     bool
-	)
-	violation := func(msg string) (*LivenessResult, error) {
-		res.ProductStates = len(seen)
-		res.Transitions = transitions
-		res.WorstRounds = worst
-		res.Verdict = "violation"
-		res.Violation = msg
-		return res, nil
-	}
-	enqueue := func(nd livenessNode) bool {
-		if _, ok := seen[nd]; ok {
-			return true
-		}
-		if len(seen) >= opts.MaxStates {
-			return false
-		}
-		seen[nd] = struct{}{}
-		queue = append(queue, nd)
-		return true
-	}
+	reached := false
 	for _, init := range inits {
 		if len(init) != s.g.N() {
 			return nil, fmt.Errorf("explore: initial vector has %d states, want %d", len(init), s.g.N())
 		}
 		v := normalizeSeed(init)
-		enabled, err := s.eng.Probe(v)
+		enabled, err := s.eng.Probe(v, s.nextEn[:0])
 		if err != nil {
 			return nil, err
 		}
+		s.nextEn = enabled
 		id, err := s.intern(v, enabled)
 		if err != nil {
 			return nil, err
@@ -285,51 +310,77 @@ func (s *livenessSearch) run(inits [][]core.State) (*LivenessResult, error) {
 		}
 		mask := s.store.procs(id)
 		if mask == 0 {
-			return violation(fmt.Sprintf("deadlock at an initial state before reaching the %s target", opts.Target))
+			return s.violation(res, 0, fmt.Sprintf("deadlock at an initial state before reaching the %s target", opts.Target))
 		}
-		if !enqueue(livenessNode{id: id, rounds: 1, pending: mask}) {
+		if !s.enqueue(livenessNode{id: id, rounds: 1, pending: mask}) {
 			return nil, fmt.Errorf("explore: product-state budget %d exceeded (raise MaxStates)", opts.MaxStates)
 		}
 	}
-	for qi := 0; qi < len(queue); qi++ {
-		nd := queue[qi]
+	worst, msg, err := s.search()
+	if err != nil {
+		return nil, err
+	}
+	if msg == "" && !reached && worst == 0 {
+		msg = fmt.Sprintf("no schedule ever reached the %s target", opts.Target)
+	}
+	if msg != "" {
+		return s.violation(res, worst, msg)
+	}
+	res.ProductStates = len(s.queue)
+	res.Transitions = s.transitions
+	res.WorstRounds = worst
+	res.Complete = true
+	res.Verdict = "certified"
+	return res, nil
+}
+
+// violation completes res as a violation after the given worst round.
+func (s *livenessSearch) violation(res *LivenessResult, worst int, msg string) (*LivenessResult, error) {
+	res.ProductStates = len(s.queue)
+	res.Transitions = s.transitions
+	res.WorstRounds = worst
+	res.Verdict = "violation"
+	res.Violation = msg
+	return res, nil
+}
+
+// search runs the product BFS over the queued product states. It returns
+// the worst round in which a schedule reached the target (0 if none did)
+// and a violation message ("" if none).
+//
+//snapvet:hotpath
+func (s *livenessSearch) search() (worst int, msg string, err error) {
+	bound := s.opts.Bound
+	for qi := 0; qi < len(s.queue); qi++ {
+		nd := s.queue[qi]
 		for i, n := 0, s.store.numEnabled(nd.id); i < n; i++ {
 			next, err := s.successor(nd.id, i)
 			if err != nil {
-				return nil, err
+				return worst, "", err
 			}
-			transitions++
+			s.transitions++
 			if s.target[next] {
-				reached = true
 				worst = max(worst, int(nd.rounds))
 				continue
 			}
 			mask := s.store.procs(next)
 			if mask == 0 {
-				return violation(fmt.Sprintf("deadlock during round %d before reaching the %s target", nd.rounds, opts.Target))
+				return worst, fmt.Sprintf("deadlock during round %d before reaching the %s target", nd.rounds, s.opts.Target), nil //snapvet:ok violation message, ends the search
 			}
 			proc := s.store.choice(nd.id, i).Proc
 			pending := (nd.pending &^ (1 << uint(proc))) & mask
 			rounds := nd.rounds
 			if pending == 0 {
 				if int(rounds) >= bound {
-					return violation(fmt.Sprintf("%d rounds completed without reaching the %s target (bound %d)", rounds, opts.Target, bound))
+					return worst, fmt.Sprintf("%d rounds completed without reaching the %s target (bound %d)", rounds, s.opts.Target, bound), nil //snapvet:ok violation message, ends the search
 				}
 				rounds++
 				pending = mask
 			}
-			if !enqueue(livenessNode{id: next, rounds: rounds, pending: pending}) {
-				return nil, fmt.Errorf("explore: product-state budget %d exceeded (raise MaxStates)", opts.MaxStates)
+			if !s.enqueue(livenessNode{id: next, rounds: rounds, pending: pending}) {
+				return worst, "", fmt.Errorf("explore: product-state budget %d exceeded (raise MaxStates)", s.opts.MaxStates) //snapvet:ok budget failure, ends the search
 			}
 		}
 	}
-	if !reached {
-		return violation(fmt.Sprintf("no schedule ever reached the %s target", opts.Target))
-	}
-	res.ProductStates = len(seen)
-	res.Transitions = transitions
-	res.WorstRounds = worst
-	res.Complete = true
-	res.Verdict = "certified"
-	return res, nil
+	return worst, "", nil
 }

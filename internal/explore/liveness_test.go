@@ -132,11 +132,11 @@ func TestLivenessCacheSound(t *testing.T) {
 					}
 					w[p].Val, w[p].Agg = rng.Int63(), rng.Int63()
 				}
-				enV, err := eng.Probe(v)
+				enV, err := eng.Probe(v, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				enW, err := eng.Probe(w)
+				enW, err := eng.Probe(w, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,11 +151,11 @@ func TestLivenessCacheSound(t *testing.T) {
 				}
 				for _, ch := range enV {
 					sv, sw := make([]core.State, len(v)), make([]core.State, len(w))
-					afterV, err := eng.Step(v, enV, []sim.Choice{ch}, sv)
+					afterV, err := eng.Step(v, enV, []sim.Choice{ch}, sv, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					afterW, err := eng.Step(w, enW, []sim.Choice{ch}, sw)
+					afterW, err := eng.Step(w, enW, []sim.Choice{ch}, sw, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

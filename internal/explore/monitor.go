@@ -39,6 +39,8 @@ type monState struct {
 // (core's documented contract), so quotienting them out loses no behavior
 // and keeps the explored space finite. succ is modified in place; the
 // returned string is a [PIF1]/[PIF2] violation description ("" if none).
+//
+//snapvet:hotpath
 func (e *Explorer) applyMonitor(pre []core.State, preMon monState, sel []sim.Choice, succ []core.State) (monState, string) {
 	mon := preMon
 	n := e.g.N()
@@ -87,6 +89,8 @@ func (e *Explorer) applyMonitor(pre []core.State, preMon monState, sel []sim.Cho
 // closing an open window: in the pre-step configuration every non-root
 // entry of the instance must hold the current message and have fed back
 // (or be feeding back in this very step).
+//
+//snapvet:hotpath
 func (e *Explorer) checkDelivery(inst int, pre []core.State, mon monState, sel []sim.Choice) string {
 	n := e.g.N()
 	root := inst*n + e.roots[inst]
@@ -96,22 +100,29 @@ func (e *Explorer) checkDelivery(inst int, pre []core.State, mon monState, sel [
 			feedingNow |= 1 << uint(ch.Proc)
 		}
 	}
-	where := ""
-	if len(e.opts.Initiators) > 0 {
-		where = fmt.Sprintf("instance %d, ", inst)
-	}
 	for s := inst * n; s < (inst+1)*n; s++ {
 		if s == root {
 			continue
 		}
 		if pre[s].Msg != 1 {
-			return fmt.Sprintf("PIF1 violated: %sp%d never received the broadcast", where, s-inst*n)
+			return fmt.Sprintf("PIF1 violated: %sp%d never received the broadcast", e.instance(inst), s-inst*n) //snapvet:ok violation message, ends the search
 		}
 		if mon.fed&(1<<uint(s)) == 0 && feedingNow&(1<<uint(s)) == 0 {
-			return fmt.Sprintf("PIF2 violated: %sp%d never acknowledged", where, s-inst*n)
+			return fmt.Sprintf("PIF2 violated: %sp%d never acknowledged", e.instance(inst), s-inst*n) //snapvet:ok violation message, ends the search
 		}
 	}
 	return ""
+}
+
+// instance names instance inst in a composition's delivery violations, and
+// is empty for a single protocol.
+//
+//snapvet:coldpath violation messages only
+func (e *Explorer) instance(inst int) string {
+	if len(e.opts.Initiators) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("instance %d, ", inst)
 }
 
 // normalizeSeed maps a concrete initial vector onto the explored quotient:

@@ -74,15 +74,17 @@ func (c *Configuration) Fingerprint() (uint64, error) {
 	return h, nil
 }
 
-// Enabled returns a copy of the currently enabled choices in ascending
-// processor order: before the first Step the initial configuration's enabled
-// set, after a Step the post-step configuration's (the cache is refreshed as
-// part of committing the step, so this is the engine's own view — including
-// the incremental re-evaluation path — not a recomputation). The exhaustive
-// explorer branches on exactly this set.
-func (r *Runner) Enabled() []Choice {
-	src := r.cache.choices()
-	out := make([]Choice, len(src))
-	copy(out, src)
-	return out
+// AppendEnabled appends the currently enabled choices to buf in ascending
+// processor order and returns the extended buffer: before the first Step
+// the initial configuration's enabled set, after a Step the post-step
+// configuration's (the cache is refreshed as part of committing the step,
+// so this is the engine's own view — including the incremental
+// re-evaluation path — not a recomputation). The exhaustive explorer
+// branches on exactly this set, appending it to buffers it owns, so a warm
+// call allocates nothing.
+//
+//snapvet:hotpath
+func (r *Runner) AppendEnabled(buf []Choice) []Choice {
+	buf = append(buf, r.cache.choices()...)
+	return buf
 }

@@ -33,7 +33,7 @@ func lockstep(t *testing.T, ref *sim.Runner, refCfg *sim.Configuration, subs ...
 					t.Fatalf("step %d: processor %d is %+v after %s, %+v after NewRunner", step, p, y, sub.how, x)
 				}
 			}
-			if x, y := ref.Enabled(), sub.r.Enabled(); !reflect.DeepEqual(x, y) {
+			if x, y := ref.AppendEnabled(nil), sub.r.AppendEnabled(nil); !reflect.DeepEqual(x, y) {
 				t.Fatalf("step %d: enabled %v after %s, %v after NewRunner", step, y, sub.how, x)
 			}
 			b := sub.r.Result()
@@ -128,7 +128,7 @@ func TestResetMatchesNewRunner(t *testing.T) {
 					seedCfg.CopyFrom(start)
 					ref := sim.NewRunner(refCfg, refPr, d, opts)
 					sub.Reset()
-					seeded.ResetWith(ref.Enabled())
+					seeded.ResetWith(ref.AppendEnabled(nil))
 					lockstep(t, ref, refCfg,
 						restarted{"Reset", sub, subCfg},
 						restarted{"ResetWith", seeded, seedCfg})
@@ -141,8 +141,9 @@ func TestResetMatchesNewRunner(t *testing.T) {
 // TestResetAfterPreStoppedStart covers runs whose stop predicate holds
 // before the first step. Such a run still reports the enabled set of its
 // configuration: at NewRunner, and after a Reset or ResetWith that loads
-// another configuration, its Enabled equals a fresh runner's. A Reset once
-// the predicate no longer holds starts a full run, exactly like NewRunner.
+// another configuration, its AppendEnabled equals a fresh runner's. A
+// Reset once the predicate no longer holds starts a full run, exactly like
+// NewRunner.
 func TestResetAfterPreStoppedStart(t *testing.T) {
 	g, err := graph.Ring(6)
 	if err != nil {
@@ -168,7 +169,7 @@ func TestResetAfterPreStoppedStart(t *testing.T) {
 	sameEnabled := func(when string, r *sim.Runner, cfg *sim.Configuration) {
 		t.Helper()
 		fresh := sim.NewRunner(cfg.Clone(), refPr, d, sim.Options{})
-		if got, want := r.Enabled(), fresh.Enabled(); !reflect.DeepEqual(got, want) {
+		if got, want := r.AppendEnabled(nil), fresh.AppendEnabled(nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: the pre-stopped runner reports enabled %v, a fresh runner %v", when, got, want)
 		}
 	}
@@ -196,6 +197,6 @@ func TestResetAfterPreStoppedStart(t *testing.T) {
 	subCfg.CopyFrom(clean)
 	sub.Reset()
 	sameEnabled("Reset to the clean start", sub, clean)
-	sub.ResetWith(sim.NewRunner(clean.Clone(), refPr, d, sim.Options{}).Enabled())
+	sub.ResetWith(sim.NewRunner(clean.Clone(), refPr, d, sim.Options{}).AppendEnabled(nil))
 	sameEnabled("ResetWith to the clean start", sub, clean)
 }

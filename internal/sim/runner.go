@@ -119,6 +119,7 @@ type Runner struct {
 	rng  *rand.Rand
 
 	names   []string
+	moves   []int // moves per action ID since the last restart
 	res     Result
 	rs      RunState
 	inplace InPlaceProtocol
@@ -177,6 +178,7 @@ func NewRunner(c *Configuration, p Protocol, d Daemon, opts Options) *Runner {
 	}
 	r.rng = rand.New(&r.src)
 	r.names = p.ActionNames()
+	r.moves = make([]int, len(r.names))
 	r.res.MovesPerAction = make(map[string]int, len(r.names))
 	r.build()
 	r.restart()
@@ -192,8 +194,7 @@ func NewRunner(c *Configuration, p Protocol, d Daemon, opts Options) *Runner {
 //
 // The daemon and the observers belong to the caller and are not reset: a
 // stateful daemon (RoundRobin's cursor, Adversarial's memory) carries its
-// state into the next run. A Result read before Reset shares its
-// MovesPerAction map with the runner, which Reset clears.
+// state into the next run.
 //
 //snapvet:hotpath
 func (r *Runner) Reset() {
@@ -204,8 +205,8 @@ func (r *Runner) Reset() {
 // ResetWith is Reset for a caller that already knows the configuration's
 // enabled set: instead of re-evaluating every guard it copies enabled into
 // the guard cache. enabled must be exactly what this runner reports for the
-// configuration's current contents — Enabled after a NewRunner, Reset or
-// Step on these states — in ascending processor order, with every enabled
+// configuration's current contents — AppendEnabled after a NewRunner, Reset
+// or Step on these states — in ascending processor order, with every enabled
 // action of a processor; the runner then behaves exactly as after Reset. A
 // set that disagrees with the guards goes unchecked and stays stale for
 // every processor no later step re-evaluates. ResetWith copies enabled and
@@ -225,7 +226,7 @@ func (r *Runner) ResetWith(enabled []Choice) {
 //
 //snapvet:hotpath
 func (r *Runner) restart() {
-	clear(r.res.MovesPerAction)
+	clear(r.moves)
 	r.res = Result{MovesPerAction: r.res.MovesPerAction, Final: r.c}
 	r.rs = RunState{Config: r.c}
 	clear(r.age)
@@ -275,9 +276,19 @@ func (r *Runner) build() {
 }
 
 // Result returns the run summary accumulated so far; after Step has
-// reported done it is the final result. Its MovesPerAction map is the
-// runner's own, cleared by the next Reset.
-func (r *Runner) Result() Result { return r.res }
+// reported done it is the final result. Its MovesPerAction map, keyed by
+// exactly the actions that executed since the run (re)started, is the
+// runner's own: the next Result call refills it from the per-action
+// counters a step increments.
+func (r *Runner) Result() Result {
+	clear(r.res.MovesPerAction)
+	for a, n := range r.moves {
+		if n != 0 {
+			r.res.MovesPerAction[r.names[a]] += n
+		}
+	}
+	return r.res
+}
 
 // Step executes one computation step. It reports done = true when the run
 // has ended — terminal configuration, stop predicate, or step limit (the
@@ -336,7 +347,7 @@ func (r *Runner) Step() (done bool, err error) {
 	for _, ch := range selected {
 		r.executed.set(ch.Proc)
 		r.res.Moves++
-		r.res.MovesPerAction[r.names[ch.Action]]++
+		r.moves[ch.Action]++
 	}
 	r.res.Steps++
 	r.rs.Steps, r.rs.Moves = r.res.Steps, r.res.Moves
