@@ -638,11 +638,10 @@ func benchSteps(b *testing.B, s benchStepper, warmup int) {
 // iteration counts.
 var benchStepSizes = []int{1_000, 10_000}
 
-// BenchmarkStepGeneric measures one committed step of the interface-based
+// BenchmarkStepSim measures one committed step of the interface-based sim
 // engine (sim.Runner) on the snap-PIF protocol under the synchronous
-// daemon — the baseline the flat engine is compared against (ISSUE 5
-// acceptance: flat ≥ 3x steps/sec at N=10k).
-func BenchmarkStepGeneric(b *testing.B) {
+// daemon — the baseline the event engine is compared against.
+func BenchmarkStepSim(b *testing.B) {
 	for _, n := range benchStepSizes {
 		b.Run(fmt.Sprintf("ring-%d", n), func(b *testing.B) {
 			g, err := graph.Ring(n)
@@ -657,11 +656,11 @@ func BenchmarkStepGeneric(b *testing.B) {
 	}
 }
 
-// BenchmarkStepFlat measures the same step on the flat SoA kernel
-// (internal/flat) driven by event.Runner under the synchronous daemon — the
-// "flat" engine. Identical schedule to BenchmarkStepGeneric — the engines
-// are bit-identical — so ns/op is directly comparable.
-func BenchmarkStepFlat(b *testing.B) {
+// BenchmarkStepEvent measures the same step on the event engine: the SoA
+// kernel (internal/flat) driven by event.Runner under the synchronous
+// daemon. Identical schedule to BenchmarkStepSim — the engines are
+// bit-identical — so ns/op is directly comparable.
+func BenchmarkStepEvent(b *testing.B) {
 	for _, n := range benchStepSizes {
 		b.Run(fmt.Sprintf("ring-%d", n), func(b *testing.B) {
 			g, err := graph.Ring(n)

@@ -7,27 +7,27 @@
 // Usage:
 //
 //	pifexp [-quick] [-trials N] [-seed S] [-only E4[,E7]] [-md] [-parallel]
-//	       [-engine generic|flat|event] [-latency DIST]
-//	       [-bench FILE] [-scale FILE]
+//	       [-engine sim|event] [-latency DIST]
 //	       [-telemetry] [-spans FILE] [-flight FILE]
 //	       [-http ADDR] [-cpuprofile FILE] [-memprofile FILE]
+//	pifexp -scale FILE [-seed S] [-cpuprofile FILE] [-memprofile FILE]
 //
 // -parallel fans both the experiments and their table cells across
 // GOMAXPROCS workers; every cell derives its randomness from its own seed,
 // so stdout is byte-identical to a serial run (timing goes to stderr).
-// -engine=flat runs the cycle-based experiments on the struct-of-arrays
-// kernel (internal/flat) under the experiment's daemon; -engine=event runs
-// them on the same runner (internal/event) and also accepts -latency. The
-// engines are bit-identical, so the tables do not change — only the wall
-// clock does. -latency DIST (event engine only)
-// switches to asynchronous message-latency scheduling with the named
-// per-link distribution — const:K, uniform:LO-HI, or pareto:a=A,cap=C —
-// replacing the daemon; telemetry steps and span timestamps are then in
-// virtual time (see DESIGN.md §12).
-// -bench additionally measures the simulation hot path and writes a JSON
-// report (steps/sec, allocs/step) to the given file. -scale measures the
-// large-N grid — N up to 10^6 on line/ring/grid/random topologies, generic
-// vs event — and writes the BENCH_scale JSON report.
+// -engine=event runs the cycle-based experiments on event.Runner over the
+// struct-of-arrays kernel (internal/flat) under the experiment's daemon
+// instead of the default sim.Runner. The engines are bit-identical, so the
+// tables do not change — only the wall clock does. -latency DIST (event
+// engine only) switches to asynchronous message-latency scheduling with
+// the named per-link distribution — const:K, uniform:LO-HI, or
+// pareto:a=A,cap=C — replacing the daemon; telemetry steps and span
+// timestamps are then in virtual time (see DESIGN.md §12).
+//
+// -scale is a mode of its own: it runs no experiments, measures the step
+// cost (ns, moves and allocations per step) of the sim and event engines on
+// the large-N grid — N up to 10^6 on line/ring/grid/random topologies — and
+// writes the BENCH_scale JSON report to FILE.
 //
 // -telemetry turns on the large-N observability layer (internal/telemetry):
 // lock-free counters, wave-latency histograms, and the sampled time series,
@@ -88,10 +88,9 @@ func run(args []string, out io.Writer) (err error) {
 		markdown = fs.Bool("md", false, "emit tables as markdown")
 		csvDir   = fs.String("csv", "", "also write each table as <dir>/<id>.csv")
 		parallel = fs.Bool("parallel", false, "fan experiments and table cells across GOMAXPROCS workers (stdout identical to serial)")
-		engine   = fs.String("engine", "generic", "simulation engine for the cycle-based experiments: generic, flat, or event (tables are byte-identical; flat runs the large-N SoA kernel under the daemon, event the same runner with optional -latency)")
+		engine   = fs.String("engine", "sim", "simulation engine for the cycle-based experiments: sim or event (tables are byte-identical; event runs the large-N SoA kernel under the daemon, or with -latency)")
 		latency  = fs.String("latency", "", "event engine only: per-link latency distribution (const:K, uniform:LO-HI, pareto:a=A,cap=C); replaces the daemon with asynchronous virtual-time scheduling")
-		bench    = fs.String("bench", "", "measure the simulation hot path and write a JSON report to this file")
-		scale    = fs.String("scale", "", "measure the large-N scaling grid (generic vs event) and write a BENCH_scale JSON report to this file")
+		scale    = fs.String("scale", "", "run no experiments: measure the large-N step-cost grid (sim vs event) and write a BENCH_scale JSON report to this file")
 		telem    = fs.Bool("telemetry", false, "enable the aggregating telemetry layer (counters, wave histograms, sampled time series); published at /debug/vars, summarized on stderr; serial runs only")
 		spansOut = fs.String("spans", "", "write causal wave spans as Chrome trace_event JSON (Perfetto-loadable) to this file; implies -telemetry, serial runs only")
 		flightTo = fs.String("flight", "", "run the flight recorder and dump its last window as a replayable pifhunt scenario (JSON) to this file; implies -telemetry, serial runs only")
@@ -154,6 +153,14 @@ func run(args []string, out io.Writer) (err error) {
 			}
 		}()
 	}
+	if *scale != "" {
+		return writeScale(*scale, *seed)
+	}
+	// Experiments that run no cycles never consult the engine, so a bad
+	// name is refused here, not by whichever experiment first uses it.
+	if *engine != "sim" && *engine != "event" {
+		return fmt.Errorf("-engine: unknown engine %q (want sim or event)", *engine)
+	}
 	if *latency != "" {
 		if *engine != "event" {
 			return fmt.Errorf("-latency requires -engine=event (got -engine=%s)", *engine)
@@ -205,13 +212,11 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Fprintf(os.Stderr, "pifexp: serving /debug/vars, /healthz, and /debug/pprof on %s\n", *httpAddr)
 	}
 
-	timings := &trace.Timings{}
 	opt := exp.Options{
 		Quick:     *quick,
 		Trials:    *trials,
 		Seed:      *seed,
 		Parallel:  *parallel,
-		Timings:   timings,
 		Metrics:   metrics,
 		Engine:    *engine,
 		Latency:   *latency,
@@ -312,16 +317,6 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	if tel != nil {
 		if err := finishTelemetry(tel, *spansOut, *flightTo); err != nil {
-			return err
-		}
-	}
-	if *bench != "" {
-		if err := writeBench(*bench, timings); err != nil {
-			return err
-		}
-	}
-	if *scale != "" {
-		if err := writeScale(*scale, *seed); err != nil {
 			return err
 		}
 	}

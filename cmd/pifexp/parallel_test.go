@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -24,44 +21,5 @@ func TestParallelStdoutByteIdentical(t *testing.T) {
 	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
 		t.Errorf("stdout differs between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial.String(), parallel.String())
-	}
-}
-
-// TestBenchReport exercises -bench: the emitted JSON must parse, carry one
-// entry per measured cell, and show the zero-allocation steady state the
-// simulation engine guarantees.
-func TestBenchReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench measurement is seconds-long")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
-	var out bytes.Buffer
-	if err := run([]string{"-quick", "-only", "E1", "-parallel", "-bench", path}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("bench report not written: %v", err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bench report does not parse: %v", err)
-	}
-	if rep.GoVersion == "" || rep.GOMAXPROCS < 1 {
-		t.Errorf("missing environment fields: %+v", rep)
-	}
-	if len(rep.Cells) == 0 {
-		t.Fatal("bench report has no cells")
-	}
-	for _, c := range rep.Cells {
-		if c.Steps <= 0 || c.StepsPerSec <= 0 || c.NsPerStep <= 0 {
-			t.Errorf("cell %s/%s: non-positive throughput: %+v", c.Topology, c.Daemon, c)
-		}
-		if c.AllocsPerStep > 0.01 {
-			t.Errorf("cell %s/%s: %.4f allocs/step, want ~0", c.Topology, c.Daemon, c.AllocsPerStep)
-		}
-	}
-	if len(rep.CellTimes) == 0 {
-		t.Error("bench report carries no experiment cell timings")
 	}
 }

@@ -31,8 +31,8 @@ type scaleCell struct {
 	AllocsPerStep float64 `json:"allocs_per_step"`
 }
 
-// scaleReport is the BENCH_scale.json schema: the large-N companion to
-// BENCH_sim.json. Every cell runs the snap-PIF protocol from the clean
+// scaleReport is the BENCH_scale.json schema, the repository's one
+// step-cost record. Every cell runs the snap-PIF protocol from the clean
 // start under the synchronous daemon with a fixed seed, so the schedule —
 // and therefore moves/step — is identical for every engine at a given
 // (topology, N); only the time columns may differ.
@@ -46,22 +46,22 @@ type scaleReport struct {
 }
 
 // scalePoint is one N of the grid: the measured step count shrinks as N
-// grows so the whole grid stays minutes, not hours; genericOK gates the
-// interface-based engine out of the sizes where a single cell would take
-// longer than the rest of the grid combined.
+// grows so the whole grid stays minutes, not hours; simOK gates the
+// interface-based sim engine out of the sizes where a single cell would
+// take longer than the rest of the grid combined.
 type scalePoint struct {
-	n         int
-	warmup    int
-	steps     int
-	genericOK bool
+	n      int
+	warmup int
+	steps  int
+	simOK  bool
 }
 
 var scalePoints = []scalePoint{
-	{n: 64, warmup: 2000, steps: 50_000, genericOK: true},
-	{n: 1_000, warmup: 2000, steps: 20_000, genericOK: true},
-	{n: 10_000, warmup: 1000, steps: 5_000, genericOK: true},
-	{n: 100_000, warmup: 300, steps: 1_000, genericOK: false},
-	{n: 1_000_000, warmup: 100, steps: 300, genericOK: false},
+	{n: 64, warmup: 2000, steps: 50_000, simOK: true},
+	{n: 1_000, warmup: 2000, steps: 20_000, simOK: true},
+	{n: 10_000, warmup: 1000, steps: 5_000, simOK: true},
+	{n: 100_000, warmup: 300, steps: 1_000, simOK: false},
+	{n: 1_000_000, warmup: 100, steps: 300, simOK: false},
 }
 
 // scaleTopologies builds the four topology families at size n. The random
@@ -93,10 +93,10 @@ type stepper interface {
 	Moves() int
 }
 
-type genericStepper struct{ r *sim.Runner }
+type simStepper struct{ r *sim.Runner }
 
-func (s genericStepper) Step() (bool, error) { return s.r.Step() }
-func (s genericStepper) Moves() int          { return s.r.Result().Moves }
+func (s simStepper) Step() (bool, error) { return s.r.Step() }
+func (s simStepper) Moves() int          { return s.r.Result().Moves }
 
 type eventStepper struct{ r *event.Runner }
 
@@ -104,13 +104,13 @@ func (s eventStepper) Step() (bool, error) { return s.r.Step() }
 func (s eventStepper) Moves() int          { return s.r.Result().Moves }
 
 // stepCost is one measured window of committed steps, per step: wall
-// time, throughput, moves, heap allocations and heap bytes.
-type stepCost struct{ ns, sps, moves, allocs, bytes float64 }
+// time, throughput, moves and heap allocations.
+type stepCost struct{ ns, sps, moves, allocs float64 }
 
 // measureStepper warms a stepper and measures its cost over the given
 // number of committed steps. The warm-up absorbs one-time allocations
 // (runner scratch, map growth), so a zero-allocation engine reads ≈ 0
-// allocs and bytes per step.
+// allocs per step.
 func measureStepper(s stepper, warmup, steps int) (stepCost, error) {
 	for i := 0; i < warmup; i++ {
 		if done, err := s.Step(); done {
@@ -137,12 +137,11 @@ func measureStepper(s stepper, warmup, steps int) (stepCost, error) {
 		sps:    fs / elapsed.Seconds(),
 		moves:  float64(s.Moves()-movesBefore) / fs,
 		allocs: float64(m1.Mallocs-m0.Mallocs) / fs,
-		bytes:  float64(m1.TotalAlloc-m0.TotalAlloc) / fs,
 	}, nil
 }
 
-// measureScaleCell measures one engine on one graph. engine is "generic"
-// or "event" (event.Runner under the synchronous daemon).
+// measureScaleCell measures one engine on one graph. engine is "sim" or
+// "event" (event.Runner under the synchronous daemon).
 func measureScaleCell(g *graph.Graph, engine string, pt scalePoint, seed int64) (scaleCell, error) {
 	pr, err := core.New(g, 0)
 	if err != nil {
@@ -152,9 +151,9 @@ func measureScaleCell(g *graph.Graph, engine string, pt scalePoint, seed int64) 
 	simOpts := sim.Options{Seed: seed, MaxSteps: pt.warmup + pt.steps + 1}
 	var s stepper
 	switch engine {
-	case "generic":
+	case "sim":
 		cfg := sim.NewConfiguration(g, pr)
-		s = genericStepper{r: sim.NewRunner(cfg, pr, d, simOpts)}
+		s = simStepper{r: sim.NewRunner(cfg, pr, d, simOpts)}
 	case "event":
 		kern, err := flat.FromCore(pr)
 		if err != nil {
@@ -170,7 +169,7 @@ func measureScaleCell(g *graph.Graph, engine string, pt scalePoint, seed int64) 
 		}
 		s = eventStepper{r: er}
 	default:
-		return scaleCell{}, fmt.Errorf("scale: unknown engine %q", engine)
+		return scaleCell{}, fmt.Errorf("scale: unknown engine %q (want sim or event)", engine)
 	}
 	c, err := measureStepper(s, pt.warmup, pt.steps)
 	if err != nil {
@@ -294,8 +293,8 @@ func writeScale(path string, seed int64) error {
 		}
 		for _, g := range tops {
 			engines := []string{"event"}
-			if pt.genericOK {
-				engines = append([]string{"generic"}, engines...)
+			if pt.simOK {
+				engines = append([]string{"sim"}, engines...)
 			}
 			for _, eng := range engines {
 				cell, err := measureScaleCell(g, eng, pt, seed)

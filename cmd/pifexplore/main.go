@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	pifexplore run     -topo line:3 [-root R] [-engine sim|flat|event]
+//	pifexplore run     -topo line:3 [-root R] [-engine sim|event]
 //	                   [-power central|distributed|synchronous]
 //	                   [-init clean|faults:K|domain] [-depth D] [-workers W]
 //	                   [-por=false] [-symmetry=false] [-plant NAME]
@@ -69,7 +69,7 @@ func runOne(args []string, out io.Writer) error {
 	var (
 		topo      = fs.String("topo", "line:3", "topology (line:N, ring:N, star:N, complete:N, grid:RxC)")
 		root      = fs.Int("root", 0, "PIF initiator")
-		engine    = fs.String("engine", "sim", "engine under test (sim, flat or event)")
+		engine    = fs.String("engine", "sim", "engine under test (sim or event)")
 		power     = fs.String("power", "central", "daemon power (central, distributed, synchronous)")
 		initMode  = fs.String("init", "faults:3", "initial states (clean, faults:K, domain)")
 		depth     = fs.Int("depth", 0, "BFS layer bound (0 = run to closure)")
@@ -152,7 +152,7 @@ type certRow struct {
 }
 
 // certTable is the EXPERIMENTS.md certification matrix: the acceptance
-// topologies under the central daemon from fault-injected starts, the flat
+// topologies under the central daemon from fault-injected starts, the event
 // engine cross-check, the stronger daemon powers, the planted-bug detection
 // row, and the full-domain certificate on the 3-line (every initial
 // configuration the specification quantifies over).
@@ -161,7 +161,7 @@ func certTable() []certRow {
 		{"line:3", 0, explore.Options{POR: true, Symmetry: true}, "faults:3", "certified", "central sim"},
 		{"ring:3", 0, explore.Options{POR: true, Symmetry: true}, "faults:3", "certified", "central sim"},
 		{"star:4", 0, explore.Options{POR: true, Symmetry: true}, "faults:3", "certified", "central sim"},
-		{"star:4", 0, explore.Options{Engine: "flat", POR: true}, "faults:3", "certified", "flat engine cross-check"},
+		{"star:4", 0, explore.Options{Engine: "event", POR: true}, "faults:3", "certified", "event engine cross-check"},
 		{"line:3", 0, explore.Options{Power: explore.PowerSynchronous}, "faults:3", "certified", "synchronous"},
 		{"ring:3", 0, explore.Options{Power: explore.PowerDistributed}, "faults:2", "certified", "distributed subsets"},
 		{"line:3", 0, explore.Options{Plant: "level-overflow", POR: true}, "clean", "violation", "planted bug detected"},
@@ -180,14 +180,13 @@ type liveRow struct {
 // livenessTable is the round-bound (liveness) certification matrix: the
 // Theorem-4 cycle bound from the clean start and the Theorem-1
 // normal-configuration bound from corrupted starts, on ≥5-processor
-// non-star topologies, plus the flat/event engine cross-checks. Every row
-// expects "certified".
+// non-star topologies, plus the event engine cross-check. Every row expects
+// "certified".
 func livenessTable() []liveRow {
 	return []liveRow{
 		{"line:5", 0, explore.LivenessOptions{Target: explore.TargetCycle}, "clean"},
 		{"ring:5", 0, explore.LivenessOptions{Target: explore.TargetCycle}, "clean"},
 		{"grid:2x3", 0, explore.LivenessOptions{Target: explore.TargetCycle}, "clean"},
-		{"line:5", 0, explore.LivenessOptions{Target: explore.TargetCycle, Engine: "flat"}, "clean"},
 		{"line:5", 0, explore.LivenessOptions{Target: explore.TargetCycle, Engine: "event"}, "clean"},
 		{"line:5", 0, explore.LivenessOptions{Target: explore.TargetNormal}, "faults:2"},
 		{"ring:5", 0, explore.LivenessOptions{Target: explore.TargetNormal}, "faults:2"},

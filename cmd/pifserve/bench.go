@@ -66,7 +66,7 @@ type benchTopo struct {
 func runBench(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pifserve bench", flag.ContinueOnError)
 	outFile := fs.String("out", "BENCH_service.json", "output file")
-	quick := fs.Bool("quick", false, "small grid for CI smoke (flat engine, small topologies)")
+	quick := fs.Bool("quick", false, "small grid for CI smoke (sim engine, small topologies)")
 	seed := fs.Int64("seed", 1, "workload and lane seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -78,7 +78,7 @@ func runBench(args []string, out io.Writer) error {
 	}
 	rep := benchReport{GoVersion: runtime.Version(), Commit: commit, Seed: *seed}
 
-	engines := []string{"sim", "flat", "event"}
+	engines := []string{"sim", "event"}
 	topos := []benchTopo{
 		{"ring:256", []float64{1, 2, 4, 8}},
 		{"grid:16x16", []float64{5, 10, 20, 40}},
@@ -93,7 +93,7 @@ func runBench(args []string, out io.Writer) error {
 	requests := 120
 	wavesEach := 4
 	if *quick {
-		engines = []string{"flat"}
+		engines = []string{"sim"}
 		topos = []benchTopo{
 			{"ring:64", []float64{2, 8}},
 			{"grid:8x8", []float64{5, 20}},
@@ -172,7 +172,7 @@ func runBench(args []string, out io.Writer) error {
 			service.SortArrivals(arrivals)
 			mkRun := func(serial bool) (*service.Report, error) {
 				srv, err := service.New(service.Options{
-					Graph: g, Engine: "flat", Initiators: initiators,
+					Graph: g, Engine: "sim", Initiators: initiators,
 					Seed: *seed, MaxTicks: 1 << 25,
 				})
 				if err != nil {
@@ -196,7 +196,7 @@ func runBench(args []string, out io.Writer) error {
 				return fmt.Errorf("bench: pipelining gate failed on %s depth %d: %.2fx < 1.5x", pt.spec, depth, sp)
 			}
 			rep.PipelineCells = append(rep.PipelineCells, pipelineCell{
-				Engine:       "flat",
+				Engine:       "sim",
 				Topology:     pt.spec,
 				N:            g.N(),
 				Depth:        depth,

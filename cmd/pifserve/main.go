@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	pifserve run      -topo ring:64 -engine flat -rate 20 -requests 200 [-serial] [-json]
-//	pifserve capacity -topo ring:64 -engine flat -slo-p99 2000 [-lo 1] [-hi 500]
+//	pifserve run      -topo ring:64 -engine sim -rate 20 -requests 200 [-serial] [-json]
+//	pifserve capacity -topo ring:64 -engine sim -slo-p99 2000 [-lo 1] [-hi 500]
 //	pifserve dump     -topo ring:64 -engine event -rate 10 -requests 50 -out scenario.json
 //	pifserve bench    -out BENCH_service.json [-quick]
 //
@@ -76,8 +76,8 @@ func newServeFlags(name string) *serveFlags {
 	return &serveFlags{
 		fs:         fs,
 		topo:       fs.String("topo", "ring:32", "topology spec (line/ring/star/complete/hypercube/btree:N or grid:RxC)"),
-		engine:     fs.String("engine", "flat", "execution engine: sim, flat, or event"),
-		latency:    fs.String("latency", "", "event engine link-latency distribution (const:K, uniform:LO-HI, pareto:a=A,cap=C)"),
+		engine:     fs.String("engine", "sim", "execution engine: sim (one synchronous step per tick) or event (per-link latencies)"),
+		latency:    fs.String("latency", "", "event engine only: link-latency distribution (const:K, uniform:LO-HI, pareto:a=A,cap=C)"),
 		initiators: fs.String("initiators", "0", "comma-separated lane roots (pipeline depth = lane count)"),
 		faults:     fs.String("faults", "", "comma-separated per-lane fault injectors for the start states"),
 		rate:       fs.Float64("rate", 10, "offered load: requests per 1000 virtual ticks"),

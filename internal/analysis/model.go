@@ -111,7 +111,7 @@ func (st *simTypes) implementsRadius(t types.Type) bool {
 }
 
 // IsConfig reports whether t is a global-configuration type —
-// sim.Configuration or the flat engine's Config — possibly behind a
+// sim.Configuration or internal/flat's Config — possibly behind a
 // pointer. Implements dataflow.Model.
 func (st *simTypes) IsConfig(t types.Type) bool {
 	if st == nil {

@@ -151,8 +151,9 @@ func (pr *Protocol) Graph() *graph.Graph { return pr.g }
 func (pr *Protocol) NextMsg() uint64 { return pr.nextMsg }
 
 // UsesPrintedGuards reports whether WithPrintedGuards reverted the
-// transcription repairs. The flat engine (internal/flat) mirrors the guard
-// kernels field by field and needs to know which reading to replicate.
+// transcription repairs. The struct-of-arrays kernel (internal/flat)
+// mirrors the guard kernels field by field and needs to know which reading
+// to replicate.
 func (pr *Protocol) UsesPrintedGuards() bool { return pr.printedGuards }
 
 // Name implements sim.Protocol.

@@ -1,9 +1,9 @@
 // Package event is the struct-of-arrays execution engine: the runner that
 // steps the paper's PIF protocol over internal/flat's state and
 // guard/action kernels, with per-step cost bounded by the *active frontier*
-// instead of N. It has two scheduling modes: an external sim.Daemon (the
-// engine name "flat"), or its own discrete-event wake queue (the engine
-// name "event").
+// instead of N. The engine name "event" selects it in either of its two
+// scheduling modes: under an external sim.Daemon (no latency), or from its
+// own discrete-event wake queue (per-link latencies).
 //
 // # Model
 //
@@ -41,7 +41,7 @@
 // schedule and reproduces sim.Runner bit for bit: same RNG draw sequence,
 // moves, rounds, fairness forcing, observer order, and error contract — the
 // synchronous daemon is the degenerate zero-latency case. With a Latency,
-// the same schedule can drive the generic engine via InducedDaemon, which
+// the same schedule can drive the sim engine via InducedDaemon, which
 // replays the wake queue as a plain sim.Daemon with an identical RNG
 // stream. The differential grid and the fuzz target in this package
 // enforce both refinements byte-for-byte on obs traces.

@@ -8,7 +8,7 @@ import (
 
 // InducedDaemon replays the event scheduler's latency-induced schedule as a
 // plain sim.Daemon, so the *same* asynchronous execution can drive the
-// generic engine and event.Runner's external-daemon mode. It maintains its own wake queue from the
+// sim engine and event.Runner's external-daemon mode. It maintains its own wake queue from the
 // selections it returns, drawing per-link latencies from the Select-provided
 // rng in exactly the runner's order (mover ascending × CSR neighbor order);
 // with equal seeds, event.Runner in latency mode and sim.Runner under

@@ -17,7 +17,7 @@ import (
 //
 // Implementations must be deterministic functions of the rng stream: the
 // differential harness replays the same seed through the event engine and
-// through InducedDaemon on the generic engine and requires identical
+// through InducedDaemon on the sim engine and requires identical
 // draw sequences.
 type Latency interface {
 	// Name is the distribution's canonical spec string (parseable by

@@ -11,7 +11,7 @@ import (
 )
 
 // Options configures an event-engine run. The embedded sim.Options keep
-// their meaning and defaults, exactly as in the generic engine.
+// their meaning and defaults, exactly as in the sim engine.
 type Options struct {
 	sim.Options
 
@@ -88,7 +88,7 @@ func Run(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (sim.Resu
 // In external-daemon mode the Runner reproduces sim.Runner bit for bit:
 // same RNG draw sequence, same moves, rounds, fairness forcing, observer
 // callback order, and step-limit error. The differential grid and fuzz
-// target enforce this; the engine name "flat" selects this mode.
+// target enforce this.
 type Runner struct {
 	c    *flat.Config
 	k    *flat.Protocol
@@ -175,7 +175,7 @@ func (s *telSource) Census() (b, f, cl int) { return s.c.Census() }
 // d; with a Latency the schedule is generated internally and d may be nil.
 // A mirror boxed configuration is maintained exactly when observers or a
 // stop predicate need one; mutating observers are rejected — they would
-// desync the mirror from the SoA state (use the generic engine for mid-run
+// desync the mirror from the SoA state (use the sim engine for mid-run
 // fault injection).
 func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*Runner, error) {
 	if c.N() != k.Graph().N() {
@@ -718,7 +718,7 @@ func (r *Runner) scheduleWakes(selected []sim.Choice) {
 // telStep assembles and delivers the step's StepInfo. In latency mode the
 // Step stamp is the batch's virtual time — sparse, strictly increasing; in
 // external-daemon mode it equals the committed step count, making the
-// telemetry stream byte-compatible with the generic engine's.
+// telemetry stream byte-compatible with the sim engine's.
 func (r *Runner) telStep(selected []sim.Choice, packed bool, rootBefore core.Phase, db, df, dc int, startNS, evalNS, commitNS int64) {
 	root := r.k.Root
 	var stepNS int64

@@ -26,9 +26,7 @@ func CycleRounds(opt Options) (Outcome, error) {
 		exceeded, viols int
 	}
 	tops := topologies(opt.Quick, opt.Seed)
-	cells, err := runGrid(opt,
-		func(i int) string { return "E1/" + tops[i].g.Name() },
-		len(tops),
+	cells, err := runGrid(opt, len(tops),
 		func(i int) (cell, error) {
 			var c cell
 			recs, err := runCycles(opt, tops[i].g, sim.Synchronous{}, opt.Trials, opt.Seed)
@@ -141,9 +139,7 @@ func Daemons(opt Options) (Outcome, error) {
 		viols     int
 	}
 	nd := len(names)
-	cells, err := runGrid(opt,
-		func(i int) string { return "E8/" + sel[i/nd].g.Name() + "/" + names[i%nd] },
-		len(sel)*nd,
+	cells, err := runGrid(opt, len(sel)*nd,
 		func(i int) (cell, error) {
 			tp, d := sel[i/nd], daemonSuite()[i%nd]
 			var c cell
@@ -192,9 +188,7 @@ func TreeBaseline(opt Options) (Outcome, error) {
 		baselineViols, snapViols int
 	}
 	tops := topologies(opt.Quick, opt.Seed)
-	cells, err := runGrid(opt,
-		func(i int) string { return "E9/" + tops[i].g.Name() },
-		len(tops),
+	cells, err := runGrid(opt, len(tops),
 		func(i int) (cell, error) {
 			tp := tops[i]
 			var c cell

@@ -2,6 +2,7 @@ package exp_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"snappif/internal/exp"
@@ -27,26 +28,33 @@ func renderAll(t *testing.T, opt exp.Options, runs ...func(exp.Options) (exp.Out
 }
 
 // TestFlatEngineTablesByteIdentical is the experiment-level half of the
-// flat-engine differential suite: the cycle-based experiments rendered
-// under Engine "flat" must be byte-for-byte the tables the generic engine
-// produces — same heights, rounds, delivery counts, verdicts. (The
-// step-level bit-identity grid lives in internal/event; this test catches
-// wiring mistakes between exp.Options and the engines.)
+// engine differential suite: the cycle-based experiments rendered under
+// Engine "event" (event.Runner over the struct-of-arrays kernels of
+// internal/flat) must be byte-for-byte the tables the sim engine produces —
+// same heights, rounds, delivery counts, verdicts. (The step-level
+// bit-identity grid lives in internal/event; this test catches wiring
+// mistakes between exp.Options and the engines.)
 func TestFlatEngineTablesByteIdentical(t *testing.T) {
 	runs := []func(exp.Options) (exp.Outcome, error){exp.CycleRounds, exp.Daemons}
-	generic := renderAll(t, exp.Options{Quick: true, Trials: 2, Seed: 1, Engine: "generic"}, runs...)
-	flatSerial := renderAll(t, exp.Options{Quick: true, Trials: 2, Seed: 1, Engine: "flat"}, runs...)
-	if generic != flatSerial {
-		t.Fatalf("flat engine tables differ from generic:\n--- generic ---\n%s--- flat ---\n%s",
-			generic, flatSerial)
+	sim := renderAll(t, exp.Options{Quick: true, Trials: 2, Seed: 1, Engine: "sim"}, runs...)
+	event := renderAll(t, exp.Options{Quick: true, Trials: 2, Seed: 1, Engine: "event"}, runs...)
+	if sim != event {
+		t.Fatalf("event engine tables differ from sim:\n--- sim ---\n%s--- event ---\n%s",
+			sim, event)
 	}
 }
 
-// TestUnknownEngineRejected: a typo in -engine must fail loudly, not run
-// the generic engine silently.
+// TestUnknownEngineRejected: a typo in -engine, or a retired engine name,
+// must fail loudly with an error naming the valid engines, not run the sim
+// engine silently.
 func TestUnknownEngineRejected(t *testing.T) {
-	_, err := exp.CycleRounds(exp.Options{Quick: true, Trials: 1, Engine: "falt"})
-	if err == nil {
-		t.Fatal("unknown engine name accepted")
+	for _, name := range []string{"falt", "flat", "generic"} {
+		_, err := exp.CycleRounds(exp.Options{Quick: true, Trials: 1, Engine: name})
+		if err == nil {
+			t.Fatalf("engine name %q accepted", name)
+		}
+		if !strings.Contains(err.Error(), "want sim or event") {
+			t.Errorf("engine %q: error %q does not name the valid engines", name, err)
+		}
 	}
 }

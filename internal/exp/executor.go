@@ -18,16 +18,13 @@ import (
 //
 // Error semantics are mode-independent: every cell runs, and the error of
 // the lowest-index failing cell (if any) is returned.
-func runGrid[T any](opt Options, label func(i int) string, n int, fn func(i int) (T, error)) ([]T, error) {
+func runGrid[T any](opt Options, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
 	cell := func(i int) {
-		start := time.Now() //snapvet:ok wall-clock cell timing feeds Timings/metrics only, never experiment output
+		start := time.Now() //snapvet:ok wall-clock cell timing feeds metrics only, never experiment output
 		out[i], errs[i] = fn(i)
-		elapsed := time.Since(start) //snapvet:ok wall-clock cell timing feeds Timings/metrics only, never experiment output
-		if opt.Timings != nil {
-			opt.Timings.Add(label(i), elapsed)
-		}
+		elapsed := time.Since(start) //snapvet:ok wall-clock cell timing feeds metrics only, never experiment output
 		if m := opt.Metrics; m != nil {
 			m.Counter("exp.cells").Add(1)
 			if errs[i] != nil {

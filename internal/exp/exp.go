@@ -38,25 +38,24 @@ type Options struct {
 	// cell parameters, so the resulting tables are identical to a serial
 	// run.
 	Parallel bool
-	// Timings, if non-nil, collects per-cell wall-clock durations.
-	Timings *trace.Timings
 	// Metrics, if non-nil, receives executor counters: exp.cells (completed
 	// table cells), exp.cell_errors, and the exp.cell_ns histogram of cell
 	// wall times — the live progress feed behind pifexp's -http endpoint.
 	Metrics *obs.Registry
 	// Engine selects the simulation engine for the snap-PIF runs that
-	// support it: "generic" (the interface-based sim.Runner, the default),
-	// or "flat" / "event" (event.Runner over the struct-of-arrays kernel in
-	// internal/flat; "event" additionally honors Latency). The engines are
-	// bit-identical — same moves, rounds, daemon choices, and traces — so
-	// every table is byte-identical across engines; the choice only changes
-	// how fast the cells run (see DESIGN.md §9 and §12).
+	// support it: "sim" (the interface-based sim.Runner, the default) or
+	// "event" (event.Runner over the struct-of-arrays kernel in
+	// internal/flat, which additionally honors Latency). Without Latency
+	// the engines are bit-identical — same moves, rounds, daemon choices,
+	// and traces — so every table is byte-identical across engines; the
+	// choice only changes how fast the cells run (see DESIGN.md §9 and
+	// §12).
 	Engine string
 	// Latency, for the event engine only, replaces the daemon with the
 	// named per-link latency distribution (event.ParseLatency syntax,
 	// e.g. "const:2", "uniform:1-5", "pareto:a=1.5,cap=64"). Empty keeps
-	// the daemon-driven zero-latency mode that is bit-identical to the
-	// other engines.
+	// the daemon-driven zero-latency mode that is bit-identical to the sim
+	// engine.
 	Latency string
 	// VClock, if non-nil, receives the event engine's virtual-time tick
 	// counter as each step commits, so a telemetry Config.Clock built on it
@@ -83,7 +82,7 @@ func (o Options) withDefaults() Options {
 		o.Seed = 1
 	}
 	if o.Engine == "" {
-		o.Engine = "generic"
+		o.Engine = "sim"
 	}
 	return o
 }
@@ -183,7 +182,7 @@ func runCycles(opt Options, g *graph.Graph, d sim.Daemon, k int, seed int64) ([]
 		NextMsg: pr.NextMsg,
 	}
 	switch opt.Engine {
-	case "", "generic":
+	case "", "sim":
 		cfg := sim.NewConfiguration(g, pr)
 		if opt.Telemetry.Enabled() {
 			to := &telemetry.Observer{T: opt.Telemetry, Proto: pr}
@@ -193,7 +192,7 @@ func runCycles(opt Options, g *graph.Graph, d sim.Daemon, k int, seed int64) ([]
 		if _, err := sim.Run(cfg, pr, d, simOpts); err != nil {
 			return nil, err
 		}
-	case "flat", "event":
+	case "event":
 		kern, err := flat.FromCore(pr)
 		if err != nil {
 			return nil, err
@@ -206,22 +205,20 @@ func runCycles(opt Options, g *graph.Graph, d sim.Daemon, k int, seed int64) ([]
 			Options:       simOpts,
 			Telemetry:     opt.Telemetry,
 			TelemetryMeta: meta,
+			VClock:        opt.VClock,
 		}
-		if opt.Engine == "event" {
-			if eopts.Latency, err = event.ParseLatency(opt.Latency); err != nil {
-				return nil, err
-			}
-			eopts.VClock = opt.VClock
-			if eopts.Latency != nil {
-				// Latency mode schedules itself; the daemon argument is unused.
-				d = nil
-			}
+		if eopts.Latency, err = event.ParseLatency(opt.Latency); err != nil {
+			return nil, err
+		}
+		if eopts.Latency != nil {
+			// Latency mode schedules itself; the daemon argument is unused.
+			d = nil
 		}
 		if _, err := event.Run(fc, kern, d, eopts); err != nil {
 			return nil, err
 		}
 	default:
-		return nil, fmt.Errorf("exp: unknown engine %q (want generic, flat, or event)", opt.Engine)
+		return nil, fmt.Errorf("exp: unknown engine %q (want sim or event)", opt.Engine)
 	}
 	return obs.Cycles, nil
 }

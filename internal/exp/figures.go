@@ -51,11 +51,7 @@ func ScalingFigure(opt Options) (Outcome, error) {
 		exceeded, viols int
 	}
 	ns := len(sizes)
-	cells, err := runGrid(opt,
-		func(i int) string {
-			return fmt.Sprintf("F1/%s/N=%d", families[i/ns].name, sizes[i%ns])
-		},
-		len(families)*ns,
+	cells, err := runGrid(opt, len(families)*ns,
 		func(i int) (cell, error) {
 			fam, n := families[i/ns], sizes[i%ns]
 			var c cell

@@ -6,7 +6,6 @@ import (
 
 	"snappif/internal/exp"
 	"snappif/internal/obs"
-	"snappif/internal/trace"
 )
 
 // renderOutcome flattens everything an experiment reports — the full table
@@ -51,7 +50,6 @@ func TestSerialParallelIdentical(t *testing.T) {
 
 			par := serial
 			par.Parallel = true
-			par.Timings = &trace.Timings{}
 			parOut, err := tc.run(par)
 			if err != nil {
 				t.Fatalf("parallel run: %v", err)
@@ -65,34 +63,27 @@ func TestSerialParallelIdentical(t *testing.T) {
 }
 
 // TestParallelTimingsCoverCells asserts the per-cell timing capture: a
-// parallel grid experiment records one entry per cell under its label.
+// parallel grid experiment records one exp.cells count and one exp.cell_ns
+// observation per cell. E1 renders one table row per cell.
 func TestParallelTimingsCoverCells(t *testing.T) {
-	tm := &trace.Timings{}
 	reg := obs.NewRegistry()
-	opt := exp.Options{Quick: true, Trials: 2, Seed: 1, Parallel: true, Timings: tm, Metrics: reg}
-	if _, err := exp.CycleRounds(opt); err != nil {
+	opt := exp.Options{Quick: true, Trials: 2, Seed: 1, Parallel: true, Metrics: reg}
+	out, err := exp.CycleRounds(opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tm.Len() == 0 {
-		t.Fatal("no cell timings recorded")
+	cells := int64(out.Table.Len())
+	if cells == 0 {
+		t.Fatal("E1 rendered no cells")
 	}
-	// The metrics feed sees the same cells: one exp.cell_ns observation
-	// each, in nanoseconds, so sub-second cells still add to its sum.
-	if got := reg.Counter("exp.cells").Value(); got != int64(tm.Len()) {
-		t.Errorf("exp.cells = %d, want %d", got, tm.Len())
+	if got := reg.Counter("exp.cells").Value(); got != cells {
+		t.Errorf("exp.cells = %d, want %d", got, cells)
 	}
-	if h := reg.Histogram("exp.cell_ns"); h.Count() != int64(tm.Len()) || h.Sum() <= 0 {
-		t.Errorf("exp.cell_ns count=%d sum=%d, want count %d and a positive sum", h.Count(), h.Sum(), tm.Len())
+	if got := reg.Counter("exp.cell_errors").Value(); got != 0 {
+		t.Errorf("exp.cell_errors = %d, want 0", got)
 	}
-	for _, e := range tm.Entries() {
-		if len(e.Label) < 3 || e.Label[:3] != "E1/" {
-			t.Errorf("unexpected timing label %q", e.Label)
-		}
-		if e.Seconds < 0 {
-			t.Errorf("negative duration for %q", e.Label)
-		}
-	}
-	if tm.Total() < 0 {
-		t.Errorf("negative total duration")
+	// In nanoseconds, so sub-second cells still add to the sum.
+	if h := reg.Histogram("exp.cell_ns"); h.Count() != cells || h.Sum() <= 0 {
+		t.Errorf("exp.cell_ns count=%d sum=%d, want count %d and a positive sum", h.Count(), h.Sum(), cells)
 	}
 }

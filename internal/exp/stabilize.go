@@ -82,9 +82,7 @@ func ErrorCorrection(opt Options) (Outcome, error) {
 	tops := selectTopologies(opt)
 	injs := injectors()
 	ni := len(injs)
-	cells, err := runGrid(opt,
-		func(i int) string { return "E2/" + tops[i/ni].g.Name() + "/" + injs[i%ni].Name },
-		len(tops)*ni,
+	cells, err := runGrid(opt, len(tops)*ni,
 		func(i int) (trace.Sample, error) {
 			tp, inj := tops[i/ni], injs[i%ni]
 			var s trace.Sample
@@ -131,9 +129,7 @@ func Stabilization(opt Options) (Outcome, error) {
 	tops := selectTopologies(opt)
 	injs := injectors()
 	ni := len(injs)
-	cells, err := runGrid(opt,
-		func(i int) string { return "E3/" + tops[i/ni].g.Name() + "/" + injs[i%ni].Name },
-		len(tops)*ni,
+	cells, err := runGrid(opt, len(tops)*ni,
 		func(i int) (trace.Sample, error) {
 			tp, inj := tops[i/ni], injs[i%ni]
 			var s trace.Sample

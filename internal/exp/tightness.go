@@ -55,9 +55,7 @@ func BoundTightness(opt Options) (Outcome, error) {
 	type cell struct {
 		cycle, normal, sbn metric
 	}
-	cells, err := runGrid(opt,
-		func(i int) string { return "H1/" + tops[i].g.Name() },
-		len(tops),
+	cells, err := runGrid(opt, len(tops),
 		func(i int) (cell, error) {
 			tp := tops[i]
 			var c cell

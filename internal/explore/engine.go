@@ -39,16 +39,16 @@ import (
 // along a production run. The runner seeds its RNG on the first draw and
 // the forced daemon never draws, so a transition costs one state load and
 // one step, whose refresh evaluates the guards of the movers' closed
-// neighbourhoods and nothing else. The flat and event engines — both
-// event.Runner in external-daemon mode — build a runner per call and
-// evaluate every guard: a lazily seeded source would add an interface call
-// to every latency-mode draw of the event runner. Either way the
+// neighbourhoods and nothing else. The event engine — event.Runner in
+// external-daemon mode — builds a runner per call and evaluates every
+// guard: a lazily seeded source would add an interface call to every
+// latency-mode draw of the event runner. Either way the
 // successor's enabled set is read back from the stepped runner's own guard
 // cache — the incremental refresh path included — not recomputed from
 // scratch, and appended to a buffer the caller owns, so a warm sim engine
 // allocates nothing per Probe or Step.
 type Engine interface {
-	// Name identifies the engine in results ("sim", "flat" or "event").
+	// Name identifies the engine in results ("sim" or "event").
 	Name() string
 
 	// Probe loads states into the scratch configuration and appends the
@@ -111,7 +111,7 @@ func engineOptions() sim.Options {
 	return sim.Options{MaxSteps: 2, FairnessAge: 1 << 30}
 }
 
-// simEngine drives the boxed generic engine: sim.Runner over *core.State,
+// simEngine drives the boxed sim engine: sim.Runner over *core.State,
 // or over the baseline or a composition through codec. Its one runner is
 // restarted with Reset for every Probe and with ResetWith for every Step.
 type simEngine struct {
@@ -331,21 +331,18 @@ func (c compositionCodec) fromProtocol(buf, chs []sim.Choice) []sim.Choice {
 // eventEngine drives the struct-of-arrays engine in external-daemon mode
 // (event.Runner, zero latency), so scripted-selection enumeration covers
 // the SoA kernels and the runner's guard cache through the same facade.
-// It serves both the "flat" and the "event" engine names and reports the
-// one it was built for, so results keep their labels.
 type eventEngine struct {
-	name   string
 	kernel *flat.Protocol
 	cfg    *flat.Config
 	forced *forcedDaemon
 }
 
-// newEventEngine builds a scratch engine named name over the flat kernel.
-// The kernel mirrors the unmodified core protocol, so plants are not
-// supported.
-func newEventEngine(name string, g *graph.Graph, root int, plant string, copts []core.Option) (*eventEngine, error) {
+// newEventEngine builds a scratch engine over the struct-of-arrays kernel
+// (internal/flat). The kernel mirrors the unmodified core protocol, so
+// plants are not supported.
+func newEventEngine(g *graph.Graph, root int, plant string, copts []core.Option) (*eventEngine, error) {
 	if plant != "" {
-		return nil, fmt.Errorf("explore: the %s engine does not support plants (got %q)", name, plant)
+		return nil, fmt.Errorf("explore: the event engine does not support plants (got %q)", plant)
 	}
 	pr, err := core.New(g, root, copts...)
 	if err != nil {
@@ -359,11 +356,11 @@ func newEventEngine(name string, g *graph.Graph, root int, plant string, copts [
 	if err != nil {
 		return nil, err
 	}
-	return &eventEngine{name: name, kernel: kernel, cfg: cfg, forced: &forcedDaemon{}}, nil
+	return &eventEngine{kernel: kernel, cfg: cfg, forced: &forcedDaemon{}}, nil
 }
 
 // Name implements Engine.
-func (e *eventEngine) Name() string { return e.name }
+func (e *eventEngine) Name() string { return "event" }
 
 // load scatters the vector into the SoA slices.
 func (e *eventEngine) load(states []core.State) {
@@ -377,7 +374,7 @@ func (e *eventEngine) Probe(states []core.State, buf []sim.Choice) ([]sim.Choice
 	e.load(states)
 	r, err := event.NewRunner(e.cfg, e.kernel, e.forced, event.Options{Options: engineOptions()})
 	if err != nil {
-		return nil, fmt.Errorf("explore: %s probe: %w", e.name, err)
+		return nil, fmt.Errorf("explore: event probe: %w", err)
 	}
 	return r.AppendEnabled(buf), nil
 }
@@ -390,17 +387,17 @@ func (e *eventEngine) Step(states []core.State, _, sel []sim.Choice, succ []core
 	e.forced.miss = false
 	r, err := event.NewRunner(e.cfg, e.kernel, e.forced, event.Options{Options: engineOptions()})
 	if err != nil {
-		return nil, fmt.Errorf("explore: %s step: %w", e.name, err)
+		return nil, fmt.Errorf("explore: event step: %w", err)
 	}
 	done, err := r.Step()
 	if err != nil {
-		return nil, fmt.Errorf("explore: %s step: %w", e.name, err)
+		return nil, fmt.Errorf("explore: event step: %w", err)
 	}
 	if e.forced.miss {
-		return nil, fmt.Errorf("explore: %s engine does not enable %v", e.name, sel)
+		return nil, fmt.Errorf("explore: event engine does not enable %v", sel)
 	}
 	if done {
-		return nil, fmt.Errorf("explore: %s step from %v reported terminal", e.name, sel)
+		return nil, fmt.Errorf("explore: event step from %v reported terminal", sel)
 	}
 	for p := range succ {
 		succ[p] = e.cfg.StateAt(p)
@@ -441,8 +438,8 @@ func newEngine(kind string, g *graph.Graph, root int, plant string, copts []core
 	switch kind {
 	case "", "sim":
 		return newSimEngine(g, root, plant, copts)
-	case "flat", "event":
-		return newEventEngine(kind, g, root, plant, copts)
+	case "event":
+		return newEventEngine(g, root, plant, copts)
 	}
-	return nil, fmt.Errorf("explore: unknown engine %q (want sim, flat, or event)", kind)
+	return nil, fmt.Errorf("explore: unknown engine %q (want sim or event)", kind)
 }

@@ -340,7 +340,7 @@ func TestModelOptionErrors(t *testing.T) {
 		{"unknown protocol", 0, Options{Protocol: "quantum"}},
 		{"baseline symmetry", 0, Options{Protocol: ProtocolSelfStab, Symmetry: true}},
 		{"baseline plant", 0, Options{Protocol: ProtocolSelfStab, Plant: "level-overflow"}},
-		{"baseline flat", 0, Options{Protocol: ProtocolSelfStab, Engine: "flat"}},
+		{"baseline event", 0, Options{Protocol: ProtocolSelfStab, Engine: "event"}},
 		{"baseline composition", 0, Options{Protocol: ProtocolSelfStab, Initiators: []int{0, 2}}},
 		{"composition POR", 0, Options{Initiators: []int{0, 2}, POR: true}},
 		{"composition distributed", 0, Options{Initiators: []int{0, 2}, Power: PowerDistributed}},

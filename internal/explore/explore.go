@@ -65,9 +65,8 @@ const maxN = 12
 
 // Options configures an Explorer.
 type Options struct {
-	// Engine selects the implementation under test: "sim" (default),
-	// "flat", or "event" (the last two both run event.Runner under the
-	// forced daemon and differ only in the recorded label).
+	// Engine selects the implementation under test: "sim" (default) or
+	// "event" (event.Runner under the forced daemon).
 	Engine string
 	// Power is the daemon power: PowerCentral (default), PowerDistributed,
 	// or PowerSynchronous.

@@ -272,19 +272,20 @@ func TestExplorerRetainedBytes(t *testing.T) {
 	}
 }
 
-// TestSimAndFlatEnginesAgree: the boxed and the struct-of-arrays engines
-// explore identical state spaces with identical counts.
+// TestSimAndFlatEnginesAgree: the boxed sim engine and the event engine
+// (event.Runner over the struct-of-arrays kernels of internal/flat) explore
+// identical state spaces with identical counts.
 func TestSimAndFlatEnginesAgree(t *testing.T) {
 	for _, build := range []func(int) (*graph.Graph, error){graph.Line, graph.Ring, graph.Star} {
 		g := mustGraph(t, build, 4)
 		t.Run(g.Name(), func(t *testing.T) {
 			eSim, resSim := run(t, g, Options{Engine: "sim"}, "faults:1")
-			eFlat, resFlat := run(t, g, Options{Engine: "flat"}, "faults:1")
-			if resSim.States != resFlat.States || resSim.Transitions != resFlat.Transitions ||
-				resSim.Fingerprint != resFlat.Fingerprint || resSim.Verdict != resFlat.Verdict {
-				t.Fatalf("engines diverge:\nsim  %+v\nflat %+v", resSim, resFlat)
+			eEvent, resEvent := run(t, g, Options{Engine: "event"}, "faults:1")
+			if resSim.States != resEvent.States || resSim.Transitions != resEvent.Transitions ||
+				resSim.Fingerprint != resEvent.Fingerprint || resSim.Verdict != resEvent.Verdict {
+				t.Fatalf("engines diverge:\nsim   %+v\nevent %+v", resSim, resEvent)
 			}
-			if !reflect.DeepEqual(eSim.Visited(), eFlat.Visited()) {
+			if !reflect.DeepEqual(eSim.Visited(), eEvent.Visited()) {
 				t.Fatal("engines visited different state sets")
 			}
 		})
@@ -413,11 +414,18 @@ func TestOptionAndUsageErrors(t *testing.T) {
 	if _, err := New(g, 0, Options{Power: "chaotic"}); err == nil {
 		t.Fatal("unknown power accepted")
 	}
-	if _, err := New(g, 0, Options{Engine: "quantum"}); err == nil {
-		t.Fatal("unknown engine accepted")
+	clean := mustInits(t, "clean", g)
+	for _, name := range []string{"quantum", "flat", "generic"} {
+		if _, err := New(g, 0, Options{Engine: name}); err == nil || !strings.Contains(err.Error(), "want sim or event") {
+			t.Fatalf("New with engine %q: err = %v, want an error naming sim and event", name, err)
+		}
+		_, err := CertifyLiveness(g, 0, clean, LivenessOptions{Target: TargetCycle, Engine: name})
+		if err == nil || !strings.Contains(err.Error(), "want sim or event") {
+			t.Fatalf("CertifyLiveness with engine %q: err = %v, want an error naming sim and event", name, err)
+		}
 	}
-	if _, err := New(g, 0, Options{Engine: "flat", Plant: "level-overflow"}); err == nil {
-		t.Fatal("flat engine accepted a plant")
+	if _, err := New(g, 0, Options{Engine: "event", Plant: "level-overflow"}); err == nil {
+		t.Fatal("event engine accepted a plant")
 	}
 	if _, err := New(g, 0, Options{Plant: "no-such-bug"}); err == nil {
 		t.Fatal("unknown plant accepted")

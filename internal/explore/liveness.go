@@ -40,8 +40,8 @@ const (
 
 // LivenessOptions configures one liveness certification.
 type LivenessOptions struct {
-	// Engine selects the implementation under test: "sim" (default),
-	// "flat", or "event".
+	// Engine selects the implementation under test: "sim" (default) or
+	// "event".
 	Engine string
 	// Target is TargetCycle or TargetNormal.
 	Target string

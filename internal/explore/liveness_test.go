@@ -173,7 +173,7 @@ func TestLivenessCacheSound(t *testing.T) {
 }
 
 // TestLivenessEnginesAgree: the certifier is itself a differential — the
-// sim, flat, and event engines must produce the identical certification
+// sim and event engines must produce the identical certification
 // (same product space, same transition count, same worst round), because
 // each forced step is the same protocol step.
 func TestLivenessEnginesAgree(t *testing.T) {
@@ -186,7 +186,7 @@ func TestLivenessEnginesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var base *LivenessResult
-	for _, engine := range []string{"sim", "flat", "event"} {
+	for _, engine := range []string{"sim", "event"} {
 		res, err := CertifyLiveness(g, 0, inits, LivenessOptions{Target: TargetCycle, Engine: engine})
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)

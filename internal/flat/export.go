@@ -65,7 +65,7 @@ func (c *Config) Agg(p int) int64 { return c.agg[p] }
 // root deviates only in B-correction (root: →C from any abnormal phase;
 // non-root: B→F), so the root's move — if any, rootAct ≥ 0 — is re-counted
 // from its observed before/after phases. Cross-validated against the
-// generic engine's per-move census in the telemetry package's
+// sim engine's per-move census in the telemetry package's
 // engine-agreement test.
 func CensusDeltas(cur, prev []int, rootAct int, rootBefore, rootAfter core.Phase) (db, df, dc int) {
 	cb := cur[core.ActionB] - prev[core.ActionB]

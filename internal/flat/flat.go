@@ -3,7 +3,7 @@
 // struct-of-arrays state so that simulating 10⁵–10⁶-processor networks is
 // bounded by memory bandwidth instead of pointer chasing.
 //
-// The generic engine stores a configuration as []sim.State — one
+// The sim engine stores a configuration as []sim.State — one
 // heap-allocated, interface-boxed *core.State per processor — and evaluates
 // guards through two dynamic dispatches per processor (Protocol.Enabled,
 // then the type assertion inside every state read). Config instead holds
@@ -16,8 +16,9 @@
 // The package holds the state and the single-step semantics only: Config,
 // the guard and action kernels, and CensusDeltas. Stepping lives in
 // internal/event, whose Runner drives these kernels either under an
-// external sim.Daemon (reproducing sim.Runner bit for bit; the engine name
-// "flat" selects that mode) or from its own virtual-time wake queue.
+// external sim.Daemon (reproducing sim.Runner bit for bit) or from its own
+// virtual-time wake queue; the engine name "event" selects that runner in
+// either mode.
 //
 // See DESIGN.md §9 for the memory layout.
 package flat
@@ -34,7 +35,7 @@ import (
 
 // Config is a global configuration in struct-of-arrays form: the CSR
 // adjacency of the network plus one slice per core.State field, indexed by
-// processor ID. It is the flat engine's counterpart of sim.Configuration.
+// processor ID. It is the event engine's counterpart of sim.Configuration.
 type Config struct {
 	// G is the network; kept so daemons (which read topology, never states)
 	// and conversions can reach it.

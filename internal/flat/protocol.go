@@ -18,7 +18,7 @@ const (
 // noAction is the enabled-kernel result when no guard holds.
 const noAction = int32(-1)
 
-// Protocol is the flat engine's PIF kernel: the guards and statements of
+// Protocol is the struct-of-arrays PIF kernel: the guards and statements of
 // Algorithms 1 and 2 (with the transcription repairs of DESIGN.md §2,
 // unless the source protocol reverted them) re-expressed over Config's
 // field slices. It is constructed from a *core.Protocol so that both
@@ -41,7 +41,7 @@ type Protocol struct {
 // FromCore builds the flat kernel for pr's network and parameters. The
 // root's broadcast counter is copied from pr (1 on a freshly constructed
 // protocol, a later value when pr was built core.WithFirstMsg), so runs
-// stay payload-identical to the generic engine's.
+// stay payload-identical to the sim engine's.
 func FromCore(pr *core.Protocol) (*Protocol, error) {
 	g := pr.Graph()
 	if g.N() != pr.N {

@@ -101,7 +101,7 @@ type Scenario struct {
 // package) so scenario files stay one self-contained schema; the service
 // package owns the dump/replay conversions.
 type ServiceSpec struct {
-	// Engine is "sim", "flat", or "event".
+	// Engine is "sim" or "event".
 	Engine string `json:"engine"`
 	// Latency is the event engine's distribution spec (event.ParseLatency);
 	// "" means the engine default.

@@ -16,7 +16,7 @@ func TestPlanCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Graph: g, Engine: "flat", Initiators: []int{0, 8}, Seed: 3}
+	opts := Options{Graph: g, Engine: "sim", Initiators: []int{0, 8}, Seed: 3}
 	w := Workload{Process: "poisson", Requests: 40, Lanes: 2, Seed: 3}
 	slo := SLO{P99Ticks: 400}
 
@@ -55,7 +55,7 @@ func TestPlanCapacityInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Graph: g, Engine: "flat", Seed: 1}
+	opts := Options{Graph: g, Engine: "sim", Seed: 1}
 	w := Workload{Requests: 10, Seed: 1}
 	res, err := PlanCapacity(opts, w, SLO{P99Ticks: 2}, 1, 100, 4)
 	if err != nil {

@@ -54,7 +54,7 @@ type lane struct {
 }
 
 // laneEngine abstracts the engines behind the serving loop: syncLane
-// (sim.Runner, or event.Runner under an external daemon) and eventLane.
+// (sim.Runner) and eventLane (event.Runner).
 type laneEngine interface {
 	// advance runs the lane's schedule up to global tick t, calling observe
 	// after every committed step.
@@ -79,7 +79,7 @@ type laneEngine interface {
 // while a request is queued.
 func (ln *lane) gateOpen() bool { return len(ln.pending) > 0 }
 
-// admit is the (proc, action) filter shared by all three engines' gates.
+// admit is the (proc, action) filter shared by both engines' gates.
 func (ln *lane) admit(p int, a int) bool {
 	return p != ln.root || a != core.ActionB || ln.gateOpen()
 }
@@ -162,61 +162,27 @@ func (ln *lane) observe() error {
 	return nil
 }
 
-// newLane builds one initiator's instance: protocol rooted at root with the
-// lane's fold-dispatching Combine, deterministic per-processor values,
-// optional fault corruption, and the engine-specific runner.
+// newLane builds one initiator's instance on the engine-specific runner.
 func newLane(opts *Options, idx, root int, faultName string) (*lane, error) {
 	ln := &lane{idx: idx, root: root, clock: opts.Clock}
-	seed := opts.laneSeed(idx)
-
-	// The fold dispatches on the lane's in-flight kind. All F-actions of a
-	// wave run strictly after the root B that set ln.kind, so the closure
-	// always sees the right wave's fold.
-	combine := func(acc, child int64) int64 { return ln.kind.fold(acc, child) }
-	// Per-lane message base: wave j of lane l broadcasts base(l)+j, making
-	// payloads globally unique and lane-attributable.
-	msgBase := (uint64(idx) + 1) << 32
-
-	pr, err := core.New(opts.Graph, root, core.WithCombine(combine), core.WithFirstMsg(msgBase))
+	pr, cfg, simOpts, err := ln.start(opts, faultName)
 	if err != nil {
 		return nil, err
 	}
-	cfg := sim.NewConfiguration(opts.Graph, pr)
-	for p := 0; p < cfg.N(); p++ {
-		cfg.States[p].(*core.State).Val = valOf(p)
-	}
-	inj, _ := fault.ByName(faultName) // validated by New
-	inj.Apply(cfg, pr, newRNG(seed))
-
-	simOpts := sim.Options{
-		Seed:     seed,
-		MaxSteps: 1 << 30,
-		// The induced/filtered schedules are intrinsically fair for this
-		// protocol; fairness forcing would bypass the admission gate.
-		FairnessAge: 1 << 30,
-	}
-
 	switch opts.Engine {
 	case "sim":
 		r := sim.NewRunner(cfg, pr, &gateDaemon{admit: ln.admit}, simOpts)
-		ln.eng = &syncLane{ln: ln, r: r,
-			rootB: func() bool {
-				acts := r.EnabledActionsOf(root)
-				return len(acts) == 1 && acts[0] == core.ActionB
-			},
-			state: func() core.State { return core.At(cfg, root) },
-		}
-	case "flat":
-		fc, r, err := newEventRunner(pr, cfg, &gateDaemon{admit: ln.admit}, event.Options{Options: simOpts})
+		ln.eng = &syncLane{ln: ln, r: r, cfg: cfg}
+	case "event":
+		k, err := flat.FromCore(pr)
 		if err != nil {
 			return nil, err
 		}
-		ln.eng = &syncLane{ln: ln, r: r,
-			rootB: func() bool { return r.EnabledActionOf(root) == int32(core.ActionB) },
-			state: func() core.State { return fc.StateAt(root) },
+		fc, err := flat.FromSim(cfg)
+		if err != nil {
+			return nil, err
 		}
-	case "event":
-		fc, r, err := newEventRunner(pr, cfg, nil, event.Options{
+		r, err := event.NewRunner(fc, k, nil, event.Options{
 			Options: simOpts,
 			Latency: opts.Latency,
 			Gate:    func(p int, a int32) bool { return ln.admit(p, int(a)) },
@@ -230,26 +196,45 @@ func newLane(opts *Options, idx, root int, faultName string) (*lane, error) {
 	return ln, nil
 }
 
-// newEventRunner builds an event.Runner over a struct-of-arrays copy of cfg.
-func newEventRunner(pr *core.Protocol, cfg *sim.Configuration, d sim.Daemon, opts event.Options) (*flat.Config, *event.Runner, error) {
-	k, err := flat.FromCore(pr)
+// start builds the engine-independent half of the lane: the protocol
+// rooted at the lane's initiator with its fold-dispatching Combine, the
+// start configuration (deterministic per-processor values, optional fault
+// corruption), and the runner options.
+func (ln *lane) start(opts *Options, faultName string) (*core.Protocol, *sim.Configuration, sim.Options, error) {
+	seed := opts.laneSeed(ln.idx)
+
+	// The fold dispatches on the lane's in-flight kind. All F-actions of a
+	// wave run strictly after the root B that set ln.kind, so the closure
+	// always sees the right wave's fold.
+	combine := func(acc, child int64) int64 { return ln.kind.fold(acc, child) }
+	// Per-lane message base: wave j of lane l broadcasts base(l)+j, making
+	// payloads globally unique and lane-attributable.
+	msgBase := (uint64(ln.idx) + 1) << 32
+
+	pr, err := core.New(opts.Graph, ln.root, core.WithCombine(combine), core.WithFirstMsg(msgBase))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, sim.Options{}, err
 	}
-	fc, err := flat.FromSim(cfg)
-	if err != nil {
-		return nil, nil, err
+	cfg := sim.NewConfiguration(opts.Graph, pr)
+	for p := 0; p < cfg.N(); p++ {
+		cfg.States[p].(*core.State).Val = valOf(p)
 	}
-	r, err := event.NewRunner(fc, k, d, opts)
-	return fc, r, err
+	inj, _ := fault.ByName(faultName) // validated by New
+	inj.Apply(cfg, pr, newRNG(seed))
+
+	return pr, cfg, sim.Options{
+		Seed:     seed,
+		MaxSteps: 1 << 30,
+		// The induced/filtered schedules are intrinsically fair for this
+		// protocol; fairness forcing would bypass the admission gate.
+		FairnessAge: 1 << 30,
+	}, nil
 }
 
-// gateDaemon wraps the synchronous daemon for the sim and flat engines
-// (the flat engine is event.Runner under this daemon, with no latency),
-// filtering the withheld root broadcast out of the selection. The PIF
-// guards are mutually exclusive (one action per processor), so the
-// synchronous selection is the whole enabled set and filtering cannot
-// change any RNG draw sequence.
+// gateDaemon wraps the synchronous daemon for the sim engine, filtering the
+// withheld root broadcast out of the selection. The PIF guards are mutually
+// exclusive (one action per processor), so the synchronous selection is the
+// whole enabled set and filtering cannot change any RNG draw sequence.
 type gateDaemon struct {
 	inner sim.Synchronous
 	admit func(p, a int) bool
@@ -275,18 +260,12 @@ func (d *gateDaemon) Select(step int, c *sim.Configuration, enabled []sim.Choice
 	return out
 }
 
-// syncLane runs a lane under gateDaemon, one synchronous step per tick: the
-// sim engine is sim.Runner, the flat engine event.Runner with no latency.
+// syncLane runs a lane on sim.Runner under gateDaemon, one synchronous step
+// per tick.
 type syncLane struct {
-	ln *lane
-	r  interface {
-		Step() (done bool, err error)
-		EnabledCount() int
-	}
-	// rootB reports whether the root's enabled action is its B-action;
-	// state reads the root's state.
-	rootB func() bool
-	state func() core.State
+	ln  *lane
+	r   *sim.Runner
+	cfg *sim.Configuration
 }
 
 func (e *syncLane) advance(_ int64, observe func() error) error {
@@ -306,7 +285,14 @@ func (e *syncLane) advance(_ int64, observe func() error) error {
 // parked: nothing enabled, or only the root's withheld broadcast.
 func (e *syncLane) parked() bool {
 	n := e.r.EnabledCount()
-	return n == 0 || n == 1 && !e.ln.gateOpen() && e.rootB()
+	if n == 0 {
+		return true
+	}
+	if n > 1 || e.ln.gateOpen() {
+		return false
+	}
+	acts := e.r.EnabledActionsOf(e.ln.root)
+	return len(acts) == 1 && acts[0] == core.ActionB
 }
 
 func (e *syncLane) nextWake() int64 {
@@ -318,7 +304,7 @@ func (e *syncLane) nextWake() int64 {
 
 func (e *syncLane) wake(int64) {} // the serving loop re-polls parked()
 
-func (e *syncLane) root() core.State { return e.state() }
+func (e *syncLane) root() core.State { return core.At(e.cfg, e.ln.root) }
 
 // eventLane runs a lane on the discrete-event engine: drain every effective
 // wake batch up to the global tick.

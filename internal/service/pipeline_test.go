@@ -100,7 +100,7 @@ func TestPipelineSpeedupGate(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := Options{
-				Graph: g, Engine: "flat",
+				Graph: g, Engine: "sim",
 				Initiators: []int{0, g.N() / 2},
 				Seed:       9,
 				MaxTicks:   1 << 24,

@@ -9,11 +9,12 @@ import (
 
 // DumpScenario captures a serving run as a hunt scenario: the topology, the
 // lane setup, and the exact arrival schedule, serializable with
-// Scenario.Marshal and replayable bit-identically with ReplayScenario. The
+// Scenario.Marshal and replayable bit-identically with ReplayScenario. It
+// refuses the options New refuses, so every dumped scenario replays. The
 // wall Clock is deliberately not captured — replays are always deterministic.
 func DumpScenario(name string, opts Options, arrivals []Arrival, serial bool) (*hunt.Scenario, error) {
-	if opts.Graph == nil {
-		return nil, fmt.Errorf("service: DumpScenario needs Options.Graph")
+	if _, err := New(opts); err != nil {
+		return nil, err
 	}
 	initiators := opts.Initiators
 	if len(initiators) == 0 {

@@ -12,9 +12,10 @@ import (
 // TestScenarioDumpReplayBitIdentical proves the replay chain: serve a
 // workload, dump the scenario, marshal → unmarshal, replay — the replayed
 // report's canonical bytes equal the original's, on every engine, pipelined
-// and serial, clean and faulted. A flat scenario dumped before the sharded
-// sweep was removed carries "sweep_workers"; it must still decode and replay
-// byte-identically.
+// and serial, clean and faulted. The reference lane has no engine name of
+// its own: its runs are dumped as the sim runs they equal, and a scenario
+// that also carries the retired "sweep_workers" field must still decode and
+// replay byte-identically.
 func TestScenarioDumpReplayBitIdentical(t *testing.T) {
 	g, err := graph.Parse("grid:3x4")
 	if err != nil {
@@ -42,7 +43,11 @@ func TestScenarioDumpReplayBitIdentical(t *testing.T) {
 					}
 					orig := mustServe(t, opts, arrivals, serial)
 
-					sc, err := DumpScenario("replay-test", opts, arrivals, serial)
+					dumped := opts
+					if eng == refEngine {
+						dumped.Engine = "sim"
+					}
+					sc, err := DumpScenario("replay-test", dumped, arrivals, serial)
 					if err != nil {
 						t.Fatalf("DumpScenario: %v", err)
 					}
@@ -62,7 +67,7 @@ func TestScenarioDumpReplayBitIdentical(t *testing.T) {
 						t.Errorf("replay diverged from original:\n--- original\n%s--- replay\n%s",
 							orig.Canonical(), rep.Canonical())
 					}
-					if eng != "flat" {
+					if eng != refEngine {
 						return
 					}
 					var raw map[string]any

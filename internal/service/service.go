@@ -14,7 +14,7 @@
 // Admission is gate-based and engine-mechanism-preserving: the protocol's
 // guards are never touched. Instead the schedule source withholds the root's
 // B-action while the lane has no pending request — a filtering daemon on the
-// sim and flat engines, event.Options.Gate on the discrete-event engine —
+// sim engine, event.Options.Gate on the discrete-event engine —
 // and the serving loop parks a lane that has quiesced down to exactly the
 // withheld broadcast. Everything advances on one global virtual clock
 // (ticks), so a run is a pure function of (topology, engine, seed, arrival
@@ -114,11 +114,12 @@ func valOf(p int) int64 {
 type Options struct {
 	// Graph is the served topology (required).
 	Graph *graph.Graph
-	// Engine selects the execution engine per lane: "sim", "flat", or
-	// "event".
+	// Engine selects the execution engine per lane: "sim" (sim.Runner, one
+	// synchronous step per tick) or "event" (event.Runner on per-link
+	// latencies).
 	Engine string
 	// Latency is the event engine's per-link delay distribution; nil means
-	// event.Constant(1). Ignored by sim and flat (synchronous semantics).
+	// event.Constant(1). The sim engine is synchronous and rejects it.
 	Latency event.Latency
 	// Initiators lists the lane roots — one independent protocol instance
 	// per initiator, all advancing on the shared virtual clock. Default
@@ -158,9 +159,13 @@ func New(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("service: Options.Graph is required")
 	}
 	switch opts.Engine {
-	case "sim", "flat", "event":
+	case "sim":
+		if opts.Latency != nil {
+			return nil, fmt.Errorf("service: engine %q is synchronous and takes no Latency (got %s); link latency needs the event engine", opts.Engine, opts.Latency.Name())
+		}
+	case "event":
 	default:
-		return nil, fmt.Errorf("service: unknown engine %q (want sim, flat, or event)", opts.Engine)
+		return nil, fmt.Errorf("service: unknown engine %q (want sim or event)", opts.Engine)
 	}
 	if len(opts.Initiators) == 0 {
 		opts.Initiators = []int{0}
@@ -320,8 +325,8 @@ func (s *Server) serve(arrivals []Arrival, serial bool) (*Report, error) {
 			}
 		}
 
-		// Advance every lane to the tick: sim and flat lanes take one
-		// synchronous step, the event lane drains its wake batches ≤ tick.
+		// Advance every lane to the tick: a sim lane takes one synchronous
+		// step, an event lane drains its wake batches ≤ tick.
 		for _, ln := range s.lanes {
 			if err := ln.advance(tick); err != nil {
 				return nil, fmt.Errorf("service: lane %d: %w", ln.idx, err)

@@ -3,12 +3,16 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
+	"snappif/internal/event"
 	"snappif/internal/graph"
 )
 
-var engines = []string{"sim", "flat", "event"}
+// engines are the lane engines every table-driven test covers: the two
+// engines New accepts and the test-only reference lane (see refEngine).
+var engines = []string{"sim", refEngine, "event"}
 
 // expectResp computes kind k's expected root response on a clean graph: the
 // fold over every processor's deterministic value, starting from the root's.
@@ -21,24 +25,6 @@ func expectResp(g *graph.Graph, root int, k Kind) int64 {
 		acc = k.fold(acc, valOf(p))
 	}
 	return acc
-}
-
-func mustServe(t *testing.T, opts Options, arrivals []Arrival, serial bool) *Report {
-	t.Helper()
-	srv, err := New(opts)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	var rep *Report
-	if serial {
-		rep, err = srv.RunSerial(arrivals)
-	} else {
-		rep, err = srv.Run(arrivals)
-	}
-	if err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	return rep
 }
 
 // TestServiceSingleLane drives one clean lane with one request of every kind
@@ -161,17 +147,30 @@ func TestServiceValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		opts Options
+		want string // a substring the error must carry ("" = any error)
 	}{
-		{"nil graph", Options{Engine: "sim"}},
-		{"bad engine", Options{Graph: g, Engine: "warp"}},
-		{"initiator range", Options{Graph: g, Engine: "sim", Initiators: []int{4}}},
-		{"dup initiator", Options{Graph: g, Engine: "sim", Initiators: []int{1, 1}}},
-		{"bad fault", Options{Graph: g, Engine: "sim", Faults: []string{"nope"}}},
-		{"too many faults", Options{Graph: g, Engine: "sim", Faults: []string{"", ""}}},
+		{"nil graph", Options{Engine: "sim"}, ""},
+		{"bad engine", Options{Graph: g, Engine: "warp"}, "want sim or event"},
+		{"retired engine flat", Options{Graph: g, Engine: "flat"}, "want sim or event"},
+		{"retired engine generic", Options{Graph: g, Engine: "generic"}, "want sim or event"},
+		{"latency on sim", Options{Graph: g, Engine: "sim", Latency: event.Constant(3)}, `engine "sim"`},
+		{"initiator range", Options{Graph: g, Engine: "sim", Initiators: []int{4}}, ""},
+		{"dup initiator", Options{Graph: g, Engine: "sim", Initiators: []int{1, 1}}, ""},
+		{"bad fault", Options{Graph: g, Engine: "sim", Faults: []string{"nope"}}, ""},
+		{"too many faults", Options{Graph: g, Engine: "sim", Faults: []string{"", ""}}, ""},
 	}
 	for _, tc := range cases {
-		if _, err := New(tc.opts); err == nil {
+		_, err := New(tc.opts)
+		if err == nil {
 			t.Errorf("%s: New accepted invalid options", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+		// A scenario New refuses would never replay, so it is never dumped.
+		if _, err := DumpScenario(tc.name, tc.opts, nil, false); err == nil {
+			t.Errorf("%s: DumpScenario accepted invalid options", tc.name)
 		}
 	}
 

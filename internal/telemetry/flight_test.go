@@ -74,7 +74,7 @@ func TestFlightDumpReplaysPlantedViolation(t *testing.T) {
 	d := sim.DistributedRandom{P: 0.5}
 	const seed = 42
 	to.Begin(telemetry.RunMeta{
-		G: g, Root: 0, Seed: seed - 1, Engine: "generic", Daemon: d.Name(),
+		G: g, Root: 0, Seed: seed - 1, Engine: "sim", Daemon: d.Name(),
 		Plant: pl.Name, NextMsg: pr.NextMsg,
 	}, cfg)
 	res, err := sim.Run(cfg, proto, d, sim.Options{
@@ -159,7 +159,7 @@ func TestFlightDumpMidRunWindow(t *testing.T) {
 	d := sim.DistributedRandom{P: 0.5}
 	const seed, steps = 7, 200
 	to.Begin(telemetry.RunMeta{
-		G: g, Root: 0, Seed: seed - 1, Engine: "generic", Daemon: d.Name(), NextMsg: pr.NextMsg,
+		G: g, Root: 0, Seed: seed - 1, Engine: "sim", Daemon: d.Name(), NextMsg: pr.NextMsg,
 	}, cfg)
 	if _, err := sim.Run(cfg, pr, d, sim.Options{
 		MaxSteps:  steps + 1,
@@ -234,7 +234,7 @@ func TestFlightDumpFlatEngine(t *testing.T) {
 			StopWhen: func(rs *sim.RunState) bool { return rs.Steps >= steps },
 		},
 		Telemetry:     tel,
-		TelemetryMeta: telemetry.RunMeta{Seed: seed - 1, Engine: "flat"},
+		TelemetryMeta: telemetry.RunMeta{Seed: seed - 1, Engine: "event"},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func runGenericInto(tel *telemetry.Telemetry, g *graph.Graph, seed int64, k int)
 	cfg := sim.NewConfiguration(g, pr)
 	to := &telemetry.Observer{T: tel, Proto: pr}
 	to.Begin(telemetry.RunMeta{
-		G: g, Root: 0, Seed: seed - 1, Engine: "generic", Daemon: d.Name(), NextMsg: pr.NextMsg,
+		G: g, Root: 0, Seed: seed - 1, Engine: "sim", Daemon: d.Name(), NextMsg: pr.NextMsg,
 	}, cfg)
 	if _, err := sim.Run(cfg, pr, d, sim.Options{
 		MaxSteps:  500_000,
@@ -94,7 +94,7 @@ func runFlatInto(tel *telemetry.Telemetry, g *graph.Graph, seed int64, k int) er
 			StopWhen:  cy.StopAfterCycles(k),
 		},
 		Telemetry:     tel,
-		TelemetryMeta: telemetry.RunMeta{Seed: seed - 1, Engine: "flat"},
+		TelemetryMeta: telemetry.RunMeta{Seed: seed - 1, Engine: "event"},
 	}
 	if _, err := event.Run(fc, kern, d, opts); err != nil {
 		return err

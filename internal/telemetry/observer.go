@@ -6,7 +6,7 @@ import (
 	"snappif/internal/sim"
 )
 
-// Observer adapts a Telemetry to the generic engine's observer interfaces:
+// Observer adapts a Telemetry to the sim engine's observer interfaces:
 // it tracks per-processor phases across steps to produce the census deltas
 // and root transitions StepInfo wants, and fires Telemetry.Step once per
 // committed step (from OnEnabled, which the runner invokes after OnStep

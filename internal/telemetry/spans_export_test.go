@@ -101,7 +101,7 @@ func recordSpans(t *testing.T, g *graph.Graph, pr *core.Protocol, cfg *sim.Confi
 	for _, opts := range segs {
 		tracer.BeginRun(g, d.Name(), opts.Seed, cfg)
 		to.Begin(telemetry.RunMeta{
-			G: g, Root: pr.Root, Seed: opts.Seed - 1, Engine: "generic", Daemon: d.Name(), NextMsg: pr.NextMsg,
+			G: g, Root: pr.Root, Seed: opts.Seed - 1, Engine: "sim", Daemon: d.Name(), NextMsg: pr.NextMsg,
 		}, cfg)
 		opts.Observers = append(opts.Observers, tracer, to)
 		if _, err := sim.Run(cfg, pr, d, opts); err != nil {

@@ -96,7 +96,7 @@ type StepInfo struct {
 	// DB, DF, DC are the step's phase-census deltas (signed): how many
 	// processors entered minus left each phase.
 	DB, DF, DC int
-	// GuardHits and GuardMisses are the step's guard-cache tallies (flat
+	// GuardHits and GuardMisses are the step's guard-cache tallies (event
 	// engine hbits; zero elsewhere).
 	GuardHits, GuardMisses int64
 	// QueueDepth is the event engine's wake-queue occupancy after the step

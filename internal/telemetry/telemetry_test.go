@@ -363,7 +363,7 @@ func TestWriteSpansNamesEngine(t *testing.T) {
 	if err := tel.WriteSpans(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"snappif/generic"`) {
+	if !strings.Contains(buf.String(), `"snappif/sim"`) {
 		t.Fatalf("spans export missing engine process name:\n%.400s", buf.String())
 	}
 }

@@ -228,7 +228,7 @@ func NewNetwork(topo Topology, root int, opts ...NetworkOption) (*Network, error
 			G:       topo.g,
 			Root:    proto.Root,
 			Lmax:    o.lmax,
-			Engine:  "generic",
+			Engine:  "sim",
 			NextMsg: proto.NextMsg,
 		}
 	}

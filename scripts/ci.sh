@@ -91,7 +91,7 @@ awk -v p="$service_pct" 'BEGIN { exit (p + 0 >= 85) ? 0 : 1 }' || {
 echo "== race: simulation engine, experiment executor, concurrent runtime, tracer =="
 go test -race ./internal/sim/ ./internal/exp/ ./internal/runtime/ ./cmd/pifexp/ ./internal/obs/
 
-echo "== race: flat engine (SoA kernels under event.Runner: differential grid, fuzz seeds) =="
+echo "== race: internal/flat (SoA kernels under event.Runner: differential grid, fuzz seeds) =="
 go test -race ./internal/flat/
 
 echo "== race: event engine (differential vs sim + latency properties) =="
@@ -106,7 +106,7 @@ go test -race ./internal/explore/
 echo "== race: telemetry (concurrent engine writers + registry readers) =="
 go test -race ./internal/telemetry/
 
-echo "== race: service (open-loop generator + pipelined waves on sim/flat/event lanes) =="
+echo "== race: service (open-loop generator + pipelined waves on sim/event lanes) =="
 go test -race ./internal/service/ ./cmd/pifserve/
 
 echo "== race: soak (reduced horizon) =="
@@ -126,7 +126,7 @@ go test ./internal/sim/ -run TestRunnerMatchesReference -count=1
 go test ./internal/exp/ -run TestSerialParallelIdentical -count=1
 go test ./cmd/pifexp/ -run TestParallelStdoutByteIdentical -count=1
 
-echo "== determinism (flat engine bit-identical to generic) =="
+echo "== determinism (event engine bit-identical to sim) =="
 go test ./internal/exp/ -run TestFlatEngineTablesByteIdentical -count=1
 go test ./cmd/pifexp/ -run TestRunFlatEngineIdenticalStdout -count=1
 
@@ -165,7 +165,7 @@ if [ "${CI_EXPLORE:-0}" = "1" ]; then
 fi
 
 if [ "${CI_SERVICE:-0}" = "1" ]; then
-    echo "== service bench smoke (quick grid: pinned flat/ring:64 cell, byte-determinism) =="
+    echo "== service bench smoke (quick grid: pinned sim/ring:64 cells, byte-determinism) =="
     CI_SERVICE=1 go test ./cmd/pifserve/ -run TestServiceBenchSmoke -count=1 -v
 fi
 
