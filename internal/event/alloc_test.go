@@ -3,6 +3,7 @@ package event_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"snappif/internal/core"
@@ -80,6 +81,75 @@ func TestEventZeroAllocsPerStep(t *testing.T) {
 				t.Errorf("event Step allocates %.2f objects/step after warm-up, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestZeroAllocsAfterFirstWave pins the high-water growth of the runners'
+// per-step buffers: on both engines, a runner that has stepped through one
+// PIF wave from the clean start under the synchronous daemon allocates
+// nothing over the next wave, though the front widens from the root to
+// thousands of processors and back within it. The first wave reaches the
+// widest front, so every buffer has grown by its end. The larger network
+// is stored in BFS slot order (see flat.Config), the smaller one by ID.
+func TestZeroAllocsAfterFirstWave(t *testing.T) {
+	for _, n := range []int{2_000, 20_000} {
+		g, err := graph.RandomSparse(n, n/4, rand.New(rand.NewSource(int64(n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := core.New(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := sim.Options{Seed: 1, MaxSteps: 1 << 30}
+		cfg := sim.NewConfiguration(g, pr)
+		simRunner := sim.NewRunner(cfg, pr, sim.Synchronous{}, opts)
+		k, err := flat.FromCore(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc, err := flat.NewConfig(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eventRunner, err := event.NewRunner(fc, k, sim.Synchronous{}, event.Options{Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []struct {
+			name string
+			step func() (bool, error)
+			root func() core.Phase
+		}{
+			{"sim", simRunner.Step, func() core.Phase { return core.At(cfg, 0).Pif }},
+			{"event", eventRunner.Step, func() core.Phase { return fc.Phase(0) }},
+		} {
+			t.Run(fmt.Sprintf("%s/%s", e.name, g.Name()), func(t *testing.T) {
+				// wave steps until the root turns from broadcast to feedback.
+				wave := func() int {
+					steps := 0
+					for prev := e.root(); ; steps++ {
+						if done, err := e.step(); done {
+							t.Fatalf("run ended mid-wave: %v", err)
+						}
+						cur := e.root()
+						if prev == core.B && cur == core.F {
+							return steps + 1
+						}
+						prev = cur
+					}
+				}
+				first := wave()
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				steps := wave()
+				runtime.ReadMemStats(&m1)
+				if allocs := m1.Mallocs - m0.Mallocs; allocs != 0 {
+					t.Errorf("%d allocations over the %d steps of the second wave (first wave %d steps), want 0", allocs, steps, first)
+				}
+			})
+		}
 	}
 }
 

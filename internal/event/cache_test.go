@@ -66,7 +66,7 @@ func assertCacheFresh(t *testing.T, r *event.Runner, k *flat.Protocol, fc *flat.
 	t.Helper()
 	enabled := 0
 	for p := 0; p < fc.N(); p++ {
-		want := k.EnabledAction(fc, p)
+		want := k.EnabledAction(fc, fc.Slot(p))
 		if got := r.EnabledActionOf(p); got != want {
 			t.Fatalf("after step %d: processor %d has cached action %d, its guard gives %d", step, p, got, want)
 		}
@@ -227,9 +227,9 @@ func TestReadersCoverGuardChanges(t *testing.T) {
 								t.Fatalf("%s/%s/seed=%d: action %d at %d changed %d's action, outside Readers %v", g.Name(), inj.Name, seed, a, p, q, readers)
 							}
 						}
-						if a == core.ActionCount && p != k.Root {
+						if a == core.ActionCount && p != fc.Slot(k.Root) {
 							newCounts++
-							if par := fc.StateAt(p).Par; k.EnabledAction(next, par) != before[par] {
+							if par := fc.Slot(fc.StateAt(fc.Proc(p)).Par); k.EnabledAction(next, par) != before[par] {
 								parentChanged++
 							}
 						}

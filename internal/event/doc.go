@@ -56,6 +56,10 @@
 // (see BENCH_scale.json's line-frontier cells, where a one-processor
 // cleaning frontier steps in a few hundred ns at N = 10⁶).
 //
+// Under a BFS slot layout (see flat.Config) the step also re-sorts the
+// enabled list and the selection between slot and processor order through
+// a scratch bitset: O(batch + the span of summary words it touches).
+//
 // See DESIGN.md §12 for the queue layout, the invalidation rules, and the
 // latency model.
 package event

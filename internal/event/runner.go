@@ -3,6 +3,7 @@ package event
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"snappif/internal/core"
 	"snappif/internal/flat"
@@ -85,6 +86,14 @@ func Run(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (sim.Resu
 //   - In latency mode the schedule itself comes from the wake queue, so a
 //     one-processor frontier steps in O(1) regardless of N.
 //
+// The runner's per-processor columns follow the configuration's slot layout
+// (see flat.Config): the guard cache, the dirty set and the round and
+// fairness columns index by slot, and a step stages, commits and re-guards
+// its moves in ascending slot order, so the few BFS layers a synchronous
+// step moves are a few contiguous runs of memory. Processor IDs remain the
+// currency at the boundary: daemons, observers, telemetry, the wake queue
+// and the gate see choices in ascending processor ID, as in the sim engine.
+//
 // In external-daemon mode the Runner reproduces sim.Runner bit for bit:
 // same RNG draw sequence, same moves, rounds, fairness forcing, observer
 // callback order, and step-limit error. The differential grid and fuzz
@@ -101,18 +110,29 @@ type Runner struct {
 	res   sim.Result
 	rs    sim.RunState
 
-	// Guard cache: acts[p] is p's enabled action or flat.NoAction, enabled
-	// the corresponding processor set, buf the choice list in ascending
-	// processor order, rebuilt only after a change.
+	// Guard cache, by slot: acts[s] is the enabled action at slot s or
+	// flat.NoAction, enabled the corresponding slot set. buf is the choice
+	// list in ascending processor ID, rebuilt only after a change.
 	acts     []int32
 	enabled  *hbits
 	buf      []sim.Choice
 	bufValid bool
 
+	// The daemon's copy of the choice list and the step's selection, in
+	// ascending processor ID. The moves the step executes are the selection
+	// in ascending slot order with the slot in Proc (see slotOrder); order
+	// is the scratch set that converts between the two orders, nil under
+	// the identity layout, where the two lists are one. have marks the
+	// selection by processor ID for the fairness dedup. hw is the capacity
+	// every per-step buffer has been grown to.
 	daemonBuf []sim.Choice
 	selBuf    []sim.Choice
+	order     *hbits
+	orderAct  []int8 // by processor ID: the action choices carries through order
 	have      bitmark
+	hw        int
 
+	root      int // the root's slot
 	lastReset []int
 
 	// Epoch-based round accounting. A processor is pending in the current
@@ -127,9 +147,10 @@ type Runner struct {
 	pendingCount int
 	enabledCount int
 
-	// dirty is the set of processors whose guards refresh re-evaluates.
+	// dirty is the set of slots whose guards refresh re-evaluates.
 	dirty *hbits
 
+	// stage holds the next state of each move, in moves order.
 	stage []core.State
 
 	actionMoves []int
@@ -140,7 +161,8 @@ type Runner struct {
 	facade *sim.Configuration
 
 	// Latency mode: the wake queue, the current virtual time, and the
-	// woken ∧ enabled ∧ admitted processors of the batch being assembled.
+	// woken ∧ enabled ∧ admitted processors of the batch being assembled,
+	// all by processor ID.
 	q     *queue
 	vtime int64
 	batch *hbits
@@ -214,6 +236,7 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 		acts:      make([]int32, n),
 		enabled:   newHbits(n),
 		have:      newBitmark(n),
+		root:      c.Slot(k.Root),
 		lastReset: make([]int, n),
 
 		roundSeq:     1,
@@ -221,7 +244,6 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 		removedSeq:   make([]int, n),
 
 		dirty: newHbits(n),
-		stage: make([]core.State, n),
 
 		gate:  opts.Gate,
 		limit: -1,
@@ -237,16 +259,23 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 		r.facade = &sim.Configuration{G: c.G}
 	}
 	r.rs = sim.RunState{Config: r.mirror}
+	if !c.Identity() {
+		r.order = newHbits(n)
+		r.orderAct = make([]int8, n)
+	}
 
-	for p := 0; p < n; p++ {
-		a := k.EnabledAction(c, p)
-		r.acts[p] = a
+	for s := 0; s < n; s++ {
+		a := k.EnabledAction(c, s)
+		r.acts[s] = a
 		if a != flat.NoAction {
-			r.enabled.set(p)
+			r.enabled.set(s)
 		}
 	}
 	r.enabledCount = r.enabled.count()
 	r.pendingCount = r.enabledCount
+	if r.lat == nil {
+		r.reserve(r.enabledCount)
+	}
 
 	if opts.StopWhen != nil && opts.StopWhen(&r.rs) {
 		r.res.Stopped = true
@@ -259,8 +288,8 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 		r.batch = newHbits(n)
 		// Seed: every initially enabled processor wakes at tick 1 — the
 		// liveness invariant "enabled ⇒ wake pending" holds from the start.
-		r.enabled.forEach(func(p int) { //snapvet:ok non-escaping closure, stack-allocated
-			r.q.push(1, int32(p))
+		r.enabled.forEach(func(s int) { //snapvet:ok non-escaping closure, stack-allocated
+			r.q.push(1, int32(c.Proc(s)))
 		})
 	}
 
@@ -335,10 +364,10 @@ func (r *Runner) QueueDepth() int {
 // guard cache's incremental count.
 func (r *Runner) EnabledCount() int { return r.enabledCount }
 
-// EnabledActionOf returns p's cached enabled action or flat.NoAction. The
-// serving layer's park check reads it to decide whether a gated lane has
-// quiesced down to exactly the withheld root broadcast.
-func (r *Runner) EnabledActionOf(p int) int32 { return r.acts[p] }
+// EnabledActionOf returns processor p's cached enabled action or
+// flat.NoAction. The serving layer's park check reads it to decide whether
+// a gated lane has quiesced down to exactly the withheld root broadcast.
+func (r *Runner) EnabledActionOf(p int) int32 { return r.acts[r.c.Slot(p)] }
 
 // NextWake returns the virtual time of the earliest pending wake, or -1
 // when the queue is empty (or the runner is in external-daemon mode). The
@@ -379,8 +408,8 @@ func (r *Runner) Idle() bool {
 // wakeup when the queue drains.
 func (r *Runner) anyEnabledUngated() bool {
 	any := false
-	r.enabled.forEach(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated
-		if !any && r.gate(p, r.acts[p]) {
+	r.enabled.forEach(func(s int) { //snapvet:ok non-escaping closure over r, stack-allocated
+		if !any && r.gate(r.c.Proc(s), r.acts[s]) {
 			any = true
 		}
 	})
@@ -451,7 +480,11 @@ func (r *Runner) Step() (done bool, err error) {
 	}
 
 	var selected []sim.Choice
+	var all bool // the selection is the whole enabled set
 	if r.lat == nil {
+		if r.enabledCount > r.hw {
+			r.reserve(r.enabledCount)
+		}
 		enabled := r.choices()
 		if len(enabled) == 0 {
 			r.res.Terminal = true
@@ -469,12 +502,15 @@ func (r *Runner) Step() (done bool, err error) {
 		r.daemonBuf = append(r.daemonBuf[:0], enabled...)
 		sel := r.d.Select(r.res.Steps, r.facade, r.daemonBuf, r.rng)
 		r.selBuf = append(r.selBuf[:0], sel...)
-		r.selBuf = r.forceAged(r.selBuf, enabled)
+		var distinct int
+		r.selBuf, distinct = r.forceAged(r.selBuf, enabled)
 		if len(r.selBuf) == 0 {
 			// Defensive: a daemon must select at least one processor.
 			r.selBuf = append(r.selBuf, enabled[r.rng.Intn(len(enabled))])
+			distinct = 1
 		}
 		selected = r.selBuf
+		all = distinct == len(enabled)
 	} else {
 		if r.enabledCount == 0 {
 			if r.gate != nil {
@@ -511,16 +547,25 @@ func (r *Runner) Step() (done bool, err error) {
 		// the same (mover asc × CSR neighbor) order InducedDaemon draws at
 		// Select time, keeping the two schedules' RNG streams aligned.
 		r.scheduleWakes(selected)
+		all = len(selected) == r.enabledCount
 	}
 
 	// Execute: stage every next state from the pre-step slices, then
-	// scatter-commit. Composite atomicity, distributed daemon.
+	// scatter-commit, both in ascending slot order. Composite atomicity,
+	// distributed daemon.
 	var commitStart int64
 	if stepStart > 0 {
 		commitStart = r.tel.Now()
 	}
-	for i, ch := range selected {
+	moves := r.slotOrder(selected, all)
+	if len(moves) > r.hw {
+		r.reserve(len(moves))
+	}
+	for i, ch := range moves {
 		r.k.Apply(r.c, ch.Proc, int32(ch.Action), &r.stage[i])
+	}
+	for i, ch := range moves {
+		r.c.SetStateHot(int32(ch.Proc), &r.stage[i])
 	}
 	packed := false
 	if r.tel != nil {
@@ -534,12 +579,7 @@ func (r *Runner) Step() (done bool, err error) {
 			r.packBuf = r.packBuf[:n]
 		}
 		for i, ch := range selected {
-			r.c.SetStateHot(int32(ch.Proc), &r.stage[i])
 			r.packBuf[i] = telemetry.PackChoice(ch.Proc, ch.Action)
-		}
-	} else {
-		for i, ch := range selected {
-			r.c.SetStateHot(int32(ch.Proc), &r.stage[i])
 		}
 	}
 	var commitNS int64
@@ -557,7 +597,7 @@ func (r *Runner) Step() (done bool, err error) {
 	if r.tel != nil {
 		root := r.k.Root
 		rootAct := -1
-		if r.enabled.test(root) {
+		if r.enabled.test(r.root) {
 			for _, ch := range selected {
 				if ch.Proc == root {
 					rootAct = ch.Action
@@ -579,17 +619,18 @@ func (r *Runner) Step() (done bool, err error) {
 	}
 
 	// Executed processors leave the round and restart their fairness age.
-	for _, ch := range selected {
-		r.lastReset[ch.Proc] = steps
-		if r.enabledSince[ch.Proc] <= r.roundStart && r.removedSeq[ch.Proc] != r.roundSeq {
-			r.removedSeq[ch.Proc] = r.roundSeq
+	for _, ch := range moves {
+		s := ch.Proc
+		r.lastReset[s] = steps
+		if r.enabledSince[s] <= r.roundStart && r.removedSeq[s] != r.roundSeq {
+			r.removedSeq[s] = r.roundSeq
 			r.pendingCount--
 		}
 	}
 
 	if r.mirror != nil {
-		for i, ch := range selected {
-			*(r.mirror.States[ch.Proc].(*core.State)) = r.stage[i]
+		for i, ch := range moves {
+			*(r.mirror.States[r.c.Proc(ch.Proc)].(*core.State)) = r.c.ProcState(&r.stage[i])
 		}
 	}
 	for _, o := range r.opts.Observers {
@@ -600,7 +641,7 @@ func (r *Runner) Step() (done bool, err error) {
 	if stepStart > 0 {
 		evalStart = r.tel.Now()
 	}
-	r.refresh(selected)
+	r.refresh(moves)
 	var evalNS int64
 	if evalStart > 0 {
 		evalNS = r.tel.Now() - evalStart
@@ -676,7 +717,7 @@ func (r *Runner) nextBatch() ([]sim.Choice, error) {
 		// again and gets the same answer.
 		_, bucket, _ := r.q.pop()
 		for _, p := range bucket {
-			a := r.acts[p]
+			a := r.acts[r.c.Slot(int(p))]
 			if a == flat.NoAction || r.batch.test(int(p)) {
 				continue
 			}
@@ -687,12 +728,16 @@ func (r *Runner) nextBatch() ([]sim.Choice, error) {
 			}
 			r.batch.set(int(p))
 		}
-		if r.batch.count() == 0 {
+		n := r.batch.count()
+		if n == 0 {
 			continue
+		}
+		if n > r.hw {
+			r.reserve(n)
 		}
 		r.selBuf = r.selBuf[:0]
 		r.batch.drain(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
-			r.selBuf = append(r.selBuf, sim.Choice{Proc: p, Action: int(r.acts[p])})
+			r.selBuf = append(r.selBuf, sim.Choice{Proc: p, Action: int(r.acts[r.c.Slot(p)])})
 		})
 		r.vtime = t
 		return r.selBuf, nil
@@ -701,16 +746,19 @@ func (r *Runner) nextBatch() ([]sim.Choice, error) {
 
 // scheduleWakes posts the batch's consequences: each mover re-evaluates at
 // t+1 (its own state changed) and each of its neighbors at t+1+latency.
-// Draw order is mover-ascending × CSR-neighbor order — InducedDaemon must
-// draw identically.
+// Draw order is mover-ascending (by processor ID) × ≺_p neighbor order, the
+// order of the mover's slot adjacency — InducedDaemon must draw
+// identically.
 //
 //snapvet:hotpath
 func (r *Runner) scheduleWakes(selected []sim.Choice) {
 	t := r.vtime
 	for _, ch := range selected {
-		r.q.push(t+1, int32(ch.Proc))
-		for _, nb := range r.c.Neighbors(ch.Proc) {
-			r.q.push(t+1+r.lat.Sample(r.rng, int32(ch.Proc), nb), nb)
+		p := int32(ch.Proc)
+		r.q.push(t+1, p)
+		for _, nb := range r.c.Neighbors(r.c.Slot(ch.Proc)) {
+			q := int32(r.c.Proc(int(nb)))
+			r.q.push(t+1+r.lat.Sample(r.rng, p, q), q)
 		}
 	}
 }
@@ -753,6 +801,8 @@ func (r *Runner) telStep(selected []sim.Choice, packed bool, rootBefore core.Pha
 
 // choices returns the enabled list in ascending processor order, rebuilding
 // the reusable buffer only after a refresh changed some processor's action.
+// Under a slot layout the enabled slots are re-sorted by processor ID
+// through the order set.
 //
 //snapvet:hotpath
 func (r *Runner) choices() []sim.Choice {
@@ -760,11 +810,76 @@ func (r *Runner) choices() []sim.Choice {
 		return r.buf
 	}
 	r.buf = r.buf[:0]
-	r.enabled.forEach(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
-		r.buf = append(r.buf, sim.Choice{Proc: p, Action: int(r.acts[p])})
-	})
+	if r.order == nil {
+		r.enabled.forEach(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
+			r.buf = append(r.buf, sim.Choice{Proc: p, Action: int(r.acts[p])})
+		})
+	} else {
+		r.enabled.forEach(func(s int) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
+			p := r.c.Proc(s)
+			r.order.set(p)
+			r.orderAct[p] = int8(r.acts[s])
+		})
+		r.order.drain(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
+			r.buf = append(r.buf, sim.Choice{Proc: p, Action: int(r.orderAct[p])})
+		})
+	}
 	r.bufValid = true
 	return r.buf
+}
+
+// slotOrder returns the step's moves in ascending slot order, each choice's
+// Proc replaced by its slot. Under the identity layout that is the
+// selection itself. Otherwise a daemon selects from the enabled list and
+// the PIF guards are mutually exclusive, so each move's action is the
+// cached one: a selection of the whole enabled set (all) is the enabled
+// set in slot order, and any other is re-sorted through the order set. The
+// list is written over daemonBuf, which is dead once the selection has
+// been copied to selBuf.
+//
+//snapvet:hotpath
+func (r *Runner) slotOrder(selected []sim.Choice, all bool) []sim.Choice {
+	if r.order == nil {
+		return selected
+	}
+	if !all {
+		for _, ch := range selected {
+			r.order.set(r.c.Slot(ch.Proc))
+		}
+	}
+	moves := r.daemonBuf[:0]
+	add := func(s int) { //snapvet:ok non-escaping closure, stack-allocated (proved by the CI alloc gates)
+		moves = append(moves, sim.Choice{Proc: s, Action: int(r.acts[s])})
+	}
+	if all {
+		r.enabled.forEach(add)
+	} else {
+		r.order.drain(add)
+	}
+	r.daemonBuf = moves
+	return moves
+}
+
+// reserve is the one growth point of the per-step buffers: the selection,
+// the stage, under an external daemon the choice list and the daemon's
+// copy, and under a slot layout the moves (which slotOrder writes over the
+// daemon's copy). A step needs at most one entry per enabled processor
+// under an external daemon, and one per woken processor of the batch in
+// latency mode, so the buffers grow only when that count passes the
+// high-water mark hw, and then to a quarter above the new mark: a widening
+// front costs a logarithmic number of growths over a run, none per step.
+//
+//snapvet:coldpath runs only when a step passes the high-water mark, a logarithmic number of times per run
+func (r *Runner) reserve(n int) {
+	r.hw = n + n/4
+	if r.lat == nil {
+		r.buf = slices.Grow(r.buf, r.hw-len(r.buf)) // keeps a valid choice list
+	}
+	if r.lat == nil || r.order != nil {
+		r.daemonBuf = slices.Grow(r.daemonBuf[:0], r.hw)
+	}
+	r.selBuf = slices.Grow(r.selBuf[:0], r.hw)
+	r.stage = make([]core.State, r.hw)
 }
 
 // AppendEnabled appends the currently enabled choices to buf in ascending
@@ -789,21 +904,30 @@ func (r *Runner) AppendEnabled(buf []sim.Choice) []sim.Choice {
 // equivalence with sim-under-InducedDaemon for FairnessAge > Max()+1, where
 // sim's forcing never fires either.
 //
+// It also returns the number of distinct processors in the final
+// selection, which tells slotOrder whether the step moves every enabled
+// processor.
+//
 //snapvet:hotpath
-func (r *Runner) forceAged(selected, enabled []sim.Choice) []sim.Choice {
+func (r *Runner) forceAged(selected, enabled []sim.Choice) ([]sim.Choice, int) {
+	distinct := 0
 	for _, ch := range selected {
-		r.have.set(ch.Proc)
+		if !r.have.test(ch.Proc) {
+			r.have.set(ch.Proc)
+			distinct++
+		}
 	}
 	bound := r.opts.FairnessAge
 	steps := r.res.Steps
 	for i := range enabled {
 		proc := enabled[i].Proc
-		if steps-r.lastReset[proc] >= bound && !r.have.test(proc) {
+		if !r.have.test(proc) && steps-r.lastReset[r.c.Slot(proc)] >= bound {
 			selected = append(selected, enabled[i+r.rng.Intn(1)])
 			r.have.set(proc)
+			distinct++
 		}
 	}
-	return selected
+	return selected, distinct
 }
 
 // refresh re-evaluates the guards of every processor that can read what the
@@ -811,12 +935,13 @@ func (r *Runner) forceAged(selected, enabled []sim.Choice) []sim.Choice {
 // at most its closed neighborhood (the invalidation radius 1 that snapvet's
 // radiusbound analyzer certifies against Protocol.DirtyRadius) — and
 // commits the changes to the enabled set, the choice buffer, the round's
-// pending count, and the fairness ages. The per-processor updates commute,
-// so the ascending drain of the dirty set only buys memory locality.
+// pending count, and the fairness ages. moves holds slots. The per-slot
+// updates commute, so the ascending drain of the dirty set only buys
+// memory locality.
 //
 //snapvet:hotpath
-func (r *Runner) refresh(selected []sim.Choice) {
-	for _, ch := range selected {
+func (r *Runner) refresh(moves []sim.Choice) {
+	for _, ch := range moves {
 		r.dirty.set(ch.Proc)
 		for _, q := range r.k.Readers(r.c, ch.Proc, int32(ch.Action)) {
 			r.dirty.set(int(q))
@@ -825,8 +950,8 @@ func (r *Runner) refresh(selected []sim.Choice) {
 	r.dirty.drain(r.reguard)
 }
 
-// reguard re-evaluates p's guard and commits a change of its enabled
-// action to the runner's incremental state.
+// reguard re-evaluates the guard at slot p and commits a change of its
+// enabled action to the runner's incremental state.
 //
 //snapvet:hotpath
 func (r *Runner) reguard(p int) {

@@ -10,52 +10,88 @@ import "snappif/internal/core"
 // package-private hot-path primitives; the wrappers carry the same hotpath
 // annotations so snapvet's allocation budget follows the calls across the
 // package boundary.
+//
+// The kernel surface speaks slots (see layout): EnabledAction, Apply,
+// Readers, Neighbors and SetStateHot take a slot, and the states Apply
+// stages hold Par as a slot. Slot and Proc translate at the boundary, and
+// ProcState turns a staged state into processor IDs. Everything else on
+// Config takes processor IDs.
 
 // NoAction is the guard cache's "no enabled action" sentinel, the exported
 // counterpart of the kernel-internal noAction.
 const NoAction = noAction
 
-// EnabledAction evaluates p's guards on c and returns the enabled action ID
-// or NoAction. The PIF guards are mutually exclusive, so the result is the
-// whole enabled set of p.
+// EnabledAction evaluates the guards at slot s on c and returns the enabled
+// action ID or NoAction. The PIF guards are mutually exclusive, so the
+// result is the whole enabled set of the processor at s.
 //
 //snapvet:hotpath
-func (k *Protocol) EnabledAction(c *Config, p int) int32 { return k.enabledAction(c, p) }
+func (k *Protocol) EnabledAction(c *Config, s int) int32 { return k.enabledAction(c, s) }
 
-// Apply stages p's action a: dst receives p's next state, computed from the
-// pre-step slices of c. The caller owns commit ordering (composite
-// atomicity: stage everything, then scatter-commit).
+// Apply stages action a at slot s: dst receives the next state, computed
+// from the pre-step slices of c, with Par as a slot. The caller owns commit
+// ordering (composite atomicity: stage everything, then scatter-commit).
 //
 //snapvet:hotpath
-func (k *Protocol) Apply(c *Config, p int, a int32, dst *core.State) { k.apply(c, p, a, dst) }
+func (k *Protocol) Apply(c *Config, s int, a int32, dst *core.State) { k.apply(c, s, a, dst) }
 
-// Neighbors returns p's CSR adjacency slice (ascending IDs, shared immutable
-// storage — callers must not modify it).
+// Neighbors returns slot s's CSR adjacency slice: slots, in the local order
+// ≺_p of the processor at s (shared immutable storage — callers must not
+// modify it).
 //
 //snapvet:hotpath
-func (c *Config) Neighbors(p int) []int32 { return c.neighbors(p) }
+func (c *Config) Neighbors(s int) []int32 { return c.neighbors(s) }
 
-// SetStateHot scatter-commits one staged state, the exported counterpart of
-// the commit loop's setStateHot.
+// SetStateHot scatter-commits one state staged by Apply to slot s, the
+// exported counterpart of the commit loop's setStateHot.
 //
 //snapvet:hotpath
-func (c *Config) SetStateHot(p int32, s *core.State) { c.setStateHot(p, s) }
+func (c *Config) SetStateHot(s int32, st *core.State) { c.setStateHot(s, st) }
 
-// Phase reads p's phase register without gathering the full state.
+// Slot returns processor p's slot.
 //
 //snapvet:hotpath
-func (c *Config) Phase(p int) core.Phase { return core.Phase(c.pif[p]) }
+func (c *Config) Slot(p int) int { return c.slotOf(p) }
 
-// Msg reads p's payload register without gathering the full state.
+// Proc returns the processor ID stored at slot s.
 //
 //snapvet:hotpath
-func (c *Config) Msg(p int) uint64 { return c.msg[p] }
+func (c *Config) Proc(s int) int { return c.procOf(s) }
 
-// Agg reads p's feedback-aggregation register without gathering the full
-// state — the serving layer's response value at feedback-complete time.
+// Identity reports whether every processor's slot is its ID, so that
+// ascending slot order is ascending processor order.
 //
 //snapvet:hotpath
-func (c *Config) Agg(p int) int64 { return c.agg[p] }
+func (c *Config) Identity() bool { return c.proc == nil }
+
+// ProcState returns st, a state staged by Apply, with Par translated from
+// a slot to a processor ID.
+//
+//snapvet:hotpath
+func (c *Config) ProcState(st *core.State) core.State {
+	out := *st
+	out.Par = c.parProc(int32(st.Par))
+	return out
+}
+
+// Phase reads processor p's phase register without gathering the full
+// state.
+//
+//snapvet:hotpath
+func (c *Config) Phase(p int) core.Phase { return core.Phase(c.pif[c.slotOf(p)]) }
+
+// Msg reads processor p's payload register without gathering the full
+// state.
+//
+//snapvet:hotpath
+func (c *Config) Msg(p int) uint64 { return c.msg[c.slotOf(p)] }
+
+// Agg reads processor p's feedback-aggregation register without gathering
+// the full state — the serving layer's response value at feedback-complete
+// time.
+//
+//snapvet:hotpath
+func (c *Config) Agg(p int) int64 { return c.agg[c.slotOf(p)] }
 
 // CensusDeltas converts one step's per-action move counts (cur − prev) into
 // phase-census deltas for the telemetry hook. Every non-root action has a

@@ -10,8 +10,17 @@
 // each core.State field as a plain slice (phase, parent, level, count, Fok,
 // payload registers) over a CSR-flattened adjacency, and Protocol
 // re-implements the guard and action kernels of Algorithms 1 and 2 directly
-// on processor indices: no interface values, no per-state allocation, and
-// neighbor scans walk one contiguous int32 slice.
+// on indices: no interface values, no per-state allocation, and neighbor
+// scans walk one contiguous int32 slice.
+//
+// The indices are slots, not processor IDs. On a large network whose IDs
+// scatter neighbours across the state (a randomly labelled one), Config
+// stores processors in breadth-first order from processor 0, so the few BFS
+// layers a synchronous PIF step moves are a few contiguous runs of every
+// column; elsewhere a processor's slot is its ID (see layout). The kernel
+// surface of export.go takes slots. Every other entry point — the state
+// accessors, the conversions, the canonical encoding — takes and reports
+// processor IDs, so callers outside the kernels never see a slot.
 //
 // The package holds the state and the single-step semantics only: Config,
 // the guard and action kernels, and CensusDeltas. Stepping lives in
@@ -33,22 +42,151 @@ import (
 	"snappif/internal/sim"
 )
 
-// Config is a global configuration in struct-of-arrays form: the CSR
-// adjacency of the network plus one slice per core.State field, indexed by
-// processor ID. It is the event engine's counterpart of sim.Configuration.
+// slotLayoutMinN is the network size from which a Config may store
+// processors in BFS slot order. Below it the state of every processor, with
+// the event runner's per-processor columns (about 80 bytes each), fits in a
+// 1–2 MB L2 cache, so the order of the columns buys nothing and the
+// identity layout saves the translation at the boundary.
+const slotLayoutMinN = 1 << 14
+
+// layout is a network's slot layout: the order in which a Config stores its
+// processors, and the CSR adjacency over that order. Slot s holds processor
+// proc[s], and processor p lives at slot slot[p]. The order is breadth-first
+// from processor 0 with each processor's neighbours taken in its local order
+// ≺_p, so the few BFS layers a synchronous PIF step moves are a few
+// contiguous runs of slots. The layout has to pay for the translation
+// between slots and processor IDs, so it is the identity — both maps nil —
+// below slotLayoutMinN, and wherever the processor IDs already keep
+// neighbours at least as close as the BFS order does, measured as the sum
+// of |a − b| over the adjacency: a line, a ring or a row-major grid keeps
+// its IDs, a randomly labelled network takes the BFS order. A layout is
+// immutable and shared by every configuration of its network and by the
+// kernel.
+type layout struct {
+	// CSR adjacency over slots: slot s's neighbours are adj[off[s]:off[s+1]],
+	// in the local order ≺_p of the processor at s (ascending processor ID,
+	// as in graph.Graph).
+	off []int32
+	adj []int32
+
+	slot []int32 // processor ID → slot; nil for the identity layout
+	proc []int32 // slot → processor ID; nil for the identity layout
+}
+
+// newLayout computes g's layout: the CSR adjacency over processor IDs in one
+// sequential pass over g, then one breadth-first pass over it from
+// processor 0 that assigns the slots and writes the slot adjacency as it
+// dequeues them.
+func newLayout(g *graph.Graph) layout {
+	n := g.N()
+	off := make([]int32, n+1)
+	for p := 0; p < n; p++ {
+		off[p+1] = off[p] + int32(g.Degree(p))
+	}
+	adj := make([]int32, off[n])
+	var idSpan int64
+	for p := 0; p < n; p++ {
+		for i, q := range g.Neighbors(p) {
+			adj[int(off[p])+i] = int32(q)
+			idSpan += int64(abs(p - q))
+		}
+	}
+	ids := layout{off: off, adj: adj}
+	if n < slotLayoutMinN {
+		return ids
+	}
+	l := layout{off: make([]int32, n+1), adj: make([]int32, len(adj)), slot: make([]int32, n), proc: make([]int32, 1, n)}
+	seen := make([]uint64, (n+63)/64)
+	seen[0] = 1
+	var slotSpan int64
+	// Slot s is dequeued at step s, so its adjacency is written in slot
+	// order; a neighbour seen for the first time takes the next free slot.
+	for s := 0; s < len(l.proc); s++ {
+		p := l.proc[s]
+		nb := adj[off[p]:off[p+1]]
+		base := l.off[s]
+		l.off[s+1] = base + int32(len(nb))
+		for i, q := range nb {
+			if seen[q>>6]&(1<<(q&63)) == 0 {
+				seen[q>>6] |= 1 << (q & 63)
+				l.slot[q] = int32(len(l.proc))
+				l.proc = append(l.proc, q)
+			}
+			l.adj[int(base)+i] = l.slot[q]
+			slotSpan += int64(abs(s - int(l.slot[q])))
+		}
+	}
+	if slotSpan >= idSpan {
+		return ids
+	}
+	return l
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// slotOf returns processor p's slot.
+//
+//snapvet:hotpath
+func (l *layout) slotOf(p int) int {
+	if l.slot == nil {
+		return p
+	}
+	return int(l.slot[p])
+}
+
+// procOf returns the processor stored at slot s.
+//
+//snapvet:hotpath
+func (l *layout) procOf(s int) int {
+	if l.proc == nil {
+		return s
+	}
+	return int(l.proc[s])
+}
+
+// parSlot translates a Par value from processor IDs to slots. ParNone, and
+// any value that names no processor, is kept as it is, so the accessors
+// round-trip every state.
+func (l *layout) parSlot(par int) int32 {
+	if l.slot != nil && uint(par) < uint(len(l.slot)) {
+		return l.slot[par]
+	}
+	return int32(par)
+}
+
+// parProc is parSlot's inverse.
+//
+//snapvet:hotpath
+func (l *layout) parProc(par int32) int {
+	if l.proc != nil && uint(par) < uint(len(l.proc)) {
+		return int(l.proc[par])
+	}
+	return int(par)
+}
+
+// Config is a global configuration in struct-of-arrays form: one slice per
+// core.State field over the network's slot layout, plus the layout itself.
+// It is the event engine's counterpart of sim.Configuration. Element s of
+// every state slice is the state of the processor at slot s, and Par holds
+// slots too. Every method that names a processor takes its processor ID
+// (StateAt, SetState, Phase, Msg, Agg), and every encoding (AppendCanonical,
+// Fingerprint, ToSim, WriteSim) lists processors in ascending ID, exactly as
+// the boxed configuration does; only the kernel surface of export.go speaks
+// slots.
 type Config struct {
 	// G is the network; kept so daemons (which read topology, never states)
 	// and conversions can reach it.
 	G *graph.Graph
 
-	// CSR adjacency: processor p's neighbors are adj[off[p]:off[p+1]], in
-	// p's local order ≺_p (ascending ID, as in graph.Graph). Shared between
-	// configurations of the same graph — the slices are immutable.
-	off []int32
-	adj []int32
+	layout
 
-	// Struct-of-arrays state: element p of every slice is processor p's
-	// value of the corresponding core.State field.
+	// Struct-of-arrays state: element s of every slice is the value of the
+	// corresponding core.State field at slot s.
 	pif   []uint8
 	par   []int32
 	level []int32
@@ -59,37 +197,13 @@ type Config struct {
 	agg   []int64
 }
 
-// buildCSR flattens g's adjacency lists into one offsets + neighbors pair.
-func buildCSR(g *graph.Graph) (off, adj []int32) {
+// newEmptyConfig allocates the SoA slices for g over layout l without
+// initializing state.
+func newEmptyConfig(g *graph.Graph, l layout) *Config {
 	n := g.N()
-	off = make([]int32, n+1)
-	total := 0
-	for p := 0; p < n; p++ {
-		total += g.Degree(p)
-		off[p+1] = int32(total)
-	}
-	adj = make([]int32, total)
-	i := 0
-	for p := 0; p < n; p++ {
-		for _, q := range g.Neighbors(p) {
-			adj[i] = int32(q)
-			i++
-		}
-	}
-	return off, adj
-}
-
-// newEmptyConfig allocates the SoA slices for g without initializing state.
-func newEmptyConfig(g *graph.Graph) (*Config, error) {
-	if int64(g.N()) > math.MaxInt32 {
-		return nil, fmt.Errorf("flat: %d processors exceed the int32 index domain", g.N())
-	}
-	n := g.N()
-	off, adj := buildCSR(g)
 	return &Config{
-		G:   g,
-		off: off,
-		adj: adj,
+		G:      g,
+		layout: l,
 
 		pif:   make([]uint8, n),
 		par:   make([]int32, n),
@@ -99,85 +213,119 @@ func newEmptyConfig(g *graph.Graph) (*Config, error) {
 		msg:   make([]uint64, n),
 		val:   make([]int64, n),
 		agg:   make([]int64, n),
-	}, nil
+	}
+}
+
+// checkSize rejects networks beyond the int32 slot domain.
+func checkSize(g *graph.Graph) error {
+	if int64(g.N()) > math.MaxInt32 {
+		return fmt.Errorf("flat: %d processors exceed the int32 index domain", g.N())
+	}
+	return nil
 }
 
 // NewConfig builds the protocol's normal starting configuration (Pif_p = C
-// everywhere) on k's network, the flat counterpart of
+// everywhere) on k's network and layout, the flat counterpart of
 // sim.NewConfiguration.
 func NewConfig(k *Protocol) (*Config, error) {
-	c, err := newEmptyConfig(k.g)
-	if err != nil {
-		return nil, err
-	}
-	for p := 0; p < c.N(); p++ {
-		c.SetState(p, k.initialState(p))
+	c := newEmptyConfig(k.g, k.layout)
+	// core.Protocol.InitialState in slot space: clean, counting itself, and
+	// pointing at the first neighbour in ≺_p (the first of its slot
+	// adjacency) one level below the root.
+	for s := range c.pif {
+		c.pif[s] = phC
+		c.count[s] = 1
+		if s == k.root {
+			c.par[s] = core.ParNone
+		} else {
+			c.par[s] = c.adj[c.off[s]]
+			c.level[s] = 1
+		}
 	}
 	return c, nil
 }
 
 // FromSim converts a boxed configuration (holding *core.State, e.g. one
 // corrupted by a fault.Injector) into flat form. The graph is shared; the
-// states are copied.
+// states are copied. The layout is computed from the graph, so it equals
+// that of any kernel FromCore builds on the same network.
 func FromSim(sc *sim.Configuration) (*Config, error) {
-	c, err := newEmptyConfig(sc.G)
-	if err != nil {
+	if err := checkSize(sc.G); err != nil {
 		return nil, err
 	}
-	for p := 0; p < c.N(); p++ {
-		c.SetState(p, core.At(sc, p))
+	c := newEmptyConfig(sc.G, newLayout(sc.G))
+	return c, c.ReadSim(sc)
+}
+
+// ReadSim overwrites c's states with those of a boxed configuration of the
+// same length, the inverse of WriteSim. With NewConfig it converts a boxed
+// configuration over the layout a kernel already holds, where FromSim
+// would compute the layout again.
+func (c *Config) ReadSim(sc *sim.Configuration) error {
+	if len(sc.States) != c.N() {
+		return fmt.Errorf("flat: ReadSim length mismatch: %d vs %d", len(sc.States), c.N())
 	}
-	return c, nil
+	for s := 0; s < c.N(); s++ {
+		st := core.At(sc, c.procOf(s))
+		c.setSlot(s, &st)
+	}
+	return nil
 }
 
 // N returns the number of processors.
 func (c *Config) N() int { return len(c.pif) }
 
-// neighbors returns p's CSR adjacency slice.
+// neighbors returns slot s's CSR adjacency slice.
 //
 //snapvet:hotpath
-func (c *Config) neighbors(p int) []int32 { return c.adj[c.off[p]:c.off[p+1]] }
+func (c *Config) neighbors(s int) []int32 { return c.adj[c.off[s]:c.off[s+1]] }
 
-// StateAt gathers processor p's state from the field slices.
-func (c *Config) StateAt(p int) core.State {
+// stateAtSlot gathers the state at slot s, Par translated to a processor ID.
+func (c *Config) stateAtSlot(s int) core.State {
 	return core.State{
-		Pif:   core.Phase(c.pif[p]),
-		Par:   int(c.par[p]),
-		L:     int(c.level[p]),
-		Count: int(c.count[p]),
-		Fok:   c.fok[p],
-		Msg:   c.msg[p],
-		Val:   c.val[p],
-		Agg:   c.agg[p],
+		Pif:   core.Phase(c.pif[s]),
+		Par:   c.parProc(c.par[s]),
+		L:     int(c.level[s]),
+		Count: int(c.count[s]),
+		Fok:   c.fok[s],
+		Msg:   c.msg[s],
+		Val:   c.val[s],
+		Agg:   c.agg[s],
 	}
 }
 
-// SetState scatters s into processor p's slots.
-func (c *Config) SetState(p int, s core.State) {
-	c.pif[p] = uint8(s.Pif)
-	c.par[p] = int32(s.Par)
-	c.level[p] = int32(s.L)
-	c.count[p] = int32(s.Count)
-	c.fok[p] = s.Fok
-	c.msg[p] = s.Msg
-	c.val[p] = s.Val
-	c.agg[p] = s.Agg
+// setSlot scatters st, whose Par is a processor ID, into slot s.
+func (c *Config) setSlot(s int, st *core.State) {
+	c.pif[s] = uint8(st.Pif)
+	c.par[s] = c.parSlot(st.Par)
+	c.level[s] = int32(st.L)
+	c.count[s] = int32(st.Count)
+	c.fok[s] = st.Fok
+	c.msg[s] = st.Msg
+	c.val[s] = st.Val
+	c.agg[s] = st.Agg
 }
 
-// setStateHot is SetState without the exported-API surface, annotated for
-// the hot-path allocation analyzer (the commit loop calls it per selected
-// processor).
+// StateAt gathers processor p's state from the field slices.
+func (c *Config) StateAt(p int) core.State { return c.stateAtSlot(c.slotOf(p)) }
+
+// SetState scatters s into processor p's slots.
+func (c *Config) SetState(p int, s core.State) { c.setSlot(c.slotOf(p), &s) }
+
+// setStateHot commits a state staged by the kernel (Par already a slot) to
+// slot s, without the exported-API surface; annotated for the hot-path
+// allocation analyzer (the commit loop calls it per selected processor).
 //
 //snapvet:hotpath
-func (c *Config) setStateHot(p int32, s *core.State) {
-	c.pif[p] = uint8(s.Pif)
-	c.par[p] = int32(s.Par)
-	c.level[p] = int32(s.L)
-	c.count[p] = int32(s.Count)
-	c.fok[p] = s.Fok
-	c.msg[p] = s.Msg
-	c.val[p] = s.Val
-	c.agg[p] = s.Agg
+func (c *Config) setStateHot(s int32, st *core.State) {
+	c.pif[s] = uint8(st.Pif)
+	c.par[s] = int32(st.Par)
+	c.level[s] = int32(st.L)
+	c.count[s] = int32(st.Count)
+	c.fok[s] = st.Fok
+	c.msg[s] = st.Msg
+	c.val[s] = st.Val
+	c.agg[s] = st.Agg
 }
 
 // WriteSim scatters the flat states back into a boxed configuration holding
@@ -186,8 +334,8 @@ func (c *Config) WriteSim(sc *sim.Configuration) error {
 	if len(sc.States) != c.N() {
 		return fmt.Errorf("flat: WriteSim length mismatch: %d vs %d", len(sc.States), c.N())
 	}
-	for p := 0; p < c.N(); p++ {
-		core.Set(sc, p, c.StateAt(p))
+	for s := 0; s < c.N(); s++ {
+		core.Set(sc, c.procOf(s), c.stateAtSlot(s))
 	}
 	return nil
 }
@@ -196,21 +344,21 @@ func (c *Config) WriteSim(sc *sim.Configuration) error {
 // boxes with the flat states' values.
 func (c *Config) ToSim() *sim.Configuration {
 	states := make([]sim.State, c.N())
-	for p := 0; p < c.N(); p++ {
-		s := c.StateAt(p)
-		states[p] = &s
+	for s := 0; s < c.N(); s++ {
+		st := c.stateAtSlot(s)
+		states[c.procOf(s)] = &st
 	}
 	return &sim.Configuration{G: c.G, States: states}
 }
 
 // CopyFrom overwrites c's states with src's. Both configurations must be on
-// the same graph; the CSR slices are shared, the state slices are copied —
+// the same graph; the layout is shared, the state slices are copied —
 // no allocation, mirroring sim.Configuration.CopyFrom's restore contract.
 //
 //snapvet:hotpath
 func (c *Config) CopyFrom(src *Config) {
 	c.G = src.G
-	c.off, c.adj = src.off, src.adj
+	c.layout = src.layout
 	copy(c.pif, src.pif)
 	copy(c.par, src.par)
 	copy(c.level, src.level)
@@ -222,12 +370,11 @@ func (c *Config) CopyFrom(src *Config) {
 }
 
 // Clone returns a deep copy of the configuration (sharing the immutable
-// graph and CSR).
+// graph and layout).
 func (c *Config) Clone() *Config {
 	cp := &Config{
-		G:   c.G,
-		off: c.off,
-		adj: c.adj,
+		G:      c.G,
+		layout: c.layout,
 
 		pif:   append([]uint8(nil), c.pif...),
 		par:   append([]int32(nil), c.par...),
@@ -259,20 +406,23 @@ func (c *Config) AppendCanonical(b []byte) []byte {
 		b = nb
 	}
 	b = b[:off+need]
-	for p := 0; p < n; p++ {
+	// Read the columns in slot order and write each processor's entry at
+	// its ID's position: the reads stream, only the writes scatter.
+	for s := 0; s < n; s++ {
+		p := c.procOf(s)
 		e := b[off+p*core.CanonicalSize : off+(p+1)*core.CanonicalSize : off+(p+1)*core.CanonicalSize]
-		e[0] = c.pif[p]
-		binary.LittleEndian.PutUint64(e[1:], uint64(int64(c.par[p])))
-		binary.LittleEndian.PutUint64(e[9:], uint64(int64(c.level[p])))
-		binary.LittleEndian.PutUint64(e[17:], uint64(int64(c.count[p])))
-		if c.fok[p] {
+		e[0] = c.pif[s]
+		binary.LittleEndian.PutUint64(e[1:], uint64(int64(c.parProc(c.par[s]))))
+		binary.LittleEndian.PutUint64(e[9:], uint64(int64(c.level[s])))
+		binary.LittleEndian.PutUint64(e[17:], uint64(int64(c.count[s])))
+		if c.fok[s] {
 			e[25] = 1
 		} else {
 			e[25] = 0
 		}
-		binary.LittleEndian.PutUint64(e[26:], c.msg[p])
-		binary.LittleEndian.PutUint64(e[34:], uint64(c.val[p]))
-		binary.LittleEndian.PutUint64(e[42:], uint64(c.agg[p]))
+		binary.LittleEndian.PutUint64(e[26:], c.msg[s])
+		binary.LittleEndian.PutUint64(e[34:], uint64(c.val[s]))
+		binary.LittleEndian.PutUint64(e[42:], uint64(c.agg[s]))
 	}
 	return b
 }

@@ -25,11 +25,22 @@ const noAction = int32(-1)
 // engines run from exactly the same parameters — root, N, N', Lmax,
 // aggregation fold, and guard reading — which is what the differential
 // oracle quantifies over.
+//
+// The kernels work in slot space (see layout): below, a processor argument
+// p is a slot, and so is every Par value read or staged. The ≺_p order of
+// a slot's CSR adjacency is its processor's, so the minimum-≺_p tie-break
+// of bestPotential is unchanged.
 type Protocol struct {
-	// Root, N, NPrime, Lmax mirror core.Protocol's parameters.
+	// Root, N, NPrime, Lmax mirror core.Protocol's parameters; Root is a
+	// processor ID.
 	Root, N, NPrime, Lmax int
 	// Combine mirrors the optional feedback-aggregation fold.
 	Combine core.CombineFunc
+
+	// layout is the network's slot layout, which NewConfig shares, and
+	// root the root's slot: the kernels speak slots.
+	layout
+	root int
 
 	printed bool
 	g       *graph.Graph
@@ -38,21 +49,28 @@ type Protocol struct {
 	nextMsg uint64
 }
 
-// FromCore builds the flat kernel for pr's network and parameters. The
-// root's broadcast counter is copied from pr (1 on a freshly constructed
-// protocol, a later value when pr was built core.WithFirstMsg), so runs
-// stay payload-identical to the sim engine's.
+// FromCore builds the flat kernel for pr's network and parameters, and
+// computes the network's slot layout for NewConfig to share. The root's
+// broadcast counter is copied from pr (1 on a freshly constructed protocol,
+// a later value when pr was built core.WithFirstMsg), so runs stay
+// payload-identical to the sim engine's.
 func FromCore(pr *core.Protocol) (*Protocol, error) {
 	g := pr.Graph()
 	if g.N() != pr.N {
 		return nil, fmt.Errorf("flat: protocol N = %d does not match graph N = %d", pr.N, g.N())
 	}
+	if err := checkSize(g); err != nil {
+		return nil, err
+	}
+	l := newLayout(g)
 	return &Protocol{
 		Root:    pr.Root,
 		N:       pr.N,
 		NPrime:  pr.NPrime,
 		Lmax:    pr.Lmax,
 		Combine: pr.Combine,
+		layout:  l,
+		root:    l.slotOf(pr.Root),
 		printed: pr.UsesPrintedGuards(),
 		g:       g,
 		name:    pr.Name(),
@@ -78,19 +96,6 @@ func (k *Protocol) ActionNames() []string { return append([]string(nil), k.names
 
 // Graph returns the network the kernel runs on.
 func (k *Protocol) Graph() *graph.Graph { return k.g }
-
-// initialState mirrors core.Protocol.InitialState by value.
-func (k *Protocol) initialState(p int) core.State {
-	s := core.State{Pif: core.C, Count: 1}
-	if p == k.Root {
-		s.Par = core.ParNone
-		s.L = 0
-	} else {
-		s.Par = k.g.Neighbors(p)[0]
-		s.L = 1
-	}
-	return s
-}
 
 // sum implements the macro Sum_p = 1 + Σ_{q ∈ Sum_Set_p} Count_q over the
 // field slices (cf. core.Protocol.Sum).
@@ -233,7 +238,7 @@ func (k *Protocol) allNeighborsClean(c *Config, p int) bool {
 //
 //snapvet:hotpath
 func (k *Protocol) enabledAction(c *Config, p int) int32 {
-	if p == k.Root {
+	if p == k.root {
 		switch c.pif[p] {
 		case phC:
 			// Only Broadcast can hold; GoodFok and GoodCount are vacuous
@@ -328,8 +333,8 @@ func (k *Protocol) enabledAction(c *Config, p int) int32 {
 	}
 }
 
-// Readers returns the processors other than p whose guards can read what
-// action a at p writes — the set a guard cache must re-evaluate besides p
+// Readers returns the slots other than p whose guards can read what action
+// a at slot p writes — the set a guard cache must re-evaluate besides p
 // after the move; p's own guards always can. For every action that is p's
 // neighborhood, the kernel's invalidation radius 1, with one exception: a
 // non-root NewCount writes only Count_p, which no neighbor's guard reads
@@ -341,7 +346,7 @@ func (k *Protocol) enabledAction(c *Config, p int) int32 {
 //
 //snapvet:hotpath
 func (k *Protocol) Readers(c *Config, p int, a int32) []int32 {
-	if a == core.ActionCount && p != k.Root {
+	if a == core.ActionCount && p != k.root {
 		return c.par[p : p+1]
 	}
 	return c.neighbors(p)
@@ -367,16 +372,25 @@ func (k *Protocol) aggregate(c *Config, p int) int64 {
 	return acc
 }
 
-// apply executes action a at processor p, reading the pre-step slices and
-// writing p's next state into *dst — the flat counterpart of
+// apply executes action a at slot p, reading the pre-step slices and
+// writing p's next state into *dst, Par as a slot — the flat counterpart of
 // core.Protocol.apply. It must not touch any Config slice (staging and
 // commit are the runner's job), except for the root's broadcast counter,
 // which only the root's B-action advances.
 //
 //snapvet:hotpath
 func (k *Protocol) apply(c *Config, p int, a int32, dst *core.State) {
-	*dst = c.StateAt(p)
-	if p == k.Root {
+	*dst = core.State{
+		Pif:   core.Phase(c.pif[p]),
+		Par:   int(c.par[p]),
+		L:     int(c.level[p]),
+		Count: int(c.count[p]),
+		Fok:   c.fok[p],
+		Msg:   c.msg[p],
+		Val:   c.val[p],
+		Agg:   c.agg[p],
+	}
+	if p == k.root {
 		switch a {
 		case core.ActionB:
 			dst.Pif = core.B

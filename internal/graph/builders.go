@@ -2,8 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // This file provides the topology families used throughout the experiment
@@ -316,12 +317,14 @@ func RandomSparse(n, extra int, rng *rand.Rand) (*Graph, error) {
 	if extra < 0 {
 		return nil, fmt.Errorf("graph: random sparse graph needs extra ≥ 0, got %d", extra)
 	}
-	edges := make([][2]int, 0, n-1+extra)
+	// Each edge is one packed key, u<<32 | v with u < v, so the key order is
+	// the lexicographic edge order.
+	keys := make([]uint64, 0, n-1+extra)
 	add := func(u, v int) {
 		if u > v {
 			u, v = v, u
 		}
-		edges = append(edges, [2]int{u, v})
+		keys = append(keys, uint64(u)<<32|uint64(v))
 	}
 	// Random spanning tree: attach each node to a uniformly random earlier
 	// node of a random permutation (same construction as RandomConnected).
@@ -337,17 +340,11 @@ func RandomSparse(n, extra int, rng *rand.Rand) (*Graph, error) {
 	}
 	// Sort-and-unique instead of a hash set: at n = 10⁶ the per-edge map
 	// insert would dominate construction.
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	uniq := edges[:0]
-	for i, e := range edges {
-		if i == 0 || e != edges[i-1] {
-			uniq = append(uniq, e)
-		}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	uniq := make([][2]int, len(keys))
+	for i, k := range keys {
+		uniq[i] = [2]int{int(k >> 32), int(k & math.MaxUint32)}
 	}
 	return New(fmt.Sprintf("sparse-%d+%d", n, extra), n, uniq)
 }

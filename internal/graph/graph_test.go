@@ -385,3 +385,56 @@ func TestRandomSparse(t *testing.T) {
 		t.Fatal("RandomSparse accepted extra=-1")
 	}
 }
+
+// TestRandomSparseEdgesMatchPairSort pins RandomSparse's packed-key sort to
+// the pair sort it replaced: for several sizes and seeds the edge list is the
+// one that drawing the same stream, sorting [2]int pairs lexicographically and
+// dropping duplicates gives.
+func TestRandomSparseEdgesMatchPairSort(t *testing.T) {
+	pairSort := func(n, extra int, rng *rand.Rand) [][2]int {
+		var edges [][2]int
+		add := func(u, v int) {
+			if u > v {
+				u, v = v, u
+			}
+			edges = append(edges, [2]int{u, v})
+		}
+		perm := rng.Perm(n)
+		for i := 1; i < n; i++ {
+			add(perm[i], perm[rng.Intn(i)])
+		}
+		for i := 0; i < extra; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v {
+				add(u, v)
+			}
+		}
+		sort.Slice(edges, func(i, j int) bool {
+			if edges[i][0] != edges[j][0] {
+				return edges[i][0] < edges[j][0]
+			}
+			return edges[i][1] < edges[j][1]
+		})
+		uniq := edges[:0]
+		for i, e := range edges {
+			if i == 0 || e != edges[i-1] {
+				uniq = append(uniq, e)
+			}
+		}
+		return uniq
+	}
+	for _, tc := range []struct{ n, extra int }{
+		{2, 0}, {10, 15}, {64, 16}, {1000, 250}, {5000, 20000}, {100_000, 25_000},
+	} {
+		for _, seed := range []int64{1, 2, 101} {
+			g, err := graph.RandomSparse(tc.n, tc.extra, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := pairSort(tc.n, tc.extra, rand.New(rand.NewSource(seed)))
+			if got := g.Edges(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("RandomSparse(%d, %d, seed %d): %d edges differ from the pair sort's %d", tc.n, tc.extra, seed, len(got), len(want))
+			}
+		}
+	}
+}

@@ -178,8 +178,11 @@ func newLane(opts *Options, idx, root int, faultName string) (*lane, error) {
 		if err != nil {
 			return nil, err
 		}
-		fc, err := flat.FromSim(cfg)
+		fc, err := flat.NewConfig(k)
 		if err != nil {
+			return nil, err
+		}
+		if err := fc.ReadSim(cfg); err != nil {
 			return nil, err
 		}
 		r, err := event.NewRunner(fc, k, nil, event.Options{
