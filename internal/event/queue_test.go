@@ -44,8 +44,9 @@ func TestQueuePopMonotone(t *testing.T) {
 
 // TestQueueNoLostOrDuplicatedWakeups: draining the queue must return
 // exactly the pushed multiset — every wakeup exactly once, duplicates
-// preserved (deduplication belongs to the runner's wakeStamp filter, not
-// the queue).
+// preserved (deduplication belongs to the queue's callers, not the queue:
+// Runner.nextBatch dedups in its batch set, InducedDaemon in its stamp
+// column).
 func TestQueueNoLostOrDuplicatedWakeups(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))

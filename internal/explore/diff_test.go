@@ -137,7 +137,7 @@ func TestMCDifferentialPerTransition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := &hasher{}
+			h := &hasher{lay: e.store.lay}
 			checkedSteps := 0
 			states := make([]core.State, g.N())
 			for id := int32(0); id < int32(e.store.len()); id++ {

@@ -59,8 +59,7 @@ const (
 )
 
 // maxN bounds exploration size: the vector's entries (k·N for a
-// composition) fit the explorer's uint16 columns, and the per-entry key
-// byte layout stays exact.
+// composition) fit the explorer's uint16 columns.
 const maxN = 12
 
 // Options configures an Explorer.
@@ -232,7 +231,7 @@ type Explorer struct {
 	// Per-layer buffers, reused across layers and dropped when Run returns.
 	tasks   []task
 	results []taskResult
-	recs    []byte       // task i's successor record at [i·stride, (i+1)·stride)
+	recs    []byte       // task i's successor record at [i·lay.size, (i+1)·lay.size)
 	keys    []byte       // its canonical key, when the store keeps a key column
 	at      []int32      // node ID → 1 + its index in the next frontier; all 0 between layers
 	newTask []int32      // task index of each node the layer interned
@@ -278,8 +277,9 @@ func New(g *graph.Graph, root int, opts Options) (*Explorer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if pr.Lmax >= 1<<15 || pr.NPrime >= 1<<16 {
-		return nil, fmt.Errorf("explore: Lmax=%d / N'=%d exceed the 16-bit key layout", pr.Lmax, pr.NPrime)
+	lay, err := newLayout(pr, len(roots))
+	if err != nil {
+		return nil, err
 	}
 	e := &Explorer{
 		g:         g,
@@ -298,7 +298,7 @@ func New(g *graph.Graph, root int, opts Options) (*Explorer, error) {
 	if opts.Symmetry {
 		e.autos = admissibleAutomorphisms(g, root)
 	}
-	e.store = newStore(e.width, len(e.autos) > 0)
+	e.store = newStore(lay, len(e.autos) > 0)
 	e.workers = make([]worker, opts.Workers)
 	for w := range e.workers {
 		var eng Engine
@@ -310,7 +310,7 @@ func New(g *graph.Graph, root int, opts Options) (*Explorer, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.workers[w] = worker{eng: eng, h: hasher{autos: e.autos},
+		e.workers[w] = worker{eng: eng, h: hasher{lay: lay, autos: e.autos},
 			states: make([]core.State, e.width), succ: make([]core.State, e.width)}
 	}
 	return e, nil
@@ -697,7 +697,7 @@ const expandBatch = 32
 func (e *Explorer) expand(tasks []task) []taskResult {
 	e.results = slices.Grow(e.results[:0], len(tasks))
 	results := e.results[:len(tasks)]
-	size := len(tasks) * e.store.stride
+	size := len(tasks) * e.store.lay.size
 	e.recs = slices.Grow(e.recs[:0], size)[:size]
 	if e.store.canon {
 		e.keys = slices.Grow(e.keys[:0], size)[:size]
@@ -751,10 +751,10 @@ func (e *Explorer) expandTask(wk *worker, t *task, i int) taskResult {
 	if err != nil {
 		return taskResult{err: err}
 	}
-	stride := e.store.stride
-	copy(e.recs[i*stride:], rec)
+	size := e.store.lay.size
+	copy(e.recs[i*size:], rec)
 	if e.store.canon {
-		copy(e.keys[i*stride:], key)
+		copy(e.keys[i*size:], key)
 	}
 	return taskResult{enabled: enabled, hash: hash}
 }
@@ -780,7 +780,7 @@ func (e *Explorer) merge(tasks []task, results []taskResult) ([]frontierEntry, e
 		e.at = append(e.at, make([]int32, grow)...)
 	}
 	e.newTask = e.newTask[:0]
-	stride := e.store.stride
+	size := e.store.lay.size
 	var stop error
 	var delivery *violationRec
 	for i := range tasks {
@@ -794,10 +794,10 @@ func (e *Explorer) merge(tasks []task, results []taskResult) ([]frontierEntry, e
 			break
 		}
 		e.transitions++
-		rec := e.recs[i*stride : (i+1)*stride]
+		rec := e.recs[i*size : (i+1)*size]
 		key := rec
 		if e.store.canon {
-			key = e.keys[i*stride : (i+1)*stride]
+			key = e.keys[i*size : (i+1)*size]
 		}
 		id, slot := e.store.find(r.hash, key)
 		if id < 0 {
@@ -864,11 +864,7 @@ func (e *Explorer) result() *Result {
 	if total := e.transitions + e.slept; total > 0 {
 		r.PORSavingsPct = 100 * float64(e.slept) / float64(total)
 	}
-	var fp uint64
-	for id := int32(0); id < int32(e.store.len()); id++ {
-		fp ^= sim.FNV1a(sim.FNVOffset, e.store.key(id))
-	}
-	r.Fingerprint = fmt.Sprintf("%016x", fp)
+	r.Fingerprint = fmt.Sprintf("%016x", e.fingerprint())
 	switch {
 	case e.violation != nil:
 		r.Verdict = "violation"
@@ -880,6 +876,30 @@ func (e *Explorer) result() *Result {
 		r.Verdict = "bounded"
 	}
 	return r
+}
+
+// fingerprint returns the XOR of FNV-1a over every node's canonical key in
+// the wide layout. XOR commutes, so the workers fold contiguous ID ranges
+// in their decode buffers.
+func (e *Explorer) fingerprint() uint64 {
+	n := e.store.len()
+	workers := min(e.opts.Workers, max(1, n/checkBatch))
+	parts := make([]uint64, workers)
+	parallel(workers, func(w int) {
+		states := e.workers[w].states
+		var wide []byte
+		var fp uint64
+		for id := w * n / workers; id < (w+1)*n/workers; id++ {
+			wide = e.store.wideKey(wide[:0], int32(id), states)
+			fp ^= sim.FNV1a(sim.FNVOffset, wide)
+		}
+		parts[w] = fp
+	})
+	var fp uint64
+	for _, part := range parts {
+		fp ^= part
+	}
+	return fp
 }
 
 // Visited returns the sorted canonical keys of every interned state — the

@@ -203,7 +203,7 @@ func exploredSetsMatchProbe(t *testing.T, g *graph.Graph, opts Options, init str
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := hasher{autos: e.autos}
+	h := hasher{lay: e.store.lay, autos: e.autos}
 	states := make([]core.State, g.N())
 	nonCanonical := 0
 	for id := int32(0); id < int32(e.store.len()); id++ {
@@ -237,8 +237,9 @@ func exploredSetsMatchProbe(t *testing.T, g *graph.Graph, opts Options, init str
 
 // TestExplorerRetainedBytes is the store's memory gate: after Run on the
 // certify safety instance (grid:2x3 from faults:2, POR, symmetry, two
-// workers), the explorer retains at most 200 bytes of heap per interned
-// state — its record, enabled set, index slots and per-node columns.
+// workers), the explorer retains at most 60 bytes of heap per interned
+// state — its bit-packed record (11 bytes), enabled set, index slots and
+// per-node columns. It read 47 B; the 43-byte wide record read 84 B.
 func TestExplorerRetainedBytes(t *testing.T) {
 	g, err := graph.Grid(2, 3)
 	if err != nil {
@@ -267,8 +268,8 @@ func TestExplorerRetainedBytes(t *testing.T) {
 	if res.States != 109560 {
 		t.Fatalf("%d states, want 109560", res.States)
 	}
-	if perState > 200 {
-		t.Fatalf("the explorer retains %.1f B per interned state, want ≤ 200", perState)
+	if perState > 60 {
+		t.Fatalf("the explorer retains %.1f B per interned state, want ≤ 60", perState)
 	}
 }
 
@@ -407,8 +408,9 @@ func TestMaxStatesAborts(t *testing.T) {
 	}
 }
 
-// TestOptionAndUsageErrors covers the constructor and single-use guards
-// and the start vectors Run refuses.
+// TestOptionAndUsageErrors covers the constructor and single-use guards,
+// the layout limits New shares with CertifyLiveness, and the start vectors
+// Run refuses.
 func TestOptionAndUsageErrors(t *testing.T) {
 	g := mustGraph(t, graph.Line, 3)
 	if _, err := New(g, 0, Options{Power: "chaotic"}); err == nil {
@@ -458,6 +460,32 @@ func TestOptionAndUsageErrors(t *testing.T) {
 	e4, _ := New(g, 0, Options{})
 	if res, err := e4.Run([][]core.State{overflow}); err == nil || !strings.Contains(err.Error(), "p1 has level L=65541") {
 		t.Fatalf("Run = %+v, %v; want an error naming p1's level", res, err)
+	}
+	// One layout check for both searches: the wide key's 16-bit level and
+	// count fields must hold Lmax+1 and N'+1, the values one past each
+	// domain.
+	for _, tc := range []struct {
+		name string
+		opt  core.Option
+		ok   bool
+	}{
+		{"Lmax 65534", core.WithLmax(0xfffe), true},
+		{"Lmax 65535", core.WithLmax(0xffff), false},
+		{"N' 65534", core.WithNPrime(0xfffe), true},
+		{"N' 65535", core.WithNPrime(0xffff), false},
+	} {
+		copts := []core.Option{tc.opt}
+		_, errNew := New(g, 0, Options{CoreOptions: copts})
+		_, errLive := CertifyLiveness(g, 0, clean, LivenessOptions{Target: TargetNormal, CoreOptions: copts})
+		if tc.ok {
+			if errNew != nil || errLive != nil {
+				t.Fatalf("%s: New: %v; CertifyLiveness: %v; want both accepted", tc.name, errNew, errLive)
+			}
+			continue
+		}
+		if errNew == nil || errLive == nil || errNew.Error() != errLive.Error() || !strings.Contains(errNew.Error(), "exceed the 16-bit key layout") {
+			t.Fatalf("%s: New: %v; CertifyLiveness: %v; want the same 16-bit key layout error", tc.name, errNew, errLive)
+		}
 	}
 	e3, _ := New(g, 0, Options{})
 	if _, err := e3.Run(mustInits(t, "clean", g)); err != nil {

@@ -1,12 +1,16 @@
 package explore
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"snappif/internal/core"
 	"snappif/internal/graph"
+	"snappif/internal/sim"
 )
 
 // TestAdmissibleAutomorphismCounts pins the admissible group on the
@@ -88,7 +92,7 @@ func TestSymmetryReductionSoundOnStar(t *testing.T) {
 func TestKeyConstantOnOrbits(t *testing.T) {
 	g := mustGraph(t, graph.Star, 4)
 	autos := admissibleAutomorphisms(g, 0)
-	h := &hasher{autos: autos}
+	h := &hasher{lay: mustLayout(t, g, 1), autos: autos}
 	states := []core.State{
 		{Pif: core.B, Par: core.ParNone, L: 0, Count: 4},
 		{Pif: core.B, Par: 0, L: 1, Count: 1, Fok: true},
@@ -117,38 +121,93 @@ func TestKeyConstantOnOrbits(t *testing.T) {
 	}
 }
 
-// TestKeyBijectiveOnQuotient: two different quotient states never collide
-// (spot check: every field difference shows up in the key), decodeRecord
-// inverts the encoding on every one of them, and a field the record cannot
-// hold is an error naming the processor and field, never a silently
-// truncated key (a level of 65,541 would get the key of level 5).
-func TestKeyBijectiveOnQuotient(t *testing.T) {
-	h := &hasher{}
-	base := []core.State{
-		{Pif: core.B, Par: core.ParNone, Count: 1},
-		{Pif: core.B, Par: 0, L: 1, Count: 1},
-		{Pif: core.B, Par: 1, L: 2, Count: 1},
+// mustLayout returns the record layout of a search over the given number
+// of instances of the protocol core.New builds on g rooted at 0.
+func mustLayout(t *testing.T, g *graph.Graph, instances int, opts ...core.Option) layout {
+	t.Helper()
+	pr, err := core.New(g, 0, opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	lay, err := newLayout(pr, instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lay
+}
+
+// TestKeyBijectiveOnQuotient: over the ranges the layout derives from the
+// instance, two different quotient states never collide (every field's
+// first and last stored value shows up in the key), unpack inverts pack on
+// every one of them, and the first value past each range is an error
+// naming the processor and field, never a silently truncated record (in
+// the wide key's 16 bits a level of 65,541 would be level 5). It runs on
+// line-3 as built, on line-3 with the largest Lmax and N' the layout
+// accepts (16-bit level and count fields), and on the record of a
+// two-instance composition of line-3, which ends in two window bits.
+func TestKeyBijectiveOnQuotient(t *testing.T) {
+	g := mustGraph(t, graph.Line, 3)
+	for _, tc := range []struct {
+		name      string
+		instances int
+		opts      []core.Option
+		size      int // record bytes
+	}{
+		{"line-3", 1, nil, 5}, // 3 entries of 2+3+2+3+3 bits, 1 window bit
+		{"line-3-widest", 1, []core.Option{core.WithLmax(0xfffe), core.WithNPrime(0xfffe)}, 16},
+		{"two-instances", 2, nil, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pr := core.MustNew(g, 0, tc.opts...)
+			lay := mustLayout(t, g, tc.instances, tc.opts...)
+			if lay.size != tc.size {
+				t.Fatalf("record of %d bytes, want %d", lay.size, tc.size)
+			}
+			keyBijective(t, lay, pr, tc.instances)
+		})
+	}
+}
+
+// keyBijective runs TestKeyBijectiveOnQuotient on one layout of pr's
+// network, a line of three processors.
+func keyBijective(t *testing.T, lay layout, pr *core.Protocol, instances int) {
+	h := &hasher{lay: lay}
+	var base []core.State
+	for range instances {
+		base = append(base,
+			core.State{Pif: core.B, Par: core.ParNone, Count: 1},
+			core.State{Pif: core.B, Par: 0, L: 1, Count: 1},
+			core.State{Pif: core.B, Par: 1, L: 2, Count: 1})
+	}
+	last := len(base) - 1
 	type vec struct {
 		states []core.State
 		mon    monState
 	}
 	all := []vec{{base, monState{}}}
 	for _, mutate := range []func(s *core.State){
-		func(s *core.State) { s.Pif = core.F },
-		func(s *core.State) { s.Par = 0 },
-		func(s *core.State) { s.L = 7 },
-		func(s *core.State) { s.L = 65535 },
-		func(s *core.State) { s.Count = 300 },
+		func(s *core.State) { s.Pif = 0 },
+		func(s *core.State) { s.Pif = 3 },
+		func(s *core.State) { s.Par = -2 },
+		func(s *core.State) { s.Par = pr.N - 1 },
+		func(s *core.State) { s.L = 0 },
+		func(s *core.State) { s.L = pr.Lmax + 1 },
 		func(s *core.State) { s.Count = 0 },
+		func(s *core.State) { s.Count = pr.NPrime + 1 },
 		func(s *core.State) { s.Fok = true },
 		func(s *core.State) { s.Msg = 1 },
 	} {
 		v := append([]core.State(nil), base...)
-		mutate(&v[2])
+		mutate(&v[last])
 		all = append(all, vec{v, monState{}})
 	}
-	all = append(all, vec{base, monState{fed: 1 << 1}}, vec{base, monState{windows: 1}})
+	all = append(all,
+		vec{base, monState{fed: 1}},
+		vec{base, monState{fed: 1 << uint(last)}},
+		vec{base, monState{windows: 1}})
+	if instances > 1 {
+		all = append(all, vec{base, monState{windows: 1<<uint(instances) - 1}})
+	}
 	seen := map[string]int{}
 	for i, v := range all {
 		k := h.key(v.states, v.mon)
@@ -156,11 +215,11 @@ func TestKeyBijectiveOnQuotient(t *testing.T) {
 			t.Fatalf("vectors %d and %d collide", j, i)
 		}
 		seen[k] = i
-		if len(k) != keyBytesPerProc*len(base)+1 {
-			t.Fatalf("key length %d, want %d", len(k), keyBytesPerProc*len(base)+1)
+		if len(k) != lay.size {
+			t.Fatalf("key length %d, want %d", len(k), lay.size)
 		}
 		got := make([]core.State, len(base))
-		if mon := decodeRecord([]byte(k), got); !reflect.DeepEqual(got, v.states) || mon != v.mon {
+		if mon := lay.unpack([]byte(k), got); !reflect.DeepEqual(got, v.states) || mon != v.mon {
 			t.Fatalf("vector %d decodes to %+v %+v, want %+v %+v", i, got, mon, v.states, v.mon)
 		}
 	}
@@ -169,17 +228,119 @@ func TestKeyBijectiveOnQuotient(t *testing.T) {
 		mutate func(s *core.State)
 		want   string
 	}{
-		{func(s *core.State) { s.L = 65541 }, "p1 has level L=65541"},
-		{func(s *core.State) { s.L = -1 }, "p1 has level L=-1"},
-		{func(s *core.State) { s.Count = 1 << 16 }, "p1 has count 65536"},
+		{func(s *core.State) { s.Pif = 4 }, "p1 has phase 4 outside"},
+		{func(s *core.State) { s.Par = -3 }, "p1 has parent -3 outside"},
+		{func(s *core.State) { s.Par = pr.N }, fmt.Sprintf("p1 has parent %d outside", pr.N)},
 		{func(s *core.State) { s.Par = 254 }, "p1 has parent 254"},
-		{func(s *core.State) { s.Par = -3 }, "p1 has parent -3"},
+		{func(s *core.State) { s.L = -1 }, "p1 has level L=-1 outside"},
+		{func(s *core.State) { s.L = pr.Lmax + 2 }, fmt.Sprintf("p1 has level L=%d outside", pr.Lmax+2)},
+		{func(s *core.State) { s.L = 65541 }, "p1 has level L=65541"},
+		{func(s *core.State) { s.Count = -1 }, "p1 has count -1 outside"},
+		{func(s *core.State) { s.Count = pr.NPrime + 2 }, fmt.Sprintf("p1 has count %d outside", pr.NPrime+2)},
+		{func(s *core.State) { s.Count = 1 << 16 }, "p1 has count 65536"},
 	} {
 		v := append([]core.State(nil), base...)
 		tc.mutate(&v[1])
 		if _, _, _, err := h.encode(v, monState{}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("encode: err = %v, want %q", err, tc.want)
 		}
+	}
+}
+
+// TestCanonicalKeyAndFingerprintMatchWideKey pins the published contract
+// the packed record keeps. For every node, the stored canonical key must
+// decode to the orbit element whose wide key is the byte-wise least, and
+// the fingerprint must be the XOR of FNV-1a over those wide keys,
+// recomputed here term by term. ring-3 and star-4 have non-trivial groups;
+// line-3 and ring-3 built WithLmax(300) reach levels of 256 and more, where
+// the wide key's little-endian level bytes do not compare like the packed
+// field. Both also start from the clean configuration with p1 at level
+// 256: on ring-3, p1 and p2 then differ only in their levels 256 and 1, so
+// the least packed record of that orbit is the other element's (of 2 of
+// the 146 orbits in all). The pinned counts and fingerprints were measured
+// with the 43-byte wide key as the stored record.
+func TestCanonicalKeyAndFingerprintMatchWideKey(t *testing.T) {
+	lmax300 := []core.Option{core.WithLmax(300)}
+	for _, tc := range []struct {
+		name        string
+		build       func(int) (*graph.Graph, error)
+		n           int
+		opts        []core.Option
+		states      int
+		fingerprint string
+		reordered   bool // some orbit's least packed record is not its least wide key's
+	}{
+		{"ring-3", graph.Ring, 3, nil, 138, "170e8d78d81e3ba9", false},
+		{"star-4", graph.Star, 4, nil, 479, "cf3545ccd09013ff", false},
+		{"line-3-lmax-300", graph.Line, 3, lmax300, 175, "e3114aa123c6fc45", false},
+		{"ring-3-lmax-300", graph.Ring, 3, lmax300, 146, "dc0bd8aceda128c4", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := mustGraph(t, tc.build, tc.n)
+			inits, err := Inits("faults:2", g, 0, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.opts != nil {
+				start, err := Inits("clean", g, 0, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				start[0][1].L = 256
+				inits = append(inits, start[0])
+			}
+			e, err := New(g, 0, Options{POR: true, Symmetry: true, Workers: 2, CoreOptions: tc.opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Run(inits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states := make([]core.State, g.N())
+			keyed := make([]core.State, g.N())
+			var fp uint64
+			wideLevels, reordered := 0, 0
+			for id := int32(0); id < int32(e.store.len()); id++ {
+				mon := e.store.decode(id, states)
+				least := appendWideKey(nil, states, mon, nil, nil)
+				leastPacked := e.store.record(id)
+				for _, a := range e.autos {
+					if cand := appendWideKey(nil, states, mon, a.perm, a.inv); bytes.Compare(cand, least) < 0 {
+						least = cand
+					}
+					if cand := e.store.lay.pack(nil, states, mon, a.perm, a.inv); bytes.Compare(cand, leastPacked) < 0 {
+						leastPacked = cand
+					}
+				}
+				// The wide key is injective on the quotient, so equal wide
+				// keys mean the very same vector and monitor.
+				kmon := e.store.lay.unpack(e.store.key(id), keyed)
+				if got := appendWideKey(nil, keyed, kmon, nil, nil); !bytes.Equal(got, least) {
+					t.Fatalf("state %d: stored key decodes to wide key %v, the least wide key of its orbit is %v", id, got, least)
+				}
+				fp ^= sim.FNV1a(sim.FNVOffset, least)
+				if !bytes.Equal(leastPacked, e.store.key(id)) {
+					reordered++
+				}
+				if slices.ContainsFunc(states, func(s core.State) bool { return s.L >= 256 }) {
+					wideLevels++
+				}
+			}
+			if got := fmt.Sprintf("%016x", fp); got != res.Fingerprint {
+				t.Fatalf("fingerprint %s, the XOR of FNV-1a over the wide keys is %s", res.Fingerprint, got)
+			}
+			if res.States != tc.states || res.Fingerprint != tc.fingerprint {
+				t.Fatalf("%d states, fingerprint %s; want %d, %s", res.States, res.Fingerprint, tc.states, tc.fingerprint)
+			}
+			if tc.opts != nil && wideLevels == 0 {
+				t.Fatal("no state reaches a level of 256")
+			}
+			if (reordered > 0) != tc.reordered {
+				t.Fatalf("%d orbits whose least packed record is another element's; want some: %v", reordered, tc.reordered)
+			}
+			t.Logf("%d states, %d with a level of 256 or more, %d orbits ordered otherwise by packed records", res.States, wideLevels, reordered)
+		})
 	}
 }
 

@@ -170,6 +170,10 @@ func newLivenessSearch(g *graph.Graph, root int, opts LivenessOptions) (*livenes
 	if err != nil {
 		return nil, err
 	}
+	lay, err := newLayout(pr, 1)
+	if err != nil {
+		return nil, err
+	}
 	if opts.Bound <= 0 {
 		if opts.Target == TargetCycle {
 			opts.Bound = 5*(g.N()-1) + 5 // h ≤ n−1 for any constructed tree
@@ -183,8 +187,9 @@ func newLivenessSearch(g *graph.Graph, root int, opts LivenessOptions) (*livenes
 	}
 	return &livenessSearch{
 		g: g, opts: opts, pr: pr, eng: eng,
+		h:       hasher{lay: lay},
 		scratch: sim.NewConfiguration(g, pr),
-		store:   newStore(g.N(), false),
+		store:   newStore(lay, false),
 		states:  make([]core.State, g.N()),
 		next:    make([]core.State, g.N()),
 	}, nil

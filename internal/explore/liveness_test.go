@@ -117,7 +117,7 @@ func TestLivenessCacheSound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var h hasher
+			h := hasher{lay: s.store.lay}
 			rng := rand.New(rand.NewSource(1))
 			stamped := 0
 			for id := int32(0); id < int32(s.store.len()); id++ {

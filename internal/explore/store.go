@@ -13,33 +13,34 @@ import (
 // everything the store keeps of it lives in flat columns indexed by that ID,
 // so a finished search holds no per-node heap object:
 //
-//   - its record, the fixed-stride appendKey encoding of its vector and
-//     monitor (decodeRecord inverts it);
+//   - its record, the bit-packed encoding of its vector and monitor in
+//     the search's layout (decode inverts it);
 //   - its canonical key, in a column of its own only when the admissible
 //     group is non-trivial (otherwise the key is the record);
 //   - its engine-reported enabled set, 2 bytes per choice (processor,
 //     action) in a shared arena: a processor is below maxN and an action
 //     one of core's seven;
 //   - an openIndex over the canonical keys, hashed by indexHash. The
-//     fingerprint of a search stays FNV-1a over the same keys; the index
-//     hash only places nodes, so changing it moves no ID.
+//     fingerprint of a search is FNV-1a over the same keys in the wide
+//     layout (wideKey); the index hash only places nodes, so changing it
+//     moves no ID.
 //
 // Each search keeps its own extras in parallel columns of its own.
 type store struct {
-	stride int      // record bytes: keyBytesPerProc·n + 1
-	canon  bool     // canonical keys have a column of their own
-	recs   []byte   // node id's record at [id·stride, (id+1)·stride)
-	keys   []byte   // node id's canonical key, when canon
-	en     []byte   // enabled arena, 2 bytes per choice
-	enEnd  []uint32 // node id's enabled set ends at en[enEnd[id]]
-	index  openIndex
+	lay   layout   // the record format; every record is lay.size bytes
+	canon bool     // canonical keys have a column of their own
+	recs  []byte   // node id's record at [id·lay.size, (id+1)·lay.size)
+	keys  []byte   // node id's canonical key, when canon
+	en    []byte   // enabled arena, 2 bytes per choice
+	enEnd []uint32 // node id's enabled set ends at en[enEnd[id]]
+	index openIndex
 }
 
-// newStore returns an empty store for n processors. canon keeps a
+// newStore returns an empty store of records in layout lay. canon keeps a
 // canonical-key column (symmetry reduction with a non-trivial group).
 // Nothing is allocated until the first add.
-func newStore(n int, canon bool) store {
-	return store{stride: keyBytesPerProc*n + 1, canon: canon}
+func newStore(lay layout, canon bool) store {
+	return store{lay: lay, canon: canon}
 }
 
 // len returns the number of stored nodes.
@@ -47,8 +48,9 @@ func (s *store) len() int { return len(s.enEnd) }
 
 // record returns node id's record.
 func (s *store) record(id int32) []byte {
-	i := int(id) * s.stride
-	return s.recs[i : i+s.stride : i+s.stride]
+	n := s.lay.size
+	i := int(id) * n
+	return s.recs[i : i+n : i+n]
 }
 
 // key returns node id's canonical key.
@@ -56,8 +58,9 @@ func (s *store) key(id int32) []byte {
 	if !s.canon {
 		return s.record(id)
 	}
-	i := int(id) * s.stride
-	return s.keys[i : i+s.stride : i+s.stride]
+	n := s.lay.size
+	i := int(id) * n
+	return s.keys[i : i+n : i+n]
 }
 
 // find returns the ID of the node keyed key (-1 if none) and the slot the
@@ -116,9 +119,9 @@ func (s *store) rehash(size, n int) {
 // truncate drops every node from ID n on: it cuts every column and
 // rebuilds the index over the nodes kept.
 func (s *store) truncate(n int) {
-	s.recs = s.recs[:n*s.stride]
+	s.recs = s.recs[:n*s.lay.size]
 	if s.canon {
-		s.keys = s.keys[:n*s.stride]
+		s.keys = s.keys[:n*s.lay.size]
 	}
 	s.en = s.en[:s.enStart(int32(n))]
 	s.enEnd = s.enEnd[:n]
@@ -130,7 +133,16 @@ func (s *store) truncate(n int) {
 //
 //snapvet:hotpath
 func (s *store) decode(id int32, states []core.State) monState {
-	return decodeRecord(s.record(id), states)
+	return s.lay.unpack(s.record(id), states)
+}
+
+// wideKey appends node id's canonical key in the wide layout to b, decoding
+// it into states on the way.
+//
+//snapvet:hotpath
+func (s *store) wideKey(b []byte, id int32, states []core.State) []byte {
+	mon := s.lay.unpack(s.key(id), states)
+	return appendWideKey(b, states, mon, nil, nil)
 }
 
 // enStart returns the arena offset of node id's enabled set.
@@ -262,15 +274,23 @@ func finish(h uint64) uint64 {
 	return h ^ h>>31
 }
 
-// indexHash is the store's index hash of a key at least 8 bytes long, as
-// every record is: its length, then its little-endian words, the last one
-// read from the key's last 8 bytes (so it overlaps the one before when the
-// length is no multiple of 8).
+// indexHash is the store's index hash of a non-empty key: its length, then
+// its little-endian words, the last one read from the key's last 8 bytes
+// (so it overlaps the one before when the length is no multiple of 8). A key
+// shorter than 8 bytes is one word, zero-padded; the length tells the
+// padding apart.
 //
 //snapvet:hotpath
 func indexHash(key []byte) uint64 {
 	n := len(key)
 	h := uint64(n)
+	if n < 8 {
+		var w uint64
+		for i, b := range key {
+			w |= uint64(b) << (8 * i)
+		}
+		return finish(mixWord(h, w))
+	}
 	for i := 0; i+8 < n; i += 8 {
 		h = mixWord(h, binary.LittleEndian.Uint64(key[i:]))
 	}

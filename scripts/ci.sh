@@ -141,8 +141,8 @@ go test . -run TestMultiInitiatorCrossEngine -count=1
 echo "== determinism (telemetry: live wave spans == spans rebuilt from the trace, run-boundary rule) =="
 go test ./internal/telemetry/ -run 'TestSpansFromTraceMatchesLive|TestWaveSpanLifecycle' -count=1
 
-echo "== determinism (explore: violating runs across worker counts, liveness successor cache, stored enabled sets == fresh probes) =="
-go test ./internal/explore/ -run 'TestViolatingRunDeterministicAcrossWorkers|TestLivenessCacheSound|TestExploredEnabledSetsMatchProbe' -count=1
+echo "== determinism (explore: violating runs across worker counts, packed canonical keys and fingerprint == the wide key's, liveness successor cache, stored enabled sets == fresh probes) =="
+go test ./internal/explore/ -run 'TestViolatingRunDeterministicAcrossWorkers|TestCanonicalKeyAndFingerprintMatchWideKey|TestLivenessCacheSound|TestExploredEnabledSetsMatchProbe' -count=1
 
 echo "== hunt smoke (clean protocol must hunt clean on a 2x4 grid) =="
 go run ./cmd/pifhunt hunt -topo grid:2x4 -trials 4 -steps 4000
