@@ -2,6 +2,7 @@ package event_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -150,6 +151,77 @@ func TestZeroAllocsAfterFirstWave(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestScaleRetainedBytes is the large-N engine's memory gate: on the shape
+// of perfbench's scale workload — a fixed-seed RandomSparse(100000, 25000)
+// network, stored in BFS slot order, a summing fold and the synchronous
+// daemon — the graph, kernel, configuration and runner retain at most 145
+// bytes of heap per processor after two waves. That is the graph's CSR
+// adjacency, the slot layout, the state columns, the runner's columns and
+// the step buffers sized by the widest front. It read 178 B with a slice
+// header per graph node, 64-bit step stamps and a 64-byte core.State staged
+// per move, and 127 B with the CSR graph, int32 stamps and 16-byte write
+// sets. Each wave must also deliver the sum of the processors' values.
+func TestScaleRetainedBytes(t *testing.T) {
+	const n, extra, budget = 100_000, 25_000, 145
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	rng := rand.New(rand.NewSource(1))
+	g, err := graph.RandomSparse(n, extra, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := core.New(g, 0, core.WithCombine(func(acc, child int64) int64 { return acc + child }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := flat.FromCore(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := flat.NewConfig(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fc.Identity() {
+		t.Fatal("the network is stored by ID; the test needs the BFS slot layout")
+	}
+	var sum int64
+	for p := 0; p < n; p++ {
+		st := fc.StateAt(p)
+		st.Val = rng.Int63n(1 << 20)
+		fc.SetState(p, st)
+		sum += st.Val
+	}
+	r, err := event.NewRunner(fc, k, sim.Synchronous{}, event.Options{Options: sim.Options{Seed: 1, MaxSteps: math.MaxInt32}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for wave := 1; wave <= 2; {
+		prev := fc.Phase(0)
+		if done, err := r.Step(); done {
+			t.Fatalf("run ended in wave %d: %v", wave, err)
+		}
+		if prev == core.B && fc.Phase(0) == core.F {
+			if got := fc.Agg(0); got != sum {
+				t.Fatalf("wave %d delivered %d, want the value sum %d", wave, got, sum)
+			}
+			wave++
+		}
+	}
+	after := heap()
+	runtime.KeepAlive(r)
+	perProc := float64(after-before) / n
+	t.Logf("%.2f MB retained after two waves, %.1f B per processor", float64(after-before)/(1<<20), perProc)
+	if perProc > budget {
+		t.Fatalf("the large-N engine retains %.1f B per processor, want ≤ %d", perProc, budget)
 	}
 }
 

@@ -177,6 +177,14 @@ func TestEventGuardCacheFresh(t *testing.T) {
 	}
 }
 
+// move executes action a at slot p alone: the runner's stage/commit pair
+// for a one-move step.
+func move(k *flat.Protocol, c *flat.Config, p int, a int32) {
+	var w flat.Write
+	k.Stage(c, p, a, &w)
+	k.Commit(c, p, a, &w)
+}
+
 // TestReadersCoverGuardChanges is the kernel-level property behind the
 // cache: for every enabled action a at p, applying it alone changes the
 // enabled action of no processor outside p and Readers(p, a), and Readers
@@ -213,9 +221,7 @@ func TestReadersCoverGuardChanges(t *testing.T) {
 						a := before[p]
 						readers := k.Readers(fc, p, a)
 						next.CopyFrom(fc)
-						var st core.State
-						k.Apply(next, p, a, &st)
-						next.SetStateHot(int32(p), &st)
+						move(k, next, p, a)
 						if after := k.Readers(next, p, a); !slices.Equal(after, readers) {
 							t.Fatalf("%s/%s/seed=%d: Readers(%d, %d) = %v before the move, %v after", g.Name(), inj.Name, seed, p, a, readers, after)
 						}
@@ -235,9 +241,7 @@ func TestReadersCoverGuardChanges(t *testing.T) {
 						}
 					}
 					p := enabled[rng.Intn(len(enabled))]
-					var st core.State
-					k.Apply(fc, p, before[p], &st)
-					fc.SetStateHot(int32(p), &st)
+					move(k, fc, p, before[p])
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package event_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -239,5 +240,34 @@ func TestEventGateRejections(t *testing.T) {
 	}
 	if _, err := r.ServeStep(10); err == nil || !strings.Contains(err.Error(), "latency mode") {
 		t.Fatalf("ServeStep in external-daemon mode: err = %v", err)
+	}
+}
+
+// TestNewRunnerBoundsMaxSteps: the runner stamps steps in int32 columns, so
+// NewRunner accepts MaxSteps up to math.MaxInt32 and refuses a larger bound
+// with an error that names it.
+func TestNewRunnerBoundsMaxSteps(t *testing.T) {
+	g, err := graph.Line(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := core.New(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := flat.FromCore(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := flat.NewConfig(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := event.NewRunner(fc, k, sim.Synchronous{}, event.Options{Options: sim.Options{MaxSteps: math.MaxInt32}}); err != nil {
+		t.Fatalf("MaxSteps = math.MaxInt32: %v", err)
+	}
+	_, err = event.NewRunner(fc, k, sim.Synchronous{}, event.Options{Options: sim.Options{MaxSteps: math.MaxInt32 + 1}})
+	if err == nil || !strings.Contains(err.Error(), "2147483647") {
+		t.Fatalf("MaxSteps = math.MaxInt32+1: err = %v, want an error naming the bound 2147483647", err)
 	}
 }

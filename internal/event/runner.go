@@ -2,6 +2,7 @@ package event
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -12,7 +13,10 @@ import (
 )
 
 // Options configures an event-engine run. The embedded sim.Options keep
-// their meaning and defaults, exactly as in the sim engine.
+// their meaning and defaults, exactly as in the sim engine, with one bound:
+// MaxSteps may be at most 2³¹−1 (math.MaxInt32), because the runner keeps
+// its per-processor step and round stamps in int32 columns. NewRunner
+// refuses a larger MaxSteps.
 type Options struct {
 	sim.Options
 
@@ -132,26 +136,29 @@ type Runner struct {
 	have      bitmark
 	hw        int
 
-	root      int // the root's slot
-	lastReset []int
+	root int // the root's slot
+
+	// The per-slot step and epoch stamps are int32: a run has at most
+	// MaxSteps ≤ math.MaxInt32 steps, and no more rounds than steps.
+	lastReset []int32 // step of p's last move (its fairness age's origin)
 
 	// Epoch-based round accounting. A processor is pending in the current
 	// round iff it is enabled, was already enabled when the round started
 	// (enabledSince ≤ roundStart), and has not left yet (removedSeq ≠
 	// roundSeq). A round boundary is then O(1): bump roundSeq — which
 	// implicitly empties the removed set — and snapshot the enabled count.
-	roundSeq     int   // current round epoch, starts at 1
-	roundStart   int   // step at which the current round's snapshot was taken
-	enabledSince []int // step of p's last disabled→enabled transition
-	removedSeq   []int // round epoch in which p last left the round
+	roundSeq     int32   // current round epoch, starts at 1
+	roundStart   int32   // step at which the current round's snapshot was taken
+	enabledSince []int32 // step of p's last disabled→enabled transition
+	removedSeq   []int32 // round epoch in which p last left the round
 	pendingCount int
 	enabledCount int
 
 	// dirty is the set of slots whose guards refresh re-evaluates.
 	dirty *hbits
 
-	// stage holds the next state of each move, in moves order.
-	stage []core.State
+	// stage holds the write set of each move, in moves order.
+	stage []flat.Write
 
 	actionMoves []int
 	actPrev     []int
@@ -217,6 +224,9 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 	if opts.MaxSteps <= 0 {
 		opts.MaxSteps = 1_000_000
 	}
+	if opts.MaxSteps > math.MaxInt32 {
+		return nil, fmt.Errorf("event: MaxSteps %d exceeds the event engine's bound of %d steps", opts.MaxSteps, math.MaxInt32)
+	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
@@ -237,11 +247,11 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 		enabled:   newHbits(n),
 		have:      newBitmark(n),
 		root:      c.Slot(k.Root),
-		lastReset: make([]int, n),
+		lastReset: make([]int32, n),
 
 		roundSeq:     1,
-		enabledSince: make([]int, n),
-		removedSeq:   make([]int, n),
+		enabledSince: make([]int32, n),
+		removedSeq:   make([]int32, n),
 
 		dirty: newHbits(n),
 
@@ -562,10 +572,10 @@ func (r *Runner) Step() (done bool, err error) {
 		r.reserve(len(moves))
 	}
 	for i, ch := range moves {
-		r.k.Apply(r.c, ch.Proc, int32(ch.Action), &r.stage[i])
+		r.k.Stage(r.c, ch.Proc, int32(ch.Action), &r.stage[i])
 	}
 	for i, ch := range moves {
-		r.c.SetStateHot(int32(ch.Proc), &r.stage[i])
+		r.k.Commit(r.c, ch.Proc, int32(ch.Action), &r.stage[i])
 	}
 	packed := false
 	if r.tel != nil {
@@ -621,7 +631,7 @@ func (r *Runner) Step() (done bool, err error) {
 	// Executed processors leave the round and restart their fairness age.
 	for _, ch := range moves {
 		s := ch.Proc
-		r.lastReset[s] = steps
+		r.lastReset[s] = int32(steps)
 		if r.enabledSince[s] <= r.roundStart && r.removedSeq[s] != r.roundSeq {
 			r.removedSeq[s] = r.roundSeq
 			r.pendingCount--
@@ -629,8 +639,9 @@ func (r *Runner) Step() (done bool, err error) {
 	}
 
 	if r.mirror != nil {
-		for i, ch := range moves {
-			*(r.mirror.States[r.c.Proc(ch.Proc)].(*core.State)) = r.c.ProcState(&r.stage[i])
+		for _, ch := range moves {
+			p := r.c.Proc(ch.Proc)
+			*(r.mirror.States[p].(*core.State)) = r.c.StateAt(p)
 		}
 	}
 	for _, o := range r.opts.Observers {
@@ -670,7 +681,7 @@ func (r *Runner) Step() (done bool, err error) {
 			}
 		}
 		r.roundSeq++
-		r.roundStart = steps
+		r.roundStart = int32(steps)
 		r.pendingCount = r.enabledCount
 	}
 
@@ -879,7 +890,7 @@ func (r *Runner) reserve(n int) {
 		r.daemonBuf = slices.Grow(r.daemonBuf[:0], r.hw)
 	}
 	r.selBuf = slices.Grow(r.selBuf[:0], r.hw)
-	r.stage = make([]core.State, r.hw)
+	r.stage = make([]flat.Write, r.hw)
 }
 
 // AppendEnabled appends the currently enabled choices to buf in ascending
@@ -921,7 +932,7 @@ func (r *Runner) forceAged(selected, enabled []sim.Choice) ([]sim.Choice, int) {
 	steps := r.res.Steps
 	for i := range enabled {
 		proc := enabled[i].Proc
-		if !r.have.test(proc) && steps-r.lastReset[r.c.Slot(proc)] >= bound {
+		if !r.have.test(proc) && steps-int(r.lastReset[r.c.Slot(proc)]) >= bound {
 			selected = append(selected, enabled[i+r.rng.Intn(1)])
 			r.have.set(proc)
 			distinct++
@@ -979,7 +990,7 @@ func (r *Runner) reguard(p int) {
 		// (enabledSince > roundStart).
 		r.enabled.set(p)
 		r.enabledCount++
-		r.lastReset[p] = r.res.Steps - 1
-		r.enabledSince[p] = r.res.Steps
+		r.lastReset[p] = int32(r.res.Steps - 1)
+		r.enabledSince[p] = int32(r.res.Steps)
 	}
 }

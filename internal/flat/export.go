@@ -11,10 +11,9 @@ import "snappif/internal/core"
 // annotations so snapvet's allocation budget follows the calls across the
 // package boundary.
 //
-// The kernel surface speaks slots (see layout): EnabledAction, Apply,
-// Readers, Neighbors and SetStateHot take a slot, and the states Apply
-// stages hold Par as a slot. Slot and Proc translate at the boundary, and
-// ProcState turns a staged state into processor IDs. Everything else on
+// The kernel surface speaks slots (see layout): EnabledAction, Stage,
+// Commit, Readers and Neighbors take a slot, and a staged Write holds Par
+// as a slot. Slot and Proc translate at the boundary. Everything else on
 // Config takes processor IDs.
 
 // NoAction is the guard cache's "no enabled action" sentinel, the exported
@@ -28,25 +27,12 @@ const NoAction = noAction
 //snapvet:hotpath
 func (k *Protocol) EnabledAction(c *Config, s int) int32 { return k.enabledAction(c, s) }
 
-// Apply stages action a at slot s: dst receives the next state, computed
-// from the pre-step slices of c, with Par as a slot. The caller owns commit
-// ordering (composite atomicity: stage everything, then scatter-commit).
-//
-//snapvet:hotpath
-func (k *Protocol) Apply(c *Config, s int, a int32, dst *core.State) { k.apply(c, s, a, dst) }
-
 // Neighbors returns slot s's CSR adjacency slice: slots, in the local order
 // ≺_p of the processor at s (shared immutable storage — callers must not
 // modify it).
 //
 //snapvet:hotpath
 func (c *Config) Neighbors(s int) []int32 { return c.neighbors(s) }
-
-// SetStateHot scatter-commits one state staged by Apply to slot s, the
-// exported counterpart of the commit loop's setStateHot.
-//
-//snapvet:hotpath
-func (c *Config) SetStateHot(s int32, st *core.State) { c.setStateHot(s, st) }
 
 // Slot returns processor p's slot.
 //
@@ -63,16 +49,6 @@ func (c *Config) Proc(s int) int { return c.procOf(s) }
 //
 //snapvet:hotpath
 func (c *Config) Identity() bool { return c.proc == nil }
-
-// ProcState returns st, a state staged by Apply, with Par translated from
-// a slot to a processor ID.
-//
-//snapvet:hotpath
-func (c *Config) ProcState(st *core.State) core.State {
-	out := *st
-	out.Par = c.parProc(int32(st.Par))
-	return out
-}
 
 // Phase reads processor p's phase register without gathering the full
 // state.

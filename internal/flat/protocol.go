@@ -372,71 +372,97 @@ func (k *Protocol) aggregate(c *Config, p int) int64 {
 	return acc
 }
 
-// apply executes action a at slot p, reading the pre-step slices and
-// writing p's next state into *dst, Par as a slot — the flat counterpart of
-// core.Protocol.apply. It must not touch any Config slice (staging and
-// commit are the runner's job), except for the root's broadcast counter,
-// which only the root's B-action advances.
+// Write is the write set of one move: the values its action writes that
+// are not constants of the statement, read from the pre-step configuration
+// by Stage and written by Commit. A move writes at most six fields of
+// core.State and usually one or two, so the runner stages these 16 bytes a
+// move instead of a 64-byte core.State. Which fields are live depends on
+// the action:
+//
+//   - Broadcast: par and level are the Potential parent's slot and its level
+//     plus one (a non-root move; the root keeps both), and word the message
+//     the move takes, the parent's or, at the root, the next payload;
+//   - NewCount: par is the new count and level the root's new Fok (0 or 1);
+//   - Feedback: word is the folded aggregate.
+//
+// Every other action writes constants only (ChangeFok, Cleaning and the
+// corrections).
+type Write struct {
+	par, level int32
+	word       uint64
+}
+
+// Stage computes the write set of action a at slot p from the pre-step
+// slices into *w — the reads of core.Protocol.Apply's statement. It must
+// not touch any Config slice (composite atomicity: the runner stages every
+// move before it commits any), and it advances only the root's broadcast
+// counter, which only the root's B-action reads. Par is staged as a slot.
 //
 //snapvet:hotpath
-func (k *Protocol) apply(c *Config, p int, a int32, dst *core.State) {
-	*dst = core.State{
-		Pif:   core.Phase(c.pif[p]),
-		Par:   int(c.par[p]),
-		L:     int(c.level[p]),
-		Count: int(c.count[p]),
-		Fok:   c.fok[p],
-		Msg:   c.msg[p],
-		Val:   c.val[p],
-		Agg:   c.agg[p],
-	}
-	if p == k.root {
-		switch a {
-		case core.ActionB:
-			dst.Pif = core.B
-			dst.Count = 1
-			dst.Fok = k.N == 1
-			dst.Msg = k.nextMsg
-			//snapvet:ok only the root's B-action reaches this, and a daemon selects at most one action per processor per step
-			k.nextMsg++
-		case core.ActionF:
-			dst.Pif = core.F
-			dst.Agg = k.aggregate(c, p)
-		case core.ActionC:
-			dst.Pif = core.C
-		case core.ActionCount:
-			sum := k.sum(c, p)
-			dst.Count = minInt(sum, k.NPrime)
-			dst.Fok = sum == k.N
-		case core.ActionBCorrection:
-			dst.Pif = core.C
-		default:
-			panic(fmt.Sprintf("flat: root action %d out of range", a)) //snapvet:ok cold invariant-violation path, never taken in a legal run
-		}
-		return
-	}
+func (k *Protocol) Stage(c *Config, p int, a int32, w *Write) {
 	switch a {
 	case core.ActionB:
+		if p == k.root {
+			w.word = k.nextMsg
+			//snapvet:ok only the root's B-action reaches this, and a daemon selects at most one action per processor per step
+			k.nextMsg++
+			return
+		}
 		par := k.bestPotential(c, p)
-		dst.Par = int(par)
-		dst.L = int(c.level[par]) + 1
-		dst.Count = 1
-		dst.Fok = false
-		dst.Pif = core.B
-		dst.Msg = c.msg[par]
-	case core.ActionFok:
-		dst.Fok = true
+		w.par, w.level, w.word = par, c.level[par]+1, c.msg[par]
 	case core.ActionF:
-		dst.Pif = core.F
-		dst.Agg = k.aggregate(c, p)
-	case core.ActionC:
-		dst.Pif = core.C
+		w.word = uint64(k.aggregate(c, p))
 	case core.ActionCount:
-		dst.Count = minInt(k.sum(c, p), k.NPrime)
+		sum := k.sum(c, p)
+		w.par, w.level = int32(minInt(sum, k.NPrime)), 0
+		if p == k.root && sum == k.N {
+			w.level = 1
+		}
+	case core.ActionFok, core.ActionFCorrection:
+		if p == k.root {
+			panic(fmt.Sprintf("flat: root action %d out of range", a)) //snapvet:ok cold invariant-violation path, never taken in a legal run
+		}
+	case core.ActionC, core.ActionBCorrection:
+	default:
+		panic(fmt.Sprintf("flat: action %d out of range", a)) //snapvet:ok cold invariant-violation path, never taken in a legal run
+	}
+}
+
+// Commit writes the write set w that Stage computed for action a at slot p
+// into c, with the statement's constants: only the columns the action
+// changes.
+//
+//snapvet:hotpath
+func (k *Protocol) Commit(c *Config, p int, a int32, w *Write) {
+	root := p == k.root
+	switch a {
+	case core.ActionB:
+		if !root {
+			c.par[p], c.level[p] = w.par, w.level
+		}
+		c.pif[p] = phB
+		c.count[p] = 1
+		c.fok[p] = root && k.N == 1
+		c.msg[p] = w.word
+	case core.ActionFok:
+		c.fok[p] = true
+	case core.ActionF:
+		c.pif[p] = phF
+		c.agg[p] = int64(w.word)
+	case core.ActionCount:
+		c.count[p] = w.par
+		if root {
+			c.fok[p] = w.level != 0
+		}
 	case core.ActionBCorrection:
-		dst.Pif = core.F
-	case core.ActionFCorrection:
-		dst.Pif = core.C
+		// The root restarts clean; any other processor feeds back.
+		if root {
+			c.pif[p] = phC
+		} else {
+			c.pif[p] = phF
+		}
+	case core.ActionC, core.ActionFCorrection:
+		c.pif[p] = phC
 	default:
 		panic(fmt.Sprintf("flat: action %d out of range", a)) //snapvet:ok cold invariant-violation path, never taken in a legal run
 	}

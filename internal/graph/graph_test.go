@@ -146,6 +146,42 @@ func TestNeighborsSortedAndConsistent(t *testing.T) {
 	}
 }
 
+// TestZeroGraphEmpty: the zero value is the empty graph.
+func TestZeroGraphEmpty(t *testing.T) {
+	var g graph.Graph
+	if g.N() != 0 || g.M() != 0 || len(g.Edges()) != 0 {
+		t.Fatalf("zero Graph: N=%d M=%d edges=%v, want an empty graph", g.N(), g.M(), g.Edges())
+	}
+}
+
+// TestNeighborsCapacityCapped: every adjacency list is a window into one
+// array shared by all nodes, so its capacity must end where the list does.
+// An append to one list then copies it instead of overwriting the next
+// node's list.
+func TestNeighborsCapacityCapped(t *testing.T) {
+	for _, mk := range []func() (*graph.Graph, error){
+		func() (*graph.Graph, error) { return graph.Line(5) },
+		func() (*graph.Graph, error) { return graph.Star(6) },
+		func() (*graph.Graph, error) { return graph.Grid(3, 4) },
+		func() (*graph.Graph, error) { return graph.RandomSparse(200, 50, rand.New(rand.NewSource(7))) },
+	} {
+		g, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < g.N(); p++ {
+			if nb := g.Neighbors(p); cap(nb) != len(nb) {
+				t.Fatalf("%s: Neighbors(%d) has len %d, cap %d", g.Name(), p, len(nb), cap(nb))
+			}
+		}
+		next := append([]int(nil), g.Neighbors(1)...)
+		_ = append(g.Neighbors(0), -1)
+		if !reflect.DeepEqual(g.Neighbors(1), next) {
+			t.Fatalf("%s: appending to Neighbors(0) changed Neighbors(1) from %v to %v", g.Name(), next, g.Neighbors(1))
+		}
+	}
+}
+
 func TestEdgesRoundTrip(t *testing.T) {
 	g, err := graph.Grid(3, 3)
 	if err != nil {

@@ -18,7 +18,7 @@ func (g *Graph) BFS(src int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(u) {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
@@ -66,7 +66,7 @@ func (g *Graph) BFSTree(root int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(u) {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
 				parent[v] = u
@@ -116,7 +116,7 @@ func (g *Graph) LongestChordlessPathFrom(root int) int {
 		if depth > best {
 			best = depth
 		}
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(u) {
 			if onPath[v] || !g.chordFree(path, v) {
 				continue
 			}

@@ -112,13 +112,13 @@ go test -race ./internal/service/ ./cmd/pifserve/
 echo "== race: soak (reduced horizon) =="
 go test -race -short -run TestSoakManyWaves -count=1 .
 
-echo "== allocation budget (zero allocs/step after warm-up and over a wave after the first, disabled tracer included; guard work of an explored transition; explorer bytes per state; objects per certify run; Section-4 checks) =="
+echo "== allocation budget (zero allocs/step after warm-up and over a wave after the first, disabled tracer included; guard work of an explored transition; explorer bytes per state; large-N engine bytes per processor; objects per certify run; Section-4 checks) =="
 go test ./internal/sim/ -run 'TestZeroAllocs|TestCycleByteBudget|TestChoicesBufferReuse|TestCopyFromZeroAllocs' -count=1 -v
 go test ./internal/explore/ -run 'TestSimEngineAllocs|TestSimEngineGuardWork|TestExplorerRetainedBytes|TestCertifyAllocs' -count=1 -v
 go test ./internal/check/ -run TestSectionFourChecksAllocateNothing -count=1 -v
 go test ./internal/obs/ -run TestDisabledTracerZeroAllocs -count=1 -v
 go test ./internal/flat/ -run 'TestFlatCopyFromZeroAllocs' -count=1 -v
-go test ./internal/event/ -run 'TestEventZeroAllocsPerStep|TestZeroAllocsAfterFirstWave' -count=1 -v
+go test ./internal/event/ -run 'TestEventZeroAllocsPerStep|TestZeroAllocsAfterFirstWave|TestScaleRetainedBytes' -count=1 -v
 go test ./internal/telemetry/ -run 'TestDisabledAllocs|TestEnabledSteadyStateAllocs' -count=1 -v
 
 echo "== determinism (serial vs parallel, optimized vs reference) =="
