@@ -157,15 +157,17 @@ func TestZeroAllocsAfterFirstWave(t *testing.T) {
 // TestScaleRetainedBytes is the large-N engine's memory gate: on the shape
 // of perfbench's scale workload — a fixed-seed RandomSparse(100000, 25000)
 // network, stored in BFS slot order, a summing fold and the synchronous
-// daemon — the graph, kernel, configuration and runner retain at most 145
+// daemon — the graph, kernel, configuration and runner retain at most 110
 // bytes of heap per processor after two waves. That is the graph's CSR
 // adjacency, the slot layout, the state columns, the runner's columns and
 // the step buffers sized by the widest front. It read 178 B with a slice
 // header per graph node, 64-bit step stamps and a 64-byte core.State staged
-// per move, and 127 B with the CSR graph, int32 stamps and 16-byte write
-// sets. Each wave must also deliver the sum of the processors' values.
+// per move; 127 B with the CSR graph, int32 stamps and 16-byte write sets;
+// and 92 B once the synchronous step kept no choice lists, fairness ages or
+// round epochs and the guard cache took a byte a processor. Each wave must
+// also deliver the sum of the processors' values.
 func TestScaleRetainedBytes(t *testing.T) {
-	const n, extra, budget = 100_000, 25_000, 145
+	const n, extra, budget = 100_000, 25_000, 110
 	heap := func() int64 {
 		runtime.GC()
 		var ms runtime.MemStats

@@ -3,11 +3,13 @@ package event
 import "math/bits"
 
 // hbits is the event scheduler's two-level hierarchical bitset with a
-// maintained population count. The runner keeps three: the enabled set,
-// enumerated by forEach to rebuild the choice buffer, and two sets filled
-// by set and emptied by drain: the dirty set of a step's guard refresh and
-// the latency mode's wake batch. Both walks hand the IDs out in ascending
-// order.
+// maintained population count. The runner keeps up to four: the enabled
+// set, enumerated by forEach to rebuild the choice buffer and to walk the
+// synchronous step's moves, and three sets filled by set and emptied by
+// drain: the dirty set of a step's guard refresh, the order set that
+// re-sorts slots by processor ID under a slot layout (allocated on first
+// use), and the latency mode's wake batch. Both walks hand the IDs out in
+// ascending order.
 //
 // The span [lo, hi] holds every summary word with a bit set: set widens
 // it, forEach narrows it to the non-empty words it finds, and drain

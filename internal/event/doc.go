@@ -58,7 +58,10 @@
 //
 // Under a BFS slot layout (see flat.Config) the step also re-sorts the
 // enabled list and the selection between slot and processor order through
-// a scratch bitset: O(batch + the span of summary words it touches).
+// a scratch bitset: O(batch + the span of summary words it touches). The
+// synchronous daemon's step skips that and every per-step list: its moves
+// are the enabled set read in slot order, each step is one round, and the
+// selection is listed in processor order only for observers and telemetry.
 //
 // See DESIGN.md §12 for the queue layout, the invalidation rules, and the
 // latency model.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snappif/internal/core"
@@ -140,10 +141,23 @@ func TestSlotLayoutMatchesSim(t *testing.T) {
 // obs.Tracer, which reads the event runner's mirror configuration; the
 // JSONL outputs must be equal byte for byte.
 func TestSlotLayoutTraceByteIdentical(t *testing.T) {
-	lc := newLayoutCase(t)
+	traceBothEngines(t, newLayoutCase(t), func() sim.Daemon { return sim.DistributedRandom{P: 0.5} })
+}
+
+// TestSlotLayoutSynchronousTraceByteIdentical is the trace differential
+// under the synchronous daemon, whose event step moves the enabled set in
+// slot order and hands observers the selection re-sorted by processor ID.
+func TestSlotLayoutSynchronousTraceByteIdentical(t *testing.T) {
+	traceBothEngines(t, newLayoutCase(t), func() sim.Daemon { return sim.Synchronous{} })
+}
+
+// traceBothEngines runs sim and the event runner under the daemon mk makes
+// from the same corrupted start, each traced by a full-mask obs.Tracer, and
+// fails unless the traces are equal byte for byte.
+func traceBothEngines(t *testing.T, lc layoutCase, mk func() sim.Daemon) {
+	t.Helper()
 	const steps, seed = 80, int64(42)
 	stop := func(rs *sim.RunState) bool { return rs.Steps >= steps }
-	mk := func() sim.Daemon { return sim.DistributedRandom{P: 0.5} }
 
 	pr1, cfg1 := lc.start(t, fault.UniformRandom(), seed)
 	var buf1 bytes.Buffer
@@ -172,6 +186,96 @@ func TestSlotLayoutTraceByteIdentical(t *testing.T) {
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
 		t.Fatalf("obs traces differ: sim %d bytes, event %d bytes\nfirst divergence: %s",
 			buf1.Len(), buf2.Len(), firstDiffLine(buf1.Bytes(), buf2.Bytes()))
+	}
+}
+
+// stepLog records what a sim run shows its observers and stop predicate
+// at every step: the executed choices, the enabled count after the guard
+// refresh, and the rounds completed (from the start, before any step).
+type stepLog struct {
+	executed [][]sim.Choice
+	enabled  []int
+	rounds   []int
+}
+
+func (l *stepLog) OnStep(_ int, executed []sim.Choice, _ *sim.Configuration) {
+	l.executed = append(l.executed, slices.Clone(executed))
+}
+
+func (l *stepLog) OnEnabled(_, enabled int) { l.enabled = append(l.enabled, enabled) }
+
+// TestSlotLayoutSynchronousTelemetry runs the synchronous daemon with
+// telemetry and no observer, so the event runner builds its selection in
+// processor-ID order for telemetry alone. Per step, the executed choices
+// (from the flight recorder's schedule), the enabled counts (from a
+// series row per step) and the rounds completed (from the stop predicate)
+// must equal what sim shows an observer, and every step must close a round.
+func TestSlotLayoutSynchronousTelemetry(t *testing.T) {
+	lc := newLayoutCase(t)
+	const steps, seed = 120, int64(5)
+
+	var want stepLog
+	pr, cfg := lc.start(t, fault.UniformRandom(), seed)
+	simRes, err := sim.Run(cfg, pr, sim.Synchronous{}, sim.Options{
+		Seed:      seed,
+		MaxSteps:  steps + 1,
+		Observers: []sim.Observer{&want},
+		StopWhen: func(rs *sim.RunState) bool {
+			want.rounds = append(want.rounds, rs.Rounds)
+			return rs.Steps >= steps
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var rounds []int
+	tel := telemetry.New(telemetry.Config{SampleEvery: 1, SeriesCap: steps, FlightDepth: 1, FlightEvery: steps + 1})
+	r, _, fc := lc.runner(t, fault.UniformRandom(), sim.Synchronous{}, event.Options{
+		Options: sim.Options{
+			Seed:     seed,
+			MaxSteps: steps + 1,
+			StopWhen: func(rs *sim.RunState) bool {
+				rounds = append(rounds, rs.Rounds)
+				return rs.Steps >= steps
+			},
+		},
+		Telemetry: tel,
+	})
+	res, err := drive(t, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, "event", simRes, res)
+	compareStates(t, "event", cfg, fc.ToSim())
+	if res.Rounds != res.Steps {
+		t.Fatalf("%d rounds in %d synchronous steps, want one a step", res.Rounds, res.Steps)
+	}
+	if !slices.Equal(rounds, want.rounds) {
+		t.Fatalf("rounds per step %v, sim %v", rounds, want.rounds)
+	}
+
+	sc, err := tel.DumpScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tel.Series().Rows()
+	if len(sc.Schedule) != steps || len(rows) != steps || len(want.executed) != steps {
+		t.Fatalf("%d scheduled steps and %d series rows, sim %d steps; want %d", len(sc.Schedule), len(rows), len(want.executed), steps)
+	}
+	for i, wantSel := range want.executed {
+		got := sc.Schedule[i]
+		if len(got) != len(wantSel) {
+			t.Fatalf("step %d executed %d choices, sim %d", i+1, len(got), len(wantSel))
+		}
+		for j, ch := range wantSel {
+			if got[j] != [2]int{ch.Proc, ch.Action} {
+				t.Fatalf("step %d: choice %d is %v, sim %v", i+1, j, got[j], ch)
+			}
+		}
+		if rows[i].Step != int64(i+1) || rows[i].Enabled != int64(want.enabled[i]) {
+			t.Fatalf("series row %d is step %d with %d enabled, sim step %d has %d", i, rows[i].Step, rows[i].Enabled, i+1, want.enabled[i])
+		}
 	}
 }
 

@@ -84,9 +84,10 @@ func Run(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (sim.Resu
 //     neighborhood (the guards' locality radius) with the same resulting
 //     cache as re-evaluating all of it.
 //   - Round accounting is epoch-based: a sequence number replaces a
-//     Θ(N/64) pending-bitset copy at every round boundary, which at
-//     N = 10⁶ under the synchronous daemon would be an O(N) cost *per
-//     step*.
+//     Θ(N/64) pending-bitset copy at every round boundary.
+//   - Under the synchronous daemon a step is one whole round: the moves are
+//     the enabled set itself, read in slot order, with no choice list,
+//     fairness ages or round epochs (see Step).
 //   - In latency mode the schedule itself comes from the wake queue, so a
 //     one-processor frontier steps in O(1) regardless of N.
 //
@@ -110,14 +111,19 @@ type Runner struct {
 	opts Options
 	rng  *rand.Rand
 
+	// sync marks the synchronous daemon in external-daemon mode, whose step
+	// moves every enabled processor; list that it builds the selection in
+	// ascending processor ID, which only observers and telemetry read.
+	sync, list bool
+
 	names []string
 	res   sim.Result
 	rs    sim.RunState
 
-	// Guard cache, by slot: acts[s] is the enabled action at slot s or
-	// flat.NoAction, enabled the corresponding slot set. buf is the choice
+	// Guard cache, by slot: acts[s] is the enabled action at slot s (0–6)
+	// or noAction, enabled the corresponding slot set. buf is the choice
 	// list in ascending processor ID, rebuilt only after a change.
-	acts     []int32
+	acts     []int8
 	enabled  *hbits
 	buf      []sim.Choice
 	bufValid bool
@@ -125,10 +131,10 @@ type Runner struct {
 	// The daemon's copy of the choice list and the step's selection, in
 	// ascending processor ID. The moves the step executes are the selection
 	// in ascending slot order with the slot in Proc (see slotOrder); order
-	// is the scratch set that converts between the two orders, nil under
-	// the identity layout, where the two lists are one. have marks the
-	// selection by processor ID for the fairness dedup. hw is the capacity
-	// every per-step buffer has been grown to.
+	// is the scratch set that converts between the two orders, allocated
+	// on first use and never under the identity layout, where the two lists
+	// are one. have marks the selection by processor ID for the fairness
+	// dedup. hw is the capacity every per-step buffer has been grown to.
 	daemonBuf []sim.Choice
 	selBuf    []sim.Choice
 	order     *hbits
@@ -139,7 +145,9 @@ type Runner struct {
 	root int // the root's slot
 
 	// The per-slot step and epoch stamps are int32: a run has at most
-	// MaxSteps ≤ math.MaxInt32 steps, and no more rounds than steps.
+	// MaxSteps ≤ math.MaxInt32 steps, and no more rounds than steps. Only
+	// fairness forcing reads lastReset, so it and have exist only under an
+	// external daemon other than the synchronous one.
 	lastReset []int32 // step of p's last move (its fairness age's origin)
 
 	// Epoch-based round accounting. A processor is pending in the current
@@ -147,6 +155,8 @@ type Runner struct {
 	// (enabledSince ≤ roundStart), and has not left yet (removedSeq ≠
 	// roundSeq). A round boundary is then O(1): bump roundSeq — which
 	// implicitly empties the removed set — and snapshot the enabled count.
+	// The synchronous step closes a round every step, keeps pendingCount
+	// at 0 and allocates neither column.
 	roundSeq     int32   // current round epoch, starts at 1
 	roundStart   int32   // step at which the current round's snapshot was taken
 	enabledSince []int32 // step of p's last disabled→enabled transition
@@ -189,6 +199,9 @@ type Runner struct {
 	finished bool
 	err      error
 }
+
+// noAction is flat.NoAction in the guard cache's int8 cells.
+const noAction = int8(flat.NoAction)
 
 // telSource adapts flat.Config to telemetry.StateSource.
 type telSource struct{ c *flat.Config }
@@ -234,6 +247,7 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 		opts.FairnessAge = 4 * c.N()
 	}
 	n := c.N()
+	_, sync := d.(sim.Synchronous)
 	r := &Runner{
 		c:    c,
 		k:    k,
@@ -241,23 +255,29 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 		lat:  opts.Latency,
 		opts: opts,
 		rng:  rand.New(rand.NewSource(opts.Seed)),
+		sync: sync && opts.Latency == nil,
 
-		names:     k.ActionNames(),
-		acts:      make([]int32, n),
-		enabled:   newHbits(n),
-		have:      newBitmark(n),
-		root:      c.Slot(k.Root),
-		lastReset: make([]int32, n),
+		names:   k.ActionNames(),
+		acts:    make([]int8, n),
+		enabled: newHbits(n),
+		root:    c.Slot(k.Root),
 
-		roundSeq:     1,
-		enabledSince: make([]int32, n),
-		removedSeq:   make([]int32, n),
+		roundSeq: 1,
 
 		dirty: newHbits(n),
 
 		gate:  opts.Gate,
 		limit: -1,
 	}
+	if !r.sync {
+		r.enabledSince = make([]int32, n)
+		r.removedSeq = make([]int32, n)
+		if r.lat == nil {
+			r.lastReset = make([]int32, n)
+			r.have = newBitmark(n)
+		}
+	}
+	r.list = r.sync && (len(opts.Observers) > 0 || opts.Telemetry.Enabled())
 	r.actionMoves = make([]int, len(r.names))
 	r.actPrev = make([]int, len(r.names))
 	r.res = sim.Result{MovesPerAction: make(map[string]int, len(r.names))}
@@ -269,20 +289,18 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 		r.facade = &sim.Configuration{G: c.G}
 	}
 	r.rs = sim.RunState{Config: r.mirror}
-	if !c.Identity() {
-		r.order = newHbits(n)
-		r.orderAct = make([]int8, n)
-	}
 
 	for s := 0; s < n; s++ {
-		a := k.EnabledAction(c, s)
+		a := int8(k.EnabledAction(c, s))
 		r.acts[s] = a
-		if a != flat.NoAction {
+		if a != noAction {
 			r.enabled.set(s)
 		}
 	}
 	r.enabledCount = r.enabled.count()
-	r.pendingCount = r.enabledCount
+	if !r.sync {
+		r.pendingCount = r.enabledCount
+	}
 	if r.lat == nil {
 		r.reserve(r.enabledCount)
 	}
@@ -377,7 +395,7 @@ func (r *Runner) EnabledCount() int { return r.enabledCount }
 // EnabledActionOf returns processor p's cached enabled action or
 // flat.NoAction. The serving layer's park check reads it to decide whether
 // a gated lane has quiesced down to exactly the withheld root broadcast.
-func (r *Runner) EnabledActionOf(p int) int32 { return r.acts[r.c.Slot(p)] }
+func (r *Runner) EnabledActionOf(p int) int32 { return int32(r.acts[r.c.Slot(p)]) }
 
 // NextWake returns the virtual time of the earliest pending wake, or -1
 // when the queue is empty (or the runner is in external-daemon mode). The
@@ -419,7 +437,7 @@ func (r *Runner) Idle() bool {
 func (r *Runner) anyEnabledUngated() bool {
 	any := false
 	r.enabled.forEach(func(s int) { //snapvet:ok non-escaping closure over r, stack-allocated
-		if !any && r.gate(r.c.Proc(s), r.acts[s]) {
+		if !any && r.gate(r.c.Proc(s), int32(r.acts[s])) {
 			any = true
 		}
 	})
@@ -477,6 +495,16 @@ func (r *Runner) finish() {
 // Step executes one committed step — one daemon selection, or one effective
 // wake batch — with sim.Runner.Step's exact contract.
 //
+// Under the synchronous daemon the step moves the whole enabled set, which
+// stands still until refresh re-guards, so the moves are read from it in
+// slot order and no choice list is kept: the selection the daemon would
+// return is the enabled list in processor-ID order (the PIF guards are
+// mutually exclusive, so onePerProc draws nothing from the RNG and no
+// fairness bound can force a processor the step does not already move), and
+// it is built only for observers and telemetry. Every such step is one
+// round. Every mode then shares the tail: stage, commit, count, mirror,
+// observers and refresh.
+//
 //snapvet:hotpath
 func (r *Runner) Step() (done bool, err error) {
 	if r.finished {
@@ -491,22 +519,24 @@ func (r *Runner) Step() (done bool, err error) {
 
 	var selected []sim.Choice
 	var all bool // the selection is the whole enabled set
-	if r.lat == nil {
+	switch {
+	case r.sync:
+		if done, err := r.stopped(); done {
+			return true, err
+		}
+		if r.enabledCount > r.hw {
+			r.reserve(r.enabledCount)
+		}
+		if r.list {
+			selected = r.choices()
+		}
+	case r.lat == nil:
 		if r.enabledCount > r.hw {
 			r.reserve(r.enabledCount)
 		}
 		enabled := r.choices()
-		if len(enabled) == 0 {
-			r.res.Terminal = true
-			r.finish()
-			return true, nil
-		}
-		if r.res.Steps >= r.opts.MaxSteps {
-			//snapvet:ok cold step-limit failure path, allocation acceptable
-			r.err = fmt.Errorf("sim: %s under %s after %d steps (%d rounds): %w",
-				r.k.Name(), r.daemonName(), r.res.Steps, r.res.Rounds, sim.ErrStepLimit) //snapvet:ok cold step-limit failure path, allocation acceptable
-			r.finish()
-			return true, r.err
+		if done, err := r.stopped(); done {
+			return true, err
 		}
 		// Selection: same buffers, same RNG draw sequence as sim.Runner.
 		r.daemonBuf = append(r.daemonBuf[:0], enabled...)
@@ -521,25 +551,16 @@ func (r *Runner) Step() (done bool, err error) {
 		}
 		selected = r.selBuf
 		all = distinct == len(enabled)
-	} else {
-		if r.enabledCount == 0 {
-			if r.gate != nil {
-				// Gated quiescence is not termination: the gate may open
-				// and a Wake re-arm the schedule.
-				r.progressed = false
-				return false, nil
-			}
+	default:
+		if r.enabledCount == 0 && r.gate != nil {
+			// Gated quiescence is not termination: the gate may open and a
+			// Wake re-arm the schedule.
 			r.progressed = false
-			r.res.Terminal = true
-			r.finish()
-			return true, nil
+			return false, nil
 		}
-		if r.res.Steps >= r.opts.MaxSteps {
-			//snapvet:ok cold step-limit failure path, allocation acceptable
-			r.err = fmt.Errorf("sim: %s under %s after %d steps (%d rounds): %w",
-				r.k.Name(), r.daemonName(), r.res.Steps, r.res.Rounds, sim.ErrStepLimit) //snapvet:ok cold step-limit failure path, allocation acceptable
-			r.finish()
-			return true, r.err
+		if done, err := r.stopped(); done {
+			r.progressed = false
+			return true, err
 		}
 		selected, err = r.nextBatch()
 		if err != nil {
@@ -567,16 +588,28 @@ func (r *Runner) Step() (done bool, err error) {
 	if stepStart > 0 {
 		commitStart = r.tel.Now()
 	}
-	moves := r.slotOrder(selected, all)
-	if len(moves) > r.hw {
-		r.reserve(len(moves))
+	var moves []sim.Choice // nil under the synchronous step: the enabled set
+	if !r.sync {
+		moves = r.slotOrder(selected, all)
+		if len(moves) > r.hw {
+			r.reserve(len(moves))
+		}
 	}
-	for i, ch := range moves {
-		r.k.Stage(r.c, ch.Proc, int32(ch.Action), &r.stage[i])
+	if r.tel != nil {
+		copy(r.actPrev, r.actionMoves)
 	}
-	for i, ch := range moves {
-		r.k.Commit(r.c, ch.Proc, int32(ch.Action), &r.stage[i])
-	}
+	i := 0
+	r.eachMove(moves, func(s int, a int32) { //snapvet:ok non-escaping closure, stack-allocated (proved by the CI alloc gates)
+		r.k.Stage(r.c, s, a, &r.stage[i])
+		i++
+	})
+	i = 0
+	r.eachMove(moves, func(s int, a int32) { //snapvet:ok non-escaping closure, stack-allocated (proved by the CI alloc gates)
+		r.k.Commit(r.c, s, a, &r.stage[i])
+		r.actionMoves[a]++
+		i++
+	})
+	r.res.Moves += i
 	packed := false
 	if r.tel != nil {
 		packed = r.tel.WantPacked()
@@ -597,13 +630,6 @@ func (r *Runner) Step() (done bool, err error) {
 		commitNS = r.tel.Now() - commitStart
 	}
 	var db, df, dc int
-	if r.tel != nil {
-		copy(r.actPrev, r.actionMoves)
-	}
-	for _, ch := range selected {
-		r.res.Moves++
-		r.actionMoves[ch.Action]++
-	}
 	if r.tel != nil {
 		root := r.k.Root
 		rootAct := -1
@@ -629,20 +655,24 @@ func (r *Runner) Step() (done bool, err error) {
 	}
 
 	// Executed processors leave the round and restart their fairness age.
-	for _, ch := range moves {
-		s := ch.Proc
-		r.lastReset[s] = int32(steps)
-		if r.enabledSince[s] <= r.roundStart && r.removedSeq[s] != r.roundSeq {
-			r.removedSeq[s] = r.roundSeq
-			r.pendingCount--
+	if !r.sync {
+		for _, ch := range moves {
+			s := ch.Proc
+			if r.lastReset != nil {
+				r.lastReset[s] = int32(steps)
+			}
+			if r.enabledSince[s] <= r.roundStart && r.removedSeq[s] != r.roundSeq {
+				r.removedSeq[s] = r.roundSeq
+				r.pendingCount--
+			}
 		}
 	}
 
 	if r.mirror != nil {
-		for _, ch := range moves {
-			p := r.c.Proc(ch.Proc)
+		r.eachMove(moves, func(s int, _ int32) { //snapvet:ok non-escaping closure, stack-allocated (proved by the CI alloc gates)
+			p := r.c.Proc(s)
 			*(r.mirror.States[p].(*core.State)) = r.c.StateAt(p)
-		}
+		})
 	}
 	for _, o := range r.opts.Observers {
 		o.OnStep(steps, selected, r.mirror)
@@ -669,8 +699,9 @@ func (r *Runner) Step() (done bool, err error) {
 	}
 
 	// Round boundary: every processor pending since the round started has
-	// now executed or been disabled. Bumping the epoch empties the removed
-	// set; the new snapshot is the enabled set by the membership predicate
+	// now executed or been disabled — after every synchronous step, whose
+	// pendingCount stays 0. Bumping the epoch empties the removed set; the
+	// new snapshot is the enabled set by the membership predicate
 	// (everything currently enabled has enabledSince ≤ the new roundStart).
 	if r.pendingCount == 0 {
 		r.res.Rounds++
@@ -680,14 +711,15 @@ func (r *Runner) Step() (done bool, err error) {
 				ro.OnRound(r.res.Rounds, r.mirror)
 			}
 		}
-		r.roundSeq++
-		r.roundStart = int32(steps)
-		r.pendingCount = r.enabledCount
+		if !r.sync {
+			r.roundSeq++
+			r.roundStart = int32(steps)
+			r.pendingCount = r.enabledCount
+		}
 	}
 
-	// Clear the fairness dedup marks set this step (external-daemon mode
-	// only; latency mode never marks).
-	if r.lat == nil {
+	// Clear the fairness dedup marks set this step (only forceAged marks).
+	if r.have != nil {
 		for _, ch := range selected {
 			r.have.clear(ch.Proc)
 		}
@@ -699,6 +731,50 @@ func (r *Runner) Step() (done bool, err error) {
 		return true, nil
 	}
 	return false, nil
+}
+
+// stopped ends the run before a step that cannot execute: with nothing
+// enabled it is terminal, and at MaxSteps it fails with sim.Runner's
+// step-limit error.
+//
+//snapvet:hotpath
+func (r *Runner) stopped() (bool, error) {
+	if r.enabledCount == 0 {
+		r.res.Terminal = true
+		r.finish()
+		return true, nil
+	}
+	if r.res.Steps >= r.opts.MaxSteps {
+		r.stepLimit()
+		return true, r.err
+	}
+	return false, nil
+}
+
+// stepLimit fails the run with sim.Runner's step-limit error.
+//
+//snapvet:coldpath runs once, when a run reaches MaxSteps
+func (r *Runner) stepLimit() {
+	r.err = fmt.Errorf("sim: %s under %s after %d steps (%d rounds): %w",
+		r.k.Name(), r.daemonName(), r.res.Steps, r.res.Rounds, sim.ErrStepLimit)
+	r.finish()
+}
+
+// eachMove calls fn with the slot and action of every move of the step, in
+// ascending slot order: the entries of moves or, under the synchronous step
+// (moves nil), the enabled set, which stands still until refresh re-guards.
+//
+//snapvet:hotpath
+func (r *Runner) eachMove(moves []sim.Choice, fn func(s int, a int32)) {
+	if !r.sync {
+		for _, ch := range moves {
+			fn(ch.Proc, int32(ch.Action))
+		}
+		return
+	}
+	r.enabled.forEach(func(s int) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
+		fn(s, int32(r.acts[s]))
+	})
 }
 
 // nextBatch advances the wake queue to the next effective batch: the woken
@@ -729,10 +805,10 @@ func (r *Runner) nextBatch() ([]sim.Choice, error) {
 		_, bucket, _ := r.q.pop()
 		for _, p := range bucket {
 			a := r.acts[r.c.Slot(int(p))]
-			if a == flat.NoAction || r.batch.test(int(p)) {
+			if a == noAction || r.batch.test(int(p)) {
 				continue
 			}
-			if r.gate != nil && !r.gate(int(p), a) {
+			if r.gate != nil && !r.gate(int(p), int32(a)) {
 				// Withheld: the wake is consumed. The gate opener owns the
 				// re-arm (Runner.Wake) — see Options.Gate.
 				continue
@@ -821,15 +897,18 @@ func (r *Runner) choices() []sim.Choice {
 		return r.buf
 	}
 	r.buf = r.buf[:0]
-	if r.order == nil {
+	if r.c.Identity() {
 		r.enabled.forEach(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
 			r.buf = append(r.buf, sim.Choice{Proc: p, Action: int(r.acts[p])})
 		})
 	} else {
+		if r.order == nil {
+			r.newOrder()
+		}
 		r.enabled.forEach(func(s int) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
 			p := r.c.Proc(s)
 			r.order.set(p)
-			r.orderAct[p] = int8(r.acts[s])
+			r.orderAct[p] = r.acts[s]
 		})
 		r.order.drain(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
 			r.buf = append(r.buf, sim.Choice{Proc: p, Action: int(r.orderAct[p])})
@@ -850,10 +929,13 @@ func (r *Runner) choices() []sim.Choice {
 //
 //snapvet:hotpath
 func (r *Runner) slotOrder(selected []sim.Choice, all bool) []sim.Choice {
-	if r.order == nil {
+	if r.c.Identity() {
 		return selected
 	}
 	if !all {
+		if r.order == nil {
+			r.newOrder()
+		}
 		for _, ch := range selected {
 			r.order.set(r.c.Slot(ch.Proc))
 		}
@@ -871,26 +953,39 @@ func (r *Runner) slotOrder(selected []sim.Choice, all bool) []sim.Choice {
 	return moves
 }
 
-// reserve is the one growth point of the per-step buffers: the selection,
-// the stage, under an external daemon the choice list and the daemon's
-// copy, and under a slot layout the moves (which slotOrder writes over the
-// daemon's copy). A step needs at most one entry per enabled processor
-// under an external daemon, and one per woken processor of the batch in
-// latency mode, so the buffers grow only when that count passes the
-// high-water mark hw, and then to a quarter above the new mark: a widening
-// front costs a logarithmic number of growths over a run, none per step.
+// reserve is the one growth point of the per-step buffers: the stage and,
+// unless the step is synchronous, the selection, under an external daemon
+// the choice list and the daemon's copy, and under a slot layout the moves
+// (which slotOrder writes over the daemon's copy). The synchronous step
+// keeps the choice list only for observers and telemetry (list). A step
+// needs at most one entry per enabled processor under an external daemon,
+// and one per woken processor of the batch in latency mode, so the buffers
+// grow only when that count passes the high-water mark hw, and then to a
+// quarter above the new mark: a widening front costs a logarithmic number
+// of growths over a run, none per step.
 //
 //snapvet:coldpath runs only when a step passes the high-water mark, a logarithmic number of times per run
 func (r *Runner) reserve(n int) {
 	r.hw = n + n/4
-	if r.lat == nil {
+	r.stage = make([]flat.Write, r.hw)
+	if r.lat == nil && (!r.sync || r.list) {
 		r.buf = slices.Grow(r.buf, r.hw-len(r.buf)) // keeps a valid choice list
 	}
-	if r.lat == nil || r.order != nil {
+	if r.sync {
+		return
+	}
+	if r.lat == nil || !r.c.Identity() {
 		r.daemonBuf = slices.Grow(r.daemonBuf[:0], r.hw)
 	}
 	r.selBuf = slices.Grow(r.selBuf[:0], r.hw)
-	r.stage = make([]flat.Write, r.hw)
+}
+
+// newOrder allocates the order set and its action column.
+//
+//snapvet:coldpath runs once per run, on the first re-sort under a slot layout
+func (r *Runner) newOrder() {
+	r.order = newHbits(r.c.N())
+	r.orderAct = make([]int8, r.c.N())
 }
 
 // AppendEnabled appends the currently enabled choices to buf in ascending
@@ -909,11 +1004,12 @@ func (r *Runner) AppendEnabled(buf []sim.Choice) []sim.Choice {
 // processor whose age reached the fairness bound joins the selection once,
 // consuming one Intn(1) draw — the generic runner's per-group draw (the PIF
 // guards are mutually exclusive, so each group is one choice) — to keep the
-// engines' draw sequences aligned. Latency mode never calls it — the
-// induced schedule is intrinsically weakly fair (an enabled processor
-// executes within Latency.Max()+1 ticks), and the differential harness pins
-// equivalence with sim-under-InducedDaemon for FairnessAge > Max()+1, where
-// sim's forcing never fires either.
+// engines' draw sequences aligned. The synchronous step never calls it: it
+// moves every enabled processor, so no age reaches the bound unmoved.
+// Neither does latency mode: the induced schedule is intrinsically weakly
+// fair (an enabled processor executes within Latency.Max()+1 ticks), and
+// the differential harness pins equivalence with sim-under-InducedDaemon
+// for FairnessAge > Max()+1, where sim's forcing never fires either.
 //
 // It also returns the number of distinct processors in the final
 // selection, which tells slotOrder whether the step moves every enabled
@@ -946,18 +1042,19 @@ func (r *Runner) forceAged(selected, enabled []sim.Choice) ([]sim.Choice, int) {
 // at most its closed neighborhood (the invalidation radius 1 that snapvet's
 // radiusbound analyzer certifies against Protocol.DirtyRadius) — and
 // commits the changes to the enabled set, the choice buffer, the round's
-// pending count, and the fairness ages. moves holds slots. The per-slot
-// updates commute, so the ascending drain of the dirty set only buys
-// memory locality.
+// pending count, and the fairness ages. moves holds slots, or is nil under
+// the synchronous step (see eachMove); the dirty set is complete before the
+// drain changes the enabled set. The per-slot updates commute, so the
+// ascending drain of the dirty set only buys memory locality.
 //
 //snapvet:hotpath
 func (r *Runner) refresh(moves []sim.Choice) {
-	for _, ch := range moves {
-		r.dirty.set(ch.Proc)
-		for _, q := range r.k.Readers(r.c, ch.Proc, int32(ch.Action)) {
+	r.eachMove(moves, func(s int, a int32) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
+		r.dirty.set(s)
+		for _, q := range r.k.Readers(r.c, s, a) {
 			r.dirty.set(int(q))
 		}
-	}
+	})
 	r.dirty.drain(r.reguard)
 }
 
@@ -966,7 +1063,7 @@ func (r *Runner) refresh(moves []sim.Choice) {
 //
 //snapvet:hotpath
 func (r *Runner) reguard(p int) {
-	a := r.k.EnabledAction(r.c, p)
+	a := int8(r.k.EnabledAction(r.c, p))
 	old := r.acts[p]
 	if a == old {
 		r.guardHits++
@@ -976,21 +1073,26 @@ func (r *Runner) reguard(p int) {
 	r.acts[p] = a
 	r.bufValid = false
 	switch {
-	case a == flat.NoAction:
-		// Enabled → disabled: p leaves the round.
+	case a == noAction:
+		// Enabled → disabled: p leaves the round (the synchronous step's
+		// rounds end with every step and keep no epochs).
 		r.enabled.clear(p)
 		r.enabledCount--
-		if r.enabledSince[p] <= r.roundStart && r.removedSeq[p] != r.roundSeq {
+		if !r.sync && r.enabledSince[p] <= r.roundStart && r.removedSeq[p] != r.roundSeq {
 			r.removedSeq[p] = r.roundSeq
 			r.pendingCount--
 		}
-	case old == flat.NoAction:
+	case old == noAction:
 		// Disabled → enabled: age 1 at the end of this step, and the epoch
 		// predicate keeps p out of the current round's snapshot
 		// (enabledSince > roundStart).
 		r.enabled.set(p)
 		r.enabledCount++
-		r.lastReset[p] = int32(r.res.Steps - 1)
-		r.enabledSince[p] = int32(r.res.Steps)
+		if r.lastReset != nil {
+			r.lastReset[p] = int32(r.res.Steps - 1)
+		}
+		if !r.sync {
+			r.enabledSince[p] = int32(r.res.Steps)
+		}
 	}
 }

@@ -134,6 +134,64 @@ func TestSlotLayout(t *testing.T) {
 	}
 }
 
+// TestSlotLayoutShared pins FromCoreLike: a kernel rooted elsewhere on the
+// same network shares the first kernel's slot layout — its configurations'
+// adjacency is the same storage — and evaluates every guard as a kernel
+// FromCore builds for it. A kernel on another network, even one of the same
+// shape, is refused.
+func TestSlotLayoutShared(t *testing.T) {
+	g, _, k := layoutNetwork(t)
+	pr0 := core.MustNew(g, 0)
+	k0, err := flat.FromCoreLike(pr0, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := flat.FromCore(pr0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := flat.NewConfig(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, err := flat.NewConfig(k0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &c0.Neighbors(0)[0] != &c.Neighbors(0)[0] {
+		t.Fatal("FromCoreLike built a layout of its own")
+	}
+	sc := sim.NewConfiguration(g, pr0)
+	fault.UniformRandom().Apply(sc, pr0, rand.New(rand.NewSource(8)))
+	if err := c0.ReadSim(sc); err != nil {
+		t.Fatal(err)
+	}
+	cOwn, err := flat.NewConfig(own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cOwn.ReadSim(sc); err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < g.N(); p++ {
+		if c0.Slot(p) != cOwn.Slot(p) {
+			t.Fatalf("processor %d at slot %d, FromCore's layout has %d", p, c0.Slot(p), cOwn.Slot(p))
+		}
+		s := c0.Slot(p)
+		if got, want := k0.EnabledAction(c0, s), own.EnabledAction(cOwn, s); got != want {
+			t.Fatalf("processor %d enables action %d, FromCore's kernel %d", p, got, want)
+		}
+	}
+
+	same, err := graph.RandomSparse(20_000, 5_000, rand.New(rand.NewSource(31)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flat.FromCoreLike(core.MustNew(same, 0), k); err == nil {
+		t.Fatal("FromCoreLike shared a layout with a kernel on another network")
+	}
+}
+
 // TestSlotLayoutAccessorsRoundTrip checks every processor-ID entry point of
 // Config against the boxed configuration on a network whose layout is not
 // the identity: NewConfig, FromSim, ReadSim, StateAt, SetState, Phase, Msg,

@@ -54,7 +54,24 @@ type Protocol struct {
 // broadcast counter is copied from pr (1 on a freshly constructed protocol,
 // a later value when pr was built core.WithFirstMsg), so runs stay
 // payload-identical to the sim engine's.
-func FromCore(pr *core.Protocol) (*Protocol, error) {
+func FromCore(pr *core.Protocol) (*Protocol, error) { return fromCore(pr, nil) }
+
+// FromCoreLike builds the flat kernel for pr as FromCore does, but shares
+// the slot layout of like, a kernel on the same network (the same
+// *graph.Graph) instead of computing it again. A layout depends on the
+// graph alone and is immutable, so the kernels of several roots on one
+// network, and every configuration NewConfig builds from them, can share
+// one.
+func FromCoreLike(pr *core.Protocol, like *Protocol) (*Protocol, error) {
+	if like.g != pr.Graph() {
+		return nil, fmt.Errorf("flat: FromCoreLike needs a kernel on the protocol's own network")
+	}
+	return fromCore(pr, &like.layout)
+}
+
+// fromCore builds the kernel for pr over layout l, or over a layout
+// computed from pr's network when l is nil.
+func fromCore(pr *core.Protocol, l *layout) (*Protocol, error) {
 	g := pr.Graph()
 	if g.N() != pr.N {
 		return nil, fmt.Errorf("flat: protocol N = %d does not match graph N = %d", pr.N, g.N())
@@ -62,14 +79,17 @@ func FromCore(pr *core.Protocol) (*Protocol, error) {
 	if err := checkSize(g); err != nil {
 		return nil, err
 	}
-	l := newLayout(g)
+	if l == nil {
+		nl := newLayout(g)
+		l = &nl
+	}
 	return &Protocol{
 		Root:    pr.Root,
 		N:       pr.N,
 		NPrime:  pr.NPrime,
 		Lmax:    pr.Lmax,
 		Combine: pr.Combine,
-		layout:  l,
+		layout:  *l,
 		root:    l.slotOf(pr.Root),
 		printed: pr.UsesPrintedGuards(),
 		g:       g,

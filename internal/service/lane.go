@@ -163,7 +163,9 @@ func (ln *lane) observe() error {
 }
 
 // newLane builds one initiator's instance on the engine-specific runner.
-func newLane(opts *Options, idx, root int, faultName string) (*lane, error) {
+// An event lane's kernel shares the slot layout of like, the kernel of an
+// earlier lane on the same network, when like is non-nil.
+func newLane(opts *Options, idx, root int, faultName string, like *flat.Protocol) (*lane, error) {
 	ln := &lane{idx: idx, root: root, clock: opts.Clock}
 	pr, cfg, simOpts, err := ln.start(opts, faultName)
 	if err != nil {
@@ -174,7 +176,12 @@ func newLane(opts *Options, idx, root int, faultName string) (*lane, error) {
 		r := sim.NewRunner(cfg, pr, &gateDaemon{admit: ln.admit}, simOpts)
 		ln.eng = &syncLane{ln: ln, r: r, cfg: cfg}
 	case "event":
-		k, err := flat.FromCore(pr)
+		var k *flat.Protocol
+		if like != nil {
+			k, err = flat.FromCoreLike(pr, like)
+		} else {
+			k, err = flat.FromCore(pr)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +200,7 @@ func newLane(opts *Options, idx, root int, faultName string) (*lane, error) {
 		if err != nil {
 			return nil, err
 		}
-		ln.eng = &eventLane{ln: ln, fc: fc, r: r}
+		ln.eng = &eventLane{ln: ln, k: k, fc: fc, r: r}
 	}
 	ln.prevPhase = ln.eng.root().Pif
 	return ln, nil
@@ -313,6 +320,7 @@ func (e *syncLane) root() core.State { return core.At(e.cfg, e.ln.root) }
 // wake batch up to the global tick.
 type eventLane struct {
 	ln *lane
+	k  *flat.Protocol
 	fc *flat.Config
 	r  *event.Runner
 }

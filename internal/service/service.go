@@ -30,6 +30,7 @@ import (
 
 	"snappif/internal/event"
 	"snappif/internal/fault"
+	"snappif/internal/flat"
 	"snappif/internal/graph"
 )
 
@@ -202,14 +203,18 @@ func New(opts Options) (*Server, error) {
 	}
 
 	s := &Server{opts: opts}
+	var like *flat.Protocol // an event lane's kernel: the later lanes share its slot layout
 	for l, root := range opts.Initiators {
 		faultName := ""
 		if l < len(opts.Faults) {
 			faultName = opts.Faults[l]
 		}
-		ln, err := newLane(&opts, l, root, faultName)
+		ln, err := newLane(&opts, l, root, faultName, like)
 		if err != nil {
 			return nil, fmt.Errorf("service: lane %d (root %d): %w", l, root, err)
+		}
+		if e, ok := ln.eng.(*eventLane); ok {
+			like = e.k
 		}
 		s.lanes = append(s.lanes, ln)
 	}

@@ -306,3 +306,22 @@ func TestServiceDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// TestEventLanesShareLayout: the event engine's lanes run one kernel per
+// root, all on the slot layout New computed once for the network.
+func TestEventLanesShareLayout(t *testing.T) {
+	g, err := graph.Parse("grid:4x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{Graph: g, Engine: "event", Initiators: []int{0, 5, 15}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := &s.lanes[0].eng.(*eventLane).fc.Neighbors(0)[0]
+	for l, ln := range s.lanes[1:] {
+		if &ln.eng.(*eventLane).fc.Neighbors(0)[0] != first {
+			t.Fatalf("lane %d holds a slot layout of its own", l+1)
+		}
+	}
+}
